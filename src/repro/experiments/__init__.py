@@ -7,9 +7,9 @@ as the machine allows:
 * :mod:`repro.experiments.matrix` -- declarative factorial designs
   (governors x workloads x platforms x seeds) expanding into
   deterministically seeded :class:`ScenarioCell` objects,
-* :mod:`repro.experiments.runner` -- sequential or process-pool execution
-  with failure isolation and an on-disk result cache keyed by cell
-  fingerprint,
+* :mod:`repro.experiments.runner` -- one event loop, run in-process or
+  over a process pool, with failure isolation and an on-disk result cache
+  keyed by cell fingerprint,
 * :mod:`repro.experiments.artifacts` -- trained-agent artifacts: each
   distinct training spec is trained exactly once per sweep (in parallel,
   through the same pool) and pretrained ``next`` cells evaluate the frozen

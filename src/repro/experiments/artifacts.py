@@ -12,17 +12,16 @@ halves:
   :class:`~repro.core.artifact.AgentArtifact` -- shippable to a process-pool
   worker exactly like a scenario cell, and
 * :class:`ArtifactStore` mirrors the runner's ``ResultCache``: a
-  fingerprint-keyed store (in memory, optionally backed by a directory) that
-  trains each distinct spec exactly once and serves every later request from
-  the stored artifact.
+  fingerprint-keyed store of trained artifacts (in memory, optionally
+  backed by a directory).  The sweep runner trains each distinct spec once
+  and serves every later request from the store.
 """
 
 from __future__ import annotations
 
 import os
-import traceback
 from dataclasses import asdict
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.core.agent import AgentConfig
 from repro.core.artifact import AgentArtifact, TrainingSpec
@@ -161,7 +160,7 @@ class ArtifactStore:
         """:meth:`load` that also counts the hit as a reuse.
 
         The single accounting point for "this spec did not need training";
-        both the sequential and the pool execution paths go through it.
+        the sweep runner and inline fleet training both go through it.
         """
         artifact = self.load(spec, agent_config)
         if artifact is not None:
@@ -198,55 +197,12 @@ class ArtifactStore:
     def entries(self) -> List[AgentArtifact]:
         """Every stored artifact (memory plus directory), sorted by fingerprint."""
         by_fingerprint = dict(self._memory)
-        if self.directory is not None and os.path.isdir(self.directory):
-            for filename in sorted(os.listdir(self.directory)):
-                if not filename.endswith(".agent.json"):
-                    continue
-                fingerprint = filename[: -len(".agent.json")]
-                if fingerprint in by_fingerprint:
-                    continue
-                try:
-                    by_fingerprint[fingerprint] = AgentArtifact.load(
-                        os.path.join(self.directory, filename)
-                    )
-                except (OSError, ValueError, KeyError, TypeError):
-                    continue
-        return [by_fingerprint[key] for key in sorted(by_fingerprint)]
-
-    # -- bulk resolution ----------------------------------------------------------------
-
-    def ensure(
-        self,
-        specs: Iterable[TrainingSpec],
-        agent_config: Optional[AgentConfig] = None,
-    ) -> Tuple[Dict[str, AgentArtifact], Dict[str, str]]:
-        """Resolve every spec to an artifact, training the missing ones once.
-
-        Already-stored specs are served from the store (counted in
-        ``reused_count``); missing ones are trained in-process, persisted and
-        counted in ``trained_count``.  (The sweep runner's pool path
-        schedules training jobs across its workers itself, gating each
-        pretrained cell only on its own artifact.)  Returns
-        ``(artifacts, errors)``, both keyed by spec fingerprint; a spec whose
-        training raised lands in ``errors`` with its traceback instead of
-        aborting the whole resolution, so the sweep's failure isolation
-        extends to the training phase.
-        """
-        artifacts: Dict[str, AgentArtifact] = {}
-        errors: Dict[str, str] = {}
-        for spec in specs:
-            fingerprint = spec.fingerprint(agent_config)
-            if fingerprint in artifacts or fingerprint in errors:
-                continue
-            artifact = self.resolve(spec, agent_config)
-            if artifact is not None:
-                artifacts[fingerprint] = artifact
+        for path in self.entry_paths():
+            fingerprint = os.path.basename(path)[: -len(self.ENTRY_SUFFIX)]
+            if fingerprint in by_fingerprint:
                 continue
             try:
-                artifact = train_artifact(spec, agent_config)
-            except Exception:
-                errors[fingerprint] = traceback.format_exc()
+                by_fingerprint[fingerprint] = AgentArtifact.load(path)
+            except (OSError, ValueError, KeyError, TypeError):
                 continue
-            self.accept(artifact)
-            artifacts[fingerprint] = artifact
-        return artifacts, errors
+        return [by_fingerprint[key] for key in sorted(by_fingerprint)]

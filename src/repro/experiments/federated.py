@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import json
 import os
-import traceback
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.actions import ActionSpace
 from repro.core.agent import AgentConfig, NextAgent
@@ -334,17 +333,17 @@ class FleetBuild:
     """Stepwise fleet training, for schedulers that interleave other work.
 
     :func:`train_fleet_artifact` is the one-call form; the sweep runner's
-    pool scheduler must instead overlap fleet rounds with unrelated cells
-    and trainings, so this class exposes the identical computation as
-    explicit steps: round-0 device specs in, per-round continuation jobs
-    out, finished artifact at the end.  Both forms share every helper in
-    the same order, so their results are bit-identical by construction.
+    event loop must instead overlap fleet rounds with unrelated cells and
+    trainings, so this class exposes the identical computation as explicit
+    steps: round-0 device specs in, per-round continuation jobs out,
+    finished artifact at the end.  Both forms share every helper in the
+    same order, so their results are bit-identical by construction.
 
     Life cycle::
 
         build = FleetBuild(spec, start=resume_candidate_or_None)
         if build.needs_round0:
-            build.provide_round0({fp: AgentArtifact})   # from the store/pool
+            build.provide_round0({fp: AgentArtifact})   # stored or trained
         while not build.finished:
             round_index, jobs = build.round_jobs()
             results = [train_device_round(*job) for job in jobs]  # any executor
@@ -477,74 +476,44 @@ class FleetBuild:
         )
 
 
-def _resolve_round0(
-    build: FleetBuild, artifacts: ArtifactStore, pool=None
-) -> Dict[str, Any]:
-    """Round-0 device artifacts for one build, via the artifact pipeline.
-
-    Stored device artifacts are served from the store; missing ones train --
-    across ``pool`` when one is given, otherwise in-process -- and are
-    persisted so later fleets (or re-runs) reuse them.
-    """
-    resolved: Dict[str, Any] = {}
-    missing: Dict[str, TrainingSpec] = {}
-    for device_spec in build.device_specs():
-        fingerprint = device_spec.fingerprint(build.agent_config)
-        if fingerprint in resolved or fingerprint in missing:
-            continue
-        artifact = artifacts.resolve(device_spec, build.agent_config)
-        if artifact is not None:
-            resolved[fingerprint] = artifact
-        else:
-            missing[fingerprint] = device_spec
-    if missing and pool is not None:
-        futures = {
-            fingerprint: pool.submit(train_artifact, device_spec, build.agent_config)
-            for fingerprint, device_spec in missing.items()
-        }
-        for fingerprint, future in futures.items():
-            artifact = future.result()
-            artifacts.accept(artifact)
-            resolved[fingerprint] = artifact
-    else:
-        for fingerprint, device_spec in missing.items():
-            artifact = train_artifact(device_spec, build.agent_config)
-            artifacts.accept(artifact)
-            resolved[fingerprint] = artifact
-    return resolved
-
-
 def train_fleet_artifact(
     spec: FleetSpec,
     agent_config: Optional[AgentConfig] = None,
     artifacts: Optional[ArtifactStore] = None,
-    pool=None,
     start: Optional[FleetArtifact] = None,
 ) -> FleetArtifact:
-    """Train one federated fleet per ``spec`` and freeze it into an artifact.
+    """Train one federated fleet per ``spec`` in-process and freeze it.
 
-    ``pool`` (any executor with ``submit``) parallelises the per-device
-    training of every round; the result is bit-identical with and without
-    one.  Without a pool, multi-device rounds run through the batched
-    device-population kernel when NumPy is available (one lockstep step loop
-    for the whole fleet instead of N sequential simulations) -- also
-    bit-identical, so the three paths cannot diverge.  ``start`` resumes a
-    same-lineage artifact with fewer rounds: only the missing rounds run,
-    and the outcome equals a from-scratch run of the full depth.
+    The one-call form of :class:`FleetBuild`, for callers outside the sweep
+    runner (which schedules the same build through its event loop).  Round-0
+    device specs resolve through ``artifacts`` -- stored ones are reused,
+    missing ones train and are stored.  Multi-device rounds run through the
+    batched device-population kernel when NumPy is available (one lockstep
+    step loop for the whole fleet instead of N sequential simulations);
+    every path is bit-identical.  ``start`` resumes a same-lineage artifact
+    with fewer rounds: only the missing rounds run, and the outcome equals a
+    from-scratch run of the full depth.
     """
     build = FleetBuild(spec, agent_config=agent_config, start=start)
     store = artifacts if artifacts is not None else ArtifactStore(None)
     if build.needs_round0:
-        build.provide_round0(_resolve_round0(build, store, pool=pool))
+        round0: Dict[str, Any] = {}
+        for device_spec in build.device_specs():
+            fingerprint = device_spec.fingerprint(build.agent_config)
+            if fingerprint in round0:
+                continue
+            artifact = store.resolve(device_spec, build.agent_config)
+            if artifact is None:
+                artifact = train_artifact(device_spec, build.agent_config)
+                store.accept(artifact)
+            round0[fingerprint] = artifact
+        build.provide_round0(round0)
     while not build.finished:
         round_index, jobs = build.round_jobs()
         with maybe_span(
             "federated_round", round=round_index, devices=len(jobs)
         ):
-            if pool is not None:
-                futures = [pool.submit(train_device_round, *job) for job in jobs]
-                results = [future.result() for future in futures]
-            elif len(jobs) > 1 and batch_kernel_available():
+            if len(jobs) > 1 and batch_kernel_available():
                 results = train_device_rounds_batched(jobs)
             else:
                 results = [train_device_round(*job) for job in jobs]
@@ -648,24 +617,20 @@ class FleetStore:
                 best = artifact
         best_rounds = -1 if best is None else best.rounds_completed
         candidates: List[Tuple[int, str]] = []
-        if self.directory is not None and os.path.isdir(self.directory):
-            for filename in sorted(os.listdir(self.directory)):
-                if not filename.endswith(".fleet.json"):
-                    continue
-                if filename[: -len(".fleet.json")] in self._memory:
-                    continue
-                path = os.path.join(self.directory, filename)
-                try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        data = json.load(handle)
-                    rounds_completed = int(data["rounds_completed"])
-                    file_lineage = data["lineage"]
-                except (OSError, ValueError, KeyError, TypeError):
-                    continue  # torn or foreign file: not a candidate
-                if file_lineage != lineage:
-                    continue
-                if best_rounds < rounds_completed < spec.rounds:
-                    candidates.append((rounds_completed, path))
+        for path in self.entry_paths():
+            if os.path.basename(path)[: -len(self.ENTRY_SUFFIX)] in self._memory:
+                continue
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    data = json.load(handle)
+                rounds_completed = int(data["rounds_completed"])
+                file_lineage = data["lineage"]
+            except (OSError, ValueError, KeyError, TypeError):
+                continue  # torn or foreign file: not a candidate
+            if file_lineage != lineage:
+                continue
+            if best_rounds < rounds_completed < spec.rounds:
+                candidates.append((rounds_completed, path))
         for _, path in sorted(candidates, reverse=True):
             try:
                 return FleetArtifact.load(path)
@@ -696,67 +661,15 @@ class FleetStore:
     def entries(self) -> List[FleetArtifact]:
         """Every stored fleet (memory plus directory), sorted by fingerprint."""
         by_fingerprint = dict(self._memory)
-        if self.directory is not None and os.path.isdir(self.directory):
-            for filename in sorted(os.listdir(self.directory)):
-                if not filename.endswith(".fleet.json"):
-                    continue
-                fingerprint = filename[: -len(".fleet.json")]
-                if fingerprint in by_fingerprint:
-                    continue
-                try:
-                    by_fingerprint[fingerprint] = FleetArtifact.load(
-                        os.path.join(self.directory, filename)
-                    )
-                except (OSError, ValueError, KeyError, TypeError):
-                    continue
-        return [by_fingerprint[key] for key in sorted(by_fingerprint)]
-
-    # -- bulk resolution ----------------------------------------------------------------
-
-    def ensure(
-        self,
-        specs: Iterable[FleetSpec],
-        artifacts: Optional[ArtifactStore] = None,
-        agent_config: Optional[AgentConfig] = None,
-        pool=None,
-    ) -> Tuple[Dict[str, FleetArtifact], Dict[str, str]]:
-        """Resolve every fleet spec to an artifact, training the missing ones.
-
-        Mirrors :meth:`ArtifactStore.ensure`: stored fleets are reused,
-        same-lineage shallower fleets are resumed, anything else trains from
-        scratch (round-0 device training still deduplicates through
-        ``artifacts``).  Returns ``(fleets, errors)`` keyed by fleet
-        fingerprint; a fleet whose training raised lands in ``errors`` with
-        its traceback so sweep failure isolation extends to federated
-        training.
-        """
-        device_artifacts = artifacts if artifacts is not None else ArtifactStore(None)
-        fleets: Dict[str, FleetArtifact] = {}
-        errors: Dict[str, str] = {}
-        for spec in specs:
-            fingerprint = spec.fingerprint(agent_config)
-            if fingerprint in fleets or fingerprint in errors:
+        for path in self.entry_paths():
+            fingerprint = os.path.basename(path)[: -len(self.ENTRY_SUFFIX)]
+            if fingerprint in by_fingerprint:
                 continue
-            artifact = self.load(spec, agent_config)
-            if artifact is not None:
-                self.reused_count += 1
-                fleets[fingerprint] = artifact
-                continue
-            start = self.resume_candidate(spec, agent_config)
             try:
-                artifact = train_fleet_artifact(
-                    spec,
-                    agent_config=agent_config,
-                    artifacts=device_artifacts,
-                    pool=pool,
-                    start=start,
-                )
-            except Exception:
-                errors[fingerprint] = traceback.format_exc()
+                by_fingerprint[fingerprint] = FleetArtifact.load(path)
+            except (OSError, ValueError, KeyError, TypeError):
                 continue
-            self.accept(artifact, resumed=start is not None)
-            fleets[fingerprint] = artifact
-        return fleets, errors
+        return [by_fingerprint[key] for key in sorted(by_fingerprint)]
 
 
 def fleet_convergence_table(artifact: FleetArtifact) -> str:

@@ -1,11 +1,19 @@
-"""Scenario-matrix execution: sequential or process-parallel, with caching.
+"""Scenario-matrix execution: one event loop, two executors, with caching.
 
 The runner owns no simulation logic of its own: every cell funnels through
-:func:`execute_cell`, which records the cell's demand trace and hands it to
-:func:`repro.sim.experiment.run_trace` -- the same single-cell primitive the
-sequential helpers use.  Running with ``max_workers=1`` therefore produces
-bit-identical summaries to a pooled run, which the determinism regression
-tests assert.
+:func:`execute_cell` (or, for lanes of the batch kernel,
+:func:`execute_cells_batched`), which records the cell's demand trace and
+hands it to :func:`repro.sim.experiment.run_trace` -- the same single-cell
+primitive the sequential helpers use.
+
+Scheduling: every sweep runs through one event loop over one job graph --
+training spec, then fleet round, then cell or cell batch.  The loop drives
+one of two executors: a process pool, or an in-process executor that runs
+one queued job per wait step, in submission order (``max_workers=1``, a
+single pending cell, and the fallback after a broken pool).  Both routes
+make every decision -- what to train, what to retry, what to cache -- in
+the same code, so the worker count changes only the wall time, never a
+result; the determinism regression tests assert it.
 
 Failure isolation: a cell that raises reports an error :class:`CellResult`
 (status ``"error"`` with the traceback) instead of killing the sweep, so a
@@ -17,14 +25,14 @@ the exception object still exists -- transient infrastructure failures
 bounded seeded backoff, while deterministic failures (anything else, or the
 same traceback twice in a row) are quarantined as permanent immediately.
 A broken pool (crashed worker) or an expired watchdog deadline (hung
-worker) tears the pool down and rebuilds it, resubmitting only the cells
+worker) tears the pool down and rebuilds it, resubmitting only the jobs
 that were in flight -- their attempt counters bumped so first-attempt-only
 injected faults cannot re-fire -- and after ``max_pool_rebuilds`` restarts
-the *remaining* cells (never the already-delivered ones) finish
-sequentially in the orchestrator, where injected crashes raise instead of
-exiting.  All of this is safe because of the bit-identity contract: a
-retried cell can only ever produce the same bytes the first attempt would
-have, which the chaos harness pins per cell via ``sample_stream_hash``.
+the *remaining* cells (never the already-delivered ones) finish through the
+same loop in-process, where injected crashes raise instead of exiting.  All
+of this is safe because of the bit-identity contract: a retried cell can
+only ever produce the same bytes the first attempt would have, which the
+chaos harness pins per cell via ``sample_stream_hash``.
 
 Caching: with a ``cache_dir``, each completed cell is written to
 ``<fingerprint>.json``; re-running a sweep serves completed cells from disk
@@ -35,21 +43,41 @@ fixed bug re-runs its cells automatically.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import traceback
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Executor,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from functools import partial
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.core.artifact import AgentArtifact, TrainingSpec
 from repro.core.federated import FleetArtifact, FleetSpec
-from repro.core.persistence import atomic_write_json, list_entry_paths
+from repro.core.persistence import (
+    atomic_write_json,
+    list_entry_paths,
+    quarantine_entry,
+)
 from repro.experiments.artifacts import ArtifactStore, train_artifact
 from repro.experiments.federated import (
     FleetBuild,
@@ -60,7 +88,7 @@ from repro.experiments.federated import (
     train_fleet_artifact,
 )
 from repro.experiments.matrix import ScenarioCell, ScenarioMatrix
-from repro.obs.metrics import metrics
+from repro.obs.metrics import metrics, reset_metrics
 from repro.obs.profile import active_profiler
 from repro.obs.trace import active_tracer, emit_event, flush_task_metrics
 from repro.reliability.clock import monotonic_now
@@ -212,7 +240,7 @@ def run_cell_session(
     A pretrained cell evaluates the frozen greedy policy of its trained
     artifact, a federated cell the merged greedy agent of its trained fleet
     (``training=False`` either way), never a cold exploring agent.  The
-    sweep runner resolves artifacts up front through its
+    sweep runner resolves artifacts through its
     :class:`ArtifactStore` / :class:`FleetStore` and passes them in;
     standalone callers may omit ``artifact``, in which case the cell's
     :class:`TrainingSpec` or :class:`FleetSpec` is trained inline --
@@ -505,20 +533,6 @@ class ResultCache:
             return None
         return os.path.join(self.directory, f"{cell.fingerprint()}.json")
 
-    @staticmethod
-    def _quarantine(path: str) -> None:
-        """Move a corrupt entry aside as ``<path>.bad`` (best effort).
-
-        Renaming instead of deleting keeps the evidence for post-mortems,
-        frees the canonical path so the re-run can store a fresh result, and
-        -- because merge/iteration only considers ``*.json`` names -- keeps
-        the quarantined file out of every later cache operation.
-        """
-        try:
-            os.replace(path, f"{path}.bad")
-        except OSError:
-            pass  # e.g. a racing runner already quarantined or replaced it
-
     def _read(self, cell: ScenarioCell) -> Tuple[Optional[CellResult], Optional[str]]:
         """Acceptance check without side effects: ``(result, corrupt_path)``.
 
@@ -578,7 +592,7 @@ class ResultCache:
         """
         result, corrupt_path = self._read(cell)
         if corrupt_path is not None:
-            self._quarantine(corrupt_path)
+            quarantine_entry(corrupt_path)
             metrics().inc("cache.quarantined")
         if result is None:
             metrics().inc("cache.miss")
@@ -660,50 +674,146 @@ class SweepResult:
         raise KeyError(f"no result for cell {cell.label()}")
 
 
+class _Failure(NamedTuple):
+    """One failed job attempt: its classification, exception type and traceback."""
+
+    kind: str
+    error_type: str
+    error: Optional[str]
+
+
+@dataclass
+class _Job:
+    """One in-flight unit of a sweep's job graph.
+
+    ``keys`` are the retry keys whose attempt counters the job carries (a
+    cell batch carries every lane's); a pool restart that voids the job
+    bumps all of them.  ``start`` submits the job with an attempt counter
+    and returns its future.  ``settle`` receives the job and its outcome --
+    the return value, or the :class:`_Failure` it raised -- and may launch
+    follow-up jobs.
+    """
+
+    keys: Tuple[str, ...]
+    start: Callable[[int], Future]
+    settle: Callable[["_Job", Any], None]
+    budget_s: Optional[float]
+    deadline: float = math.inf
+
+
 class _PoolRestart(Exception):
     """Internal signal: the process pool must be torn down and rebuilt.
 
-    Raised inside the pool event loop when the pool breaks (a worker died)
-    or a watchdog deadline expires (a worker hung).  Carries the retry keys
-    of the work that was in flight so :meth:`SweepRunner.run` can bump
-    their attempt counters before resubmitting -- which is what lets a
-    first-attempt-only injected crash or hang rule stop firing on the
-    rebuilt pool.
+    Raised inside the event loop when the pool breaks (a worker died) or a
+    watchdog deadline expires (a worker hung).  Carries the retry keys of
+    the jobs it voids so :meth:`SweepRunner.run` can bump their attempt
+    counters before resubmitting -- which is what lets a first-attempt-only
+    injected crash or hang rule stop firing on the rebuilt pool.
     """
 
-    def __init__(self, cause: str, keys: Tuple[str, ...]) -> None:
+    def __init__(self, cause: str, jobs: Iterable[_Job]) -> None:
         super().__init__(cause)
         self.cause = cause
-        self.keys = keys
+        self.keys = tuple(sorted({key for job in jobs for key in job.keys}))
+
+
+def _init_worker() -> None:
+    """Pool initializer: mark the worker expendable and empty its metrics.
+
+    A forked worker inherits the orchestrator's registry; without the reset
+    its first per-task flush would ship the orchestrator's counters again.
+    """
+    mark_worker_process()
+    reset_metrics()
+
+
+class _PoolExecutor(ProcessPoolExecutor):
+    """The concurrent executor: each :meth:`step` waits for the first finished job."""
+
+    def __init__(self, workers: int) -> None:
+        super().__init__(max_workers=workers, initializer=_init_worker)
+        self.workers = workers
+
+    def step(self, pending: Iterable[Future], timeout: Optional[float]) -> Iterable[Future]:
+        finished, _ = wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)
+        return finished
+
+    def abandon(self) -> None:
+        """Tear the pool down without waiting for hung or dead workers.
+
+        Worker processes are terminated outright: they compute in memory
+        and return results by pickle -- every store write happens in the
+        orchestrator -- so killing them mid-job cannot corrupt anything on
+        disk.  ``shutdown`` drops the process table, so it is read first.
+        """
+        processes = list((self._processes or {}).values())
+        self.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            process.terminate()
+
+
+class _InlineExecutor(Executor):
+    """The in-process executor: each :meth:`step` runs the oldest queued job.
+
+    ``submit`` only queues, so every result is cached, delivered and
+    heartbeated before the next job starts -- an interrupted sweep resumes
+    from exactly what it delivered.  A job's ``Exception`` lands on its
+    future, as a pool worker's would; ``KeyboardInterrupt`` propagates.  The
+    orchestrator is never marked expendable, so injected crashes raise here
+    instead of exiting, and a job always runs to completion: this executor
+    neither breaks nor times out.
+    """
+
+    workers = 1
+
+    def __init__(self) -> None:
+        self._queue: Deque[Tuple[Future, Callable[..., Any], tuple, dict]] = deque()
+
+    def submit(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Future:
+        future: Future = Future()
+        self._queue.append((future, fn, args, kwargs))
+        return future
+
+    def step(self, pending: Iterable[Future], timeout: Optional[float]) -> Iterable[Future]:
+        future, fn, args, kwargs = self._queue.popleft()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # repro-lint: disable=REP008 -- lands on the job's future, where the loop classifies it
+            future.set_exception(exc)
+        return (future,)
+
+    def abandon(self) -> None:
+        self._queue.clear()
 
 
 class SweepRunner:
     """Runs every cell of a matrix, optionally across a process pool.
 
-    ``max_workers=1`` (or a single pending cell) executes in-process through
-    exactly the same :func:`execute_cell` path the pool workers use.
+    Every sweep runs through one event loop (:meth:`_run_jobs`); the worker
+    count only picks its executor.  ``max_workers=1`` (or a single pending
+    cell) runs the jobs in-process, one at a time, through exactly the same
+    :func:`execute_cell` path the pool workers use.
 
-    Pretrained cells add a phase before cell execution: every distinct
+    Pretrained cells depend on a training job: every distinct
     :class:`TrainingSpec` among the pending cells is resolved through the
     runner's :class:`ArtifactStore` -- loaded when stored, trained exactly
-    once otherwise (across the same process pool the cells use) -- and each
-    cell then evaluates its frozen artifact.  Federated cells resolve the
-    same way through the :class:`FleetStore`: every distinct
-    :class:`FleetSpec` trains once (its per-device jobs fanned out over the
-    pool, its round-0 device training cached in the artifact store) or is
-    served -- complete or as a same-lineage resume point -- from disk.
-    ``artifact_dir`` defaults to ``<cache_dir>/artifacts`` so cached sweeps
-    also reuse their agents and fleets.
+    once otherwise -- and each cell then evaluates its frozen artifact.
+    Federated cells resolve the same way through the :class:`FleetStore`:
+    every distinct :class:`FleetSpec` trains once (its round-0 device
+    training cached in the artifact store) or is served -- complete or as a
+    same-lineage resume point -- from disk.  ``artifact_dir`` defaults to
+    ``<cache_dir>/artifacts`` so cached sweeps also reuse their agents and
+    fleets.
 
     Fault tolerance: ``retry_policy`` bounds how often transient failures
     (classified by :func:`repro.reliability.retry.classify_exception`)
     re-run and how long the seeded backoff between attempts is;
     ``watchdog`` prices per-job wall-clock budgets from the shard cost
-    model so hung workers are detected and their cells rescheduled; a
+    model so hung workers are detected and their jobs rescheduled; a
     broken or watchdog-expired pool is rebuilt up to ``max_pool_rebuilds``
-    times before the remaining cells fall back to sequential in-process
-    execution.  The defaults enable all three with conservative settings
-    (two retries, 20x cost-model budgets with a 60 s floor, two rebuilds).
+    times before the remaining cells finish in-process.  The defaults
+    enable all three with conservative settings (two retries, 20x
+    cost-model budgets with a 60 s floor, two rebuilds).
     """
 
     def __init__(
@@ -791,26 +901,24 @@ class SweepRunner:
                 if not remaining:
                     break
                 if workers <= 1 or len(remaining) <= 1 or rebuilds > self.max_pool_rebuilds:
-                    # Either a sequential run was requested, or the pool broke
-                    # more often than the rebuild budget allows.  Only the
-                    # *remaining* cells run here: everything delivered before
-                    # the last restart already sits in its slot and the cache.
-                    self._run_sequential(remaining, deliver, retry_states)
-                    break
+                    # A sequential run, or a pool that broke more often than
+                    # the rebuild budget allows.  Only the *remaining* cells
+                    # run: everything delivered before the last restart
+                    # already sits in its slot and the cache.
+                    executor = _InlineExecutor()
+                else:
+                    executor = _PoolExecutor(min(workers, len(remaining)))
                 try:
-                    with ProcessPoolExecutor(
-                        max_workers=min(workers, len(remaining)),
-                        initializer=mark_worker_process,
-                    ) as pool:
+                    with executor:
                         try:
-                            self._run_pool(pool, remaining, deliver, retry_states)
+                            self._run_jobs(executor, remaining, deliver, retry_states)
                         except (KeyboardInterrupt, _PoolRestart):
                             # Abandon queued and running work so the executor's
                             # __exit__ cannot block on a hung or dead worker.
                             # Every result delivered so far is already in the
                             # cache, so a re-run (or the rebuilt pool) resumes
                             # from exactly what completed.
-                            self._abandon_pool(pool)
+                            executor.abandon()
                             raise
                     break
                 except _PoolRestart as restart:
@@ -841,28 +949,14 @@ class SweepRunner:
                     profile=profiler.snapshot() if profiler is not None else None,
                 )
 
-    @staticmethod
-    def _abandon_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down without waiting for hung or dead workers.
-
-        Worker processes are terminated outright: they compute in memory
-        and return results by pickle -- every store write happens in the
-        orchestrator -- so killing them mid-cell cannot corrupt anything on
-        disk.
-        """
-        pool.shutdown(wait=False, cancel_futures=True)
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            process.terminate()
-
-    def _run_pool(
+    def _run_jobs(
         self,
-        pool: ProcessPoolExecutor,
+        executor: Union[_InlineExecutor, _PoolExecutor],
         pending: List[Tuple[int, ScenarioCell]],
         deliver: Callable[[int, CellResult], None],
         retry_states: Dict[str, RetryState],
     ) -> None:
-        """Pool scheduling: training jobs gate only their own dependent cells.
+        """The event loop: training jobs gate only their own dependent cells.
 
         Missing artifacts are submitted *first* (so training starts on the
         first free workers), artifact-free cells run concurrently with the
@@ -870,22 +964,21 @@ class SweepRunner:
         immediately, and each freshly trained artifact releases its cells the
         moment it lands -- no cell ever waits on an unrelated spec.
 
-        Federated fleets resolve through the same event loop: stored fleets
-        load up front (a same-lineage shallower fleet resumes), a missing
-        fleet's round-0 device specs join the training queue (deduplicated
-        against the cells' own specs and the artifact store), each
-        continuation round fans one job per device across the pool as soon
-        as the previous round's aggregation lands, and a fleet's cells
-        dispatch the moment its artifact is captured.  Unrelated cells keep
-        flowing while fleets train, and a fleet failure fails exactly its
-        own cells.
+        Federated fleets resolve through the same loop: stored fleets load up
+        front (a same-lineage shallower fleet resumes), a missing fleet's
+        round-0 device specs join the training queue (deduplicated against
+        the cells' own specs and the artifact store), each continuation round
+        is submitted as soon as the previous round's aggregation lands, and a
+        fleet's cells dispatch the moment its artifact is captured.  Unrelated
+        cells keep flowing while fleets train, and a fleet failure fails
+        exactly its own cells, as permanent errors.
 
-        Fault tolerance: every submitted job carries its retry attempt
-        counter and, when the watchdog can price it, a wall-clock deadline.
-        A transient in-band failure (a classified error result or raised
-        exception) resubmits the same job after seeded backoff; a broken
-        pool or an expired deadline raises :class:`_PoolRestart` carrying
-        the in-flight retry keys, and :meth:`run` rebuilds the pool around
+        Fault tolerance: every job sits in one map from future to
+        :class:`_Job`, which carries its retry keys and watchdog deadline.  A
+        transient failure (a classified error result or raised exception)
+        relaunches the job after seeded backoff; a broken pool or an expired
+        deadline raises :class:`_PoolRestart` carrying the retry keys of
+        every job in flight, and :meth:`run` rebuilds the pool around
         whatever this loop already delivered.
         """
         specs: Dict[str, TrainingSpec] = {}
@@ -901,52 +994,19 @@ class SweepRunner:
             if fleet is not None:
                 fleet_specs.setdefault(fleet.fingerprint(), fleet)
 
-        pending_futures: set = set()
-        #: future -> (monotonic deadline, retry keys to bump on expiry).
-        deadlines: Dict[Any, Tuple[float, Tuple[str, ...]]] = {}
-        cell_futures: Dict[Any, Tuple[int, ScenarioCell, Optional[CellArtifact]]] = {}
+        jobs: Dict[Future, _Job] = {}
         waiting: Dict[str, List[Tuple[int, ScenarioCell]]] = {}
+        use_batch_kernel = batch_kernel_available()
 
         # -- fleet state -------------------------------------------------------
         fleets: Dict[str, FleetArtifact] = {}
         builds: Dict[str, FleetBuild] = {}
-        failed_fleets: Dict[str, str] = {}
+        failed_fleets: set = set()
         fleet_waiting: Dict[str, List[Tuple[int, ScenarioCell]]] = {}
         device_artifacts: Dict[str, AgentArtifact] = {}
         device_needs: Dict[str, List[str]] = {}  # device spec fp -> fleet fps
         missing_devices: Dict[str, set] = {}  # fleet fp -> unresolved device fps
-        round_futures: Dict[Any, Tuple[str, int, int, Tuple[Any, ...]]] = {}
         round_buffers: Dict[str, List[Optional[Dict[str, Any]]]] = {}
-        batched_round_futures: Dict[Any, Tuple[str, int]] = {}
-        batched_cell_futures: Dict[Any, List[Tuple[int, ScenarioCell]]] = {}
-        use_batch_kernel = batch_kernel_available()
-
-        def arm(future: Any, budget_s: Optional[float], keys: Tuple[str, ...]) -> None:
-            """Give a future a watchdog deadline, when one can be priced."""
-            if budget_s is not None:
-                deadlines[future] = (monotonic_now() + budget_s, keys)
-
-        def in_flight_keys() -> Tuple[str, ...]:
-            """Retry keys of everything currently submitted to the pool.
-
-            A broken pool voids every outstanding future at once, so all of
-            them get their attempt counters bumped on restart -- which is
-            what stops a first-attempt-only injected crash from re-firing
-            and guarantees the rebuild loop converges.
-            """
-            keys = set()
-            for _, in_flight_cell, _ in cell_futures.values():
-                keys.add(in_flight_cell.fingerprint())
-            for group in batched_cell_futures.values():
-                keys.update(cell.fingerprint() for _, cell in group)
-            keys.update(training_futures.values())
-            for fleet_fp, round_index, device, _ in round_futures.values():
-                keys.add(f"{fleet_fp}:r{round_index}:d{device}")
-            keys.update(
-                f"{fleet_fp}:r{round_index}"
-                for fleet_fp, round_index in batched_round_futures.values()
-            )
-            return tuple(sorted(keys))
 
         for fleet_fingerprint, fleet_spec in fleet_specs.items():
             stored = self.fleets.load(fleet_spec)
@@ -991,61 +1051,185 @@ class SweepRunner:
             else:
                 missing[fingerprint] = spec
 
-        training_futures: Dict[Any, str] = {}
-
-        def submit_training(fingerprint: str, spec: TrainingSpec) -> None:
-            attempt = self._attempt_of(fingerprint, retry_states)
-            future = pool.submit(train_artifact, spec, attempt=attempt)
-            training_futures[future] = fingerprint
-            pending_futures.add(future)
-            # Price the budget from a cell that needs this spec; a fleet
-            # round-0 device spec has no such cell, so it only gets the flat
-            # --cell-timeout override (if any).
-            representative = spec_cells.get(fingerprint)
-            budget = (
-                self.watchdog.training_budget_s(representative)
-                if representative is not None
-                else self.watchdog.cell_timeout_s
+        # -- launching, retrying and settling jobs -----------------------------
+        def launch(job: _Job) -> None:
+            """Submit ``job`` with its keys' attempt counter and arm its watchdog."""
+            future = job.start(
+                max(
+                    retry_states[key].attempt if key in retry_states else 0
+                    for key in job.keys
+                )
             )
-            arm(future, budget, (fingerprint,))
+            if job.budget_s is not None:
+                job.deadline = monotonic_now() + job.budget_s
+            jobs[future] = job
 
-        for fingerprint, spec in missing.items():
-            submit_training(fingerprint, spec)
+        def retry(job: _Job, failure: _Failure) -> bool:
+            """Account one failed attempt; relaunch ``job`` or return ``False``.
 
-        def submit_cell(
+            Transient failures relaunch after the seeded, capped backoff
+            while the retry budget lasts.  A repeated identical traceback
+            marks the failure deterministic -- replaying it again cannot end
+            differently -- and gives up immediately, whatever the budget.
+            """
+            key = job.keys[0]
+            state = retry_states.setdefault(key, RetryState())
+            repeated = state.record_failure(*failure)
+            # state.attempt now counts failures; retries used is one fewer.
+            retrying = not repeated and self.retry_policy.should_retry(
+                failure.kind, state.attempt - 1
+            )
+            metrics().inc(f"retry.{failure.kind}")
+            if not retrying:
+                metrics().inc(
+                    "retry.exhausted" if failure.kind == TRANSIENT else "retry.quarantined"
+                )
+            emit_event(
+                "retry", key=key, kind=failure.kind, attempt=state.attempt,
+                will_retry=retrying,
+            )
+            if retrying:
+                delay = self.retry_policy.backoff_s(key, state.attempt)
+                if delay > 0:
+                    time.sleep(delay)
+                launch(job)
+            return retrying
+
+        def cell_job(
             index: int, cell: ScenarioCell, artifact: Optional[CellArtifact] = None
-        ) -> None:
+        ) -> _Job:
             if isinstance(artifact, FleetArtifact):
                 # Don't serialise N device states per cell; evaluation only
                 # reads the merged agent.
                 artifact = artifact.evaluation_only()
-            key = cell.fingerprint()
-            future = pool.submit(
-                execute_cell, cell, artifact, attempt=self._attempt_of(key, retry_states)
+            return _Job(
+                keys=(cell.fingerprint(),),
+                start=lambda attempt: executor.submit(
+                    execute_cell, cell, artifact, attempt=attempt
+                ),
+                settle=partial(settle_cell, index, cell),
+                budget_s=self.watchdog.cell_budget_s(cell),
             )
-            cell_futures[future] = (index, cell, artifact)
-            pending_futures.add(future)
-            arm(future, self.watchdog.cell_budget_s(cell), (key,))
 
-        def submit_round_job(
-            fleet_fingerprint: str, round_index: int, device: int, job: Tuple[Any, ...]
-        ) -> None:
-            key = f"{fleet_fingerprint}:r{round_index}:d{device}"
-            future = pool.submit(
-                train_device_round, *job, attempt=self._attempt_of(key, retry_states)
+        def settle_cell(index: int, cell: ScenarioCell, job: _Job, result: Any) -> None:
+            """Deliver one cell's result, or relaunch it after a transient failure."""
+            if isinstance(result, _Failure):
+                # execute_cell isolates workload errors itself; reaching here
+                # means the executor failed this one job (e.g. an unpicklable
+                # result).  Settle it like any in-band failure.
+                result = CellResult(
+                    cell=cell, status="error", error=result.error,
+                    error_kind=result.kind, error_type=result.error_type,
+                )
+            key = job.keys[0]
+            if result.ok:
+                # Document survived failures (no-op on clean runs).
+                if key in retry_states and retry_states[key].lineage:
+                    result.attempts = retry_states[key].lineage_dicts()
+                self.cache.store(result)
+                deliver(index, result)
+                return
+            failure = _Failure(
+                result.error_kind or PERMANENT, result.error_type or "", result.error
             )
-            round_futures[future] = (fleet_fingerprint, round_index, device, tuple(job))
-            pending_futures.add(future)
-            arm(future, self.watchdog.cell_timeout_s, (key,))
+            if not retry(job, failure):
+                result.error_kind = PERMANENT
+                result.attempts = retry_states[key].lineage_dicts()
+                deliver(index, result)
+
+        def batch_job(group: List[Tuple[int, ScenarioCell]]) -> _Job:
+            cells = [cell for _, cell in group]
+            return _Job(
+                keys=tuple(cell.fingerprint() for cell in cells),
+                start=lambda attempt: executor.submit(
+                    execute_cells_batched, cells, attempt=attempt
+                ),
+                settle=partial(settle_batch, group),
+                budget_s=self.watchdog.batch_budget_s(cells),
+            )
+
+        def settle_batch(
+            group: List[Tuple[int, ScenarioCell]], job: _Job, results: Any
+        ) -> None:
+            if isinstance(results, _Failure) or len(results) != len(group):
+                # The executor failed this job alone: relaunch the group's
+                # cells individually, restoring the scalar path's per-cell
+                # failure isolation.
+                for index, cell in group:
+                    launch(cell_job(index, cell))
+                return
+            for (index, cell), result in zip(group, results):
+                settle_cell(index, cell, cell_job(index, cell), result)
+
+        def submit_training(fingerprint: str, spec: TrainingSpec) -> None:
+            # Price the budget from a cell that needs this spec; a fleet
+            # round-0 device spec has no such cell, so it only gets the flat
+            # --cell-timeout override (if any).
+            representative = spec_cells.get(fingerprint)
+            launch(
+                _Job(
+                    keys=(fingerprint,),
+                    start=lambda attempt: executor.submit(
+                        train_artifact, spec, attempt=attempt
+                    ),
+                    settle=partial(settle_training, fingerprint, spec),
+                    budget_s=(
+                        self.watchdog.training_budget_s(representative)
+                        if representative is not None
+                        else self.watchdog.cell_timeout_s
+                    ),
+                )
+            )
+
+        def settle_training(
+            fingerprint: str, spec: TrainingSpec, job: _Job, outcome: Any
+        ) -> None:
+            if isinstance(outcome, _Failure):
+                if retry(job, outcome):
+                    return
+                # The artifact failed to train for good: fail its cells, and
+                # any fleet whose round 0 needed it, without occupying
+                # workers (errors are never cached).
+                error = _training_error(fingerprint, spec, outcome.error)
+                for index, cell in waiting.pop(fingerprint, ()):
+                    deliver(
+                        index,
+                        CellResult(
+                            cell=cell, status="error", error=error,
+                            error_kind=PERMANENT, error_type=outcome.error_type,
+                        ),
+                    )
+                for fleet_fingerprint in device_needs.pop(fingerprint, ()):
+                    if fleet_fingerprint not in failed_fleets:
+                        fail_fleet(fleet_fingerprint, error)
+                return
+            self.artifacts.accept(outcome)
+            device_artifacts[fingerprint] = outcome
+            for index, cell in waiting.pop(fingerprint, ()):
+                launch(cell_job(index, cell, outcome))
+            for fleet_fingerprint in device_needs.pop(fingerprint, ()):
+                if fleet_fingerprint in failed_fleets:
+                    continue
+                unresolved = missing_devices[fleet_fingerprint]
+                unresolved.discard(fingerprint)
+                if not unresolved:
+                    del missing_devices[fleet_fingerprint]
+                    builds[fleet_fingerprint].provide_round0(device_artifacts)
+                    advance_fleet(fleet_fingerprint)
 
         def fail_fleet(fleet_fingerprint: str, details: str) -> None:
-            failed_fleets[fleet_fingerprint] = details
+            failed_fleets.add(fleet_fingerprint)
             round_buffers.pop(fleet_fingerprint, None)
             error = _fleet_error(
                 fleet_fingerprint, fleet_specs[fleet_fingerprint], details
             )
             for index, cell in fleet_waiting.pop(fleet_fingerprint, ()):
-                deliver(index, CellResult(cell=cell, status="error", error=error))
+                deliver(
+                    index,
+                    CellResult(
+                        cell=cell, status="error", error=error, error_kind=PERMANENT
+                    ),
+                )
 
         def advance_fleet(fleet_fingerprint: str) -> None:
             """Submit the build's next round, or capture and release it."""
@@ -1055,26 +1239,70 @@ class SweepRunner:
                 self.fleets.accept(artifact, resumed=build.resumed)
                 fleets[fleet_fingerprint] = artifact
                 for index, cell in fleet_waiting.pop(fleet_fingerprint, ()):
-                    submit_cell(index, cell, artifact)
+                    launch(cell_job(index, cell, artifact))
                 return
-            round_index, jobs = build.round_jobs()
-            if use_batch_kernel and len(jobs) > 1:
-                # One pool task steps the whole fleet through the batched
+            round_index, round_jobs = build.round_jobs()
+            if use_batch_kernel and len(round_jobs) > 1:
+                # One job steps the whole fleet through the batched
                 # device-population kernel -- bit-identical to the
-                # one-task-per-device fan-out (the federated parity tests
+                # one-job-per-device fan-out (the federated parity tests
                 # pin it), but the round costs one worker instead of N.
-                future = pool.submit(train_device_rounds_batched, jobs)
-                batched_round_futures[future] = (fleet_fingerprint, round_index)
-                pending_futures.add(future)
-                arm(
-                    future,
-                    self.watchdog.cell_timeout_s,
-                    (f"{fleet_fingerprint}:r{round_index}",),
+                launch(
+                    _Job(
+                        keys=(f"{fleet_fingerprint}:r{round_index}",),
+                        start=lambda attempt: executor.submit(
+                            train_device_rounds_batched, round_jobs
+                        ),
+                        settle=partial(
+                            settle_batched_round, fleet_fingerprint, round_index
+                        ),
+                        budget_s=self.watchdog.cell_timeout_s,
+                    )
                 )
                 return
-            round_buffers[fleet_fingerprint] = [None] * len(jobs)
-            for device, job in enumerate(jobs):
-                submit_round_job(fleet_fingerprint, round_index, device, job)
+            round_buffers[fleet_fingerprint] = [None] * len(round_jobs)
+            for device, args in enumerate(round_jobs):
+                launch(
+                    _Job(
+                        keys=(f"{fleet_fingerprint}:r{round_index}:d{device}",),
+                        start=lambda attempt, args=args: executor.submit(
+                            train_device_round, *args, attempt=attempt
+                        ),
+                        settle=partial(
+                            settle_round, fleet_fingerprint, round_index, device
+                        ),
+                        budget_s=self.watchdog.cell_timeout_s,
+                    )
+                )
+
+        def settle_round(
+            fleet_fingerprint: str, round_index: int, device: int, job: _Job, state: Any
+        ) -> None:
+            if fleet_fingerprint in failed_fleets:
+                return  # a sibling device job already doomed it
+            if isinstance(state, _Failure):
+                if not retry(job, state):
+                    fail_fleet(fleet_fingerprint, state.error)
+                return
+            buffer = round_buffers[fleet_fingerprint]
+            buffer[device] = state
+            if all(entry is not None for entry in buffer):
+                del round_buffers[fleet_fingerprint]
+                builds[fleet_fingerprint].finish_round(round_index, buffer)
+                advance_fleet(fleet_fingerprint)
+
+        def settle_batched_round(
+            fleet_fingerprint: str, round_index: int, job: _Job, states: Any
+        ) -> None:
+            if isinstance(states, _Failure):
+                fail_fleet(fleet_fingerprint, states.error)
+                return
+            builds[fleet_fingerprint].finish_round(round_index, states)
+            advance_fleet(fleet_fingerprint)
+
+        # -- initial submissions -----------------------------------------------
+        for fingerprint, spec in missing.items():
+            submit_training(fingerprint, spec)
 
         # Kick off fleets that need no round-0 training: resumed lineages,
         # and fleets whose device artifacts were all served from the store.
@@ -1087,26 +1315,14 @@ class SweepRunner:
 
         if use_batch_kernel:
             # Homogeneous artifact-free cells run through the batched
-            # device-population kernel, chunked so the pool still spreads a
+            # device-population kernel, chunked so a pool still spreads a
             # large sweep across its workers; everything else (trained,
             # federated, singleton cells) dispatches per cell below.
             cell_groups, dispatch = batchable_cell_groups(
-                pending, workers=getattr(pool, "_max_workers", 1)
+                pending, workers=executor.workers
             )
             for group in cell_groups:
-                group_cells = [cell for _, cell in group]
-                attempt = max(
-                    self._attempt_of(cell.fingerprint(), retry_states)
-                    for cell in group_cells
-                )
-                future = pool.submit(execute_cells_batched, group_cells, attempt=attempt)
-                batched_cell_futures[future] = group
-                pending_futures.add(future)
-                arm(
-                    future,
-                    self.watchdog.batch_budget_s(group_cells),
-                    tuple(cell.fingerprint() for cell in group_cells),
-                )
+                launch(batch_job(group))
         else:
             dispatch = pending
 
@@ -1115,7 +1331,7 @@ class SweepRunner:
             if fleet is not None:
                 fleet_fingerprint = fleet.fingerprint()
                 if fleet_fingerprint in fleets:
-                    submit_cell(index, cell, fleets[fleet_fingerprint])
+                    launch(cell_job(index, cell, fleets[fleet_fingerprint]))
                 else:
                     # No fleet can have failed yet (nothing has completed),
                     # so every unresolved fleet's cells simply queue.
@@ -1125,24 +1341,19 @@ class SweepRunner:
                 continue
             spec = cell.training_spec()
             if spec is None:
-                submit_cell(index, cell)
+                launch(cell_job(index, cell))
                 continue
             fingerprint = spec.fingerprint()
             if fingerprint in artifacts:
-                submit_cell(index, cell, artifacts[fingerprint])
+                launch(cell_job(index, cell, artifacts[fingerprint]))
             else:
                 waiting.setdefault(fingerprint, []).append((index, cell))
 
-        while pending_futures:
-            timeout = None
-            if deadlines:
-                timeout = max(
-                    0.0,
-                    min(deadline for deadline, _ in deadlines.values())
-                    - monotonic_now(),
-                )
-            finished, _ = wait(
-                pending_futures, timeout=timeout, return_when=FIRST_COMPLETED
+        # -- the loop ----------------------------------------------------------
+        while jobs:
+            deadline = min(job.deadline for job in jobs.values())
+            finished = executor.step(
+                jobs, None if deadline == math.inf else max(0.0, deadline - monotonic_now())
             )
             if not finished:
                 # The wait timed out on a watchdog deadline.  Anything past
@@ -1150,405 +1361,35 @@ class SweepRunner:
                 # rebuilds it) rather than let one stuck worker stall the
                 # sweep forever.
                 now = monotonic_now()
-                expired: set = set()
-                for future, (deadline, keys) in deadlines.items():
-                    if deadline <= now and not future.done():
-                        expired.update(keys)
+                expired = [
+                    job
+                    for future, job in jobs.items()
+                    if job.deadline <= now and not future.done()
+                ]
                 if expired:
-                    raise _PoolRestart("watchdog timeout", tuple(sorted(expired)))
+                    raise _PoolRestart("watchdog timeout", expired)
                 continue
             try:
                 for future in finished:
-                    pending_futures.discard(future)
-                    deadlines.pop(future, None)
-                    if future in training_futures:
-                        fingerprint = training_futures.pop(future)
-                        spec = missing[fingerprint]
-                        try:
-                            artifact = future.result()
-                        except BrokenExecutor:
-                            raise _PoolRestart(
-                                "worker crash", in_flight_keys() + (fingerprint,)
-                            )
-                        except Exception as exc:
-                            if self._note_exception(fingerprint, exc, retry_states):
-                                self._backoff(
-                                    fingerprint, retry_states[fingerprint].attempt
-                                )
-                                submit_training(fingerprint, spec)
-                                continue
-                            # The artifact failed to train for good: fail its
-                            # cells, and any fleet whose round 0 needed it,
-                            # without occupying workers (errors are never
-                            # cached).
-                            error = _training_error(
-                                fingerprint, spec, traceback.format_exc()
-                            )
-                            for index, cell in waiting.pop(fingerprint, ()):
-                                deliver(
-                                    index,
-                                    CellResult(
-                                        cell=cell,
-                                        status="error",
-                                        error=error,
-                                        error_kind=PERMANENT,
-                                        error_type=type(exc).__name__,
-                                    ),
-                                )
-                            for fleet_fingerprint in device_needs.pop(fingerprint, ()):
-                                if fleet_fingerprint not in failed_fleets:
-                                    fail_fleet(fleet_fingerprint, error)
-                            continue
-                        self.artifacts.accept(artifact)
-                        device_artifacts[fingerprint] = artifact
-                        for index, cell in waiting.pop(fingerprint, ()):
-                            submit_cell(index, cell, artifact)
-                        for fleet_fingerprint in device_needs.pop(fingerprint, ()):
-                            if fleet_fingerprint in failed_fleets:
-                                continue
-                            unresolved = missing_devices[fleet_fingerprint]
-                            unresolved.discard(fingerprint)
-                            if not unresolved:
-                                del missing_devices[fleet_fingerprint]
-                                builds[fleet_fingerprint].provide_round0(
-                                    device_artifacts
-                                )
-                                advance_fleet(fleet_fingerprint)
-                    elif future in batched_cell_futures:
-                        group = batched_cell_futures.pop(future)
-                        try:
-                            results = future.result()
-                        except BrokenExecutor:
-                            raise _PoolRestart(
-                                "worker crash",
-                                in_flight_keys()
-                                + tuple(cell.fingerprint() for _, cell in group),
-                            )
-                        except Exception:  # repro-lint: disable=REP008 -- the group re-runs scalar below, where each cell records its own traceback
-                            # Pool infrastructure failed for this job alone:
-                            # retry the group's cells individually, restoring
-                            # the scalar path's per-cell failure isolation.
-                            results = None
-                        if results is None or len(results) != len(group):
-                            for index, cell in group:
-                                submit_cell(index, cell)
-                            continue
-                        for (index, cell), result in zip(group, results):
-                            self._settle_pool_result(
-                                index, cell, None, result, deliver, retry_states,
-                                submit_cell,
-                            )
-                    elif future in batched_round_futures:
-                        fleet_fingerprint, round_index = batched_round_futures.pop(
-                            future
+                    job = jobs.pop(future)
+                    try:
+                        outcome = future.result()
+                    except BrokenExecutor:
+                        raise _PoolRestart("worker crash", [*jobs.values(), job])
+                    except Exception as exc:
+                        outcome = _Failure(
+                            classify_exception(exc),
+                            type(exc).__name__,
+                            traceback.format_exc(),
                         )
-                        if fleet_fingerprint in failed_fleets:
-                            continue
-                        try:
-                            states = future.result()
-                        except BrokenExecutor:
-                            raise _PoolRestart(
-                                "worker crash",
-                                in_flight_keys()
-                                + (f"{fleet_fingerprint}:r{round_index}",),
-                            )
-                        except Exception:
-                            fail_fleet(fleet_fingerprint, traceback.format_exc())
-                            continue
-                        builds[fleet_fingerprint].finish_round(round_index, states)
-                        advance_fleet(fleet_fingerprint)
-                    elif future in round_futures:
-                        fleet_fingerprint, round_index, device, job = round_futures.pop(
-                            future
-                        )
-                        if fleet_fingerprint in failed_fleets:
-                            continue  # a sibling device job already doomed it
-                        key = f"{fleet_fingerprint}:r{round_index}:d{device}"
-                        try:
-                            state = future.result()
-                        except BrokenExecutor:
-                            raise _PoolRestart(
-                                "worker crash", in_flight_keys() + (key,)
-                            )
-                        except Exception as exc:
-                            if self._note_exception(key, exc, retry_states):
-                                self._backoff(key, retry_states[key].attempt)
-                                submit_round_job(
-                                    fleet_fingerprint, round_index, device, job
-                                )
-                                continue
-                            fail_fleet(fleet_fingerprint, traceback.format_exc())
-                            continue
-                        buffer = round_buffers[fleet_fingerprint]
-                        buffer[device] = state
-                        if all(entry is not None for entry in buffer):
-                            del round_buffers[fleet_fingerprint]
-                            builds[fleet_fingerprint].finish_round(round_index, buffer)
-                            advance_fleet(fleet_fingerprint)
-                    else:
-                        index, cell, artifact = cell_futures.pop(future)
-                        try:
-                            result = future.result()
-                        except BrokenExecutor:
-                            raise _PoolRestart(
-                                "worker crash",
-                                in_flight_keys() + (cell.fingerprint(),),
-                            )
-                        except Exception as exc:
-                            # execute_cell isolates workload errors itself;
-                            # reaching here means the pool infrastructure
-                            # failed for this one job (e.g. an unpicklable
-                            # result).  Classify and settle it like any
-                            # in-band failure.
-                            result = CellResult(
-                                cell=cell,
-                                status="error",
-                                error=traceback.format_exc(),
-                                error_kind=classify_exception(exc),
-                                error_type=type(exc).__name__,
-                            )
-                        self._settle_pool_result(
-                            index, cell, artifact, result, deliver, retry_states,
-                            submit_cell,
-                        )
+                    job.settle(job, outcome)
             except BrokenExecutor:
                 # The pool died while a handler was resubmitting work.  The
                 # job being handled may lose its bump this round; its fault
                 # simply fires once more on the rebuilt pool and the next
                 # restart bumps it -- the rebuild budget still bounds the
                 # total.
-                raise _PoolRestart("worker crash", in_flight_keys())
-
-    def _run_sequential(
-        self,
-        remaining: List[Tuple[int, ScenarioCell]],
-        deliver: Callable[[int, CellResult], None],
-        retry_states: Dict[str, RetryState],
-    ) -> None:
-        """Finish ``remaining`` in-process (sequential runs and pool fallback).
-
-        Transient failures retry in place with seeded backoff, carrying over
-        any attempt counters accumulated during pool restarts (so injected
-        faults that already fired in a doomed pool do not re-fire here).
-        Injected crash faults raise instead of exiting -- the orchestrator
-        process is never marked expendable -- so even a crash-heavy fault
-        plan cannot take a sequential sweep down.
-        """
-        specs, fleet_specs = self._collect_specs(remaining)
-        artifacts, errors = self.artifacts.ensure(specs.values())
-        fleets, fleet_errors = self.fleets.ensure(
-            fleet_specs.values(), artifacts=self.artifacts
-        )
-        if batch_kernel_available():
-            groups, rest = batchable_cell_groups(remaining)
-        else:
-            groups, rest = [], remaining
-        for group in groups:
-            group_cells = [cell for _, cell in group]
-            attempt = max(
-                self._attempt_of(cell.fingerprint(), retry_states)
-                for cell in group_cells
-            )
-            batch_results = execute_cells_batched(group_cells, attempt=attempt)
-            for (index, cell), result in zip(group, batch_results):
-                self._finish_sequential(
-                    index,
-                    cell,
-                    result,
-                    deliver,
-                    retry_states,
-                    rerun=lambda attempt, cell=cell: execute_cell(
-                        cell, attempt=attempt
-                    ),
-                )
-        for index, cell in rest:
-            artifact, error = self._resolve_artifact(
-                cell, artifacts, errors, fleets, fleet_errors
-            )
-            if error is not None:
-                deliver(
-                    index,
-                    CellResult(
-                        cell=cell, status="error", error=error, error_kind=PERMANENT
-                    ),
-                )
-                continue
-            result = execute_cell(
-                cell,
-                artifact=artifact,
-                attempt=self._attempt_of(cell.fingerprint(), retry_states),
-            )
-            self._finish_sequential(
-                index,
-                cell,
-                result,
-                deliver,
-                retry_states,
-                rerun=lambda attempt, cell=cell, artifact=artifact: execute_cell(
-                    cell, artifact=artifact, attempt=attempt
-                ),
-            )
-
-    def _finish_sequential(
-        self,
-        index: int,
-        cell: ScenarioCell,
-        result: CellResult,
-        deliver: Callable[[int, CellResult], None],
-        retry_states: Dict[str, RetryState],
-        rerun: Callable[[int], CellResult],
-    ) -> None:
-        """Deliver one in-process result, retrying transient failures in place."""
-        key = cell.fingerprint()
-        while True:
-            if result.ok:
-                self._attach_lineage(result, retry_states.get(key))
-                self.cache.store(result)
-                deliver(index, result)
-                return
-            if not self._note_failure(key, result, retry_states):
-                self._finalize_error(result, retry_states[key])
-                deliver(index, result)
-                return
-            self._backoff(key, retry_states[key].attempt)
-            result = rerun(retry_states[key].attempt)
-
-    # -- retry bookkeeping (shared by the pool and sequential paths) ------------------
-
-    @staticmethod
-    def _collect_specs(
-        remaining: List[Tuple[int, ScenarioCell]],
-    ) -> Tuple[Dict[str, TrainingSpec], Dict[str, FleetSpec]]:
-        """The distinct training and fleet specs the remaining cells need."""
-        specs: Dict[str, TrainingSpec] = {}
-        fleet_specs: Dict[str, FleetSpec] = {}
-        for _, cell in remaining:
-            spec = cell.training_spec()
-            if spec is not None:
-                specs.setdefault(spec.fingerprint(), spec)
-            fleet = cell.fleet_spec()
-            if fleet is not None:
-                fleet_specs.setdefault(fleet.fingerprint(), fleet)
-        return specs, fleet_specs
-
-    @staticmethod
-    def _attempt_of(key: str, retry_states: Dict[str, RetryState]) -> int:
-        """The attempt counter the next execution of ``key`` should carry."""
-        state = retry_states.get(key)
-        return 0 if state is None else state.attempt
-
-    @staticmethod
-    def _attach_lineage(result: CellResult, state: Optional[RetryState]) -> None:
-        """Document survived failures on a success (no-op on clean runs)."""
-        if state is not None and state.lineage:
-            result.attempts = state.lineage_dicts()
-
-    def _note_failure(
-        self, key: str, result: CellResult, retry_states: Dict[str, RetryState]
-    ) -> bool:
-        """Account one failed attempt; ``True`` iff the caller should retry.
-
-        A repeated identical traceback marks the failure deterministic --
-        replaying it again cannot end differently -- and quarantines the
-        cell immediately, regardless of remaining retry budget.
-        """
-        kind = result.error_kind or PERMANENT
-        state = retry_states.setdefault(key, RetryState())
-        repeated = state.record_failure(kind, result.error_type or "", result.error)
-        retrying = (
-            not repeated
-            and kind == TRANSIENT
-            # state.attempt now counts failures; retries used is one fewer.
-            and self.retry_policy.should_retry(kind, state.attempt - 1)
-        )
-        self._note_retry_metrics(key, kind, state.attempt, retrying)
-        return retrying
-
-    def _note_exception(
-        self, key: str, exc: BaseException, retry_states: Dict[str, RetryState]
-    ) -> bool:
-        """:meth:`_note_failure` for failures that arrived as raised exceptions."""
-        kind = classify_exception(exc)
-        state = retry_states.setdefault(key, RetryState())
-        repeated = state.record_failure(
-            kind, type(exc).__name__, traceback.format_exc()
-        )
-        retrying = (
-            not repeated
-            and kind == TRANSIENT
-            # state.attempt now counts failures; retries used is one fewer.
-            and self.retry_policy.should_retry(kind, state.attempt - 1)
-        )
-        self._note_retry_metrics(key, kind, state.attempt, retrying)
-        return retrying
-
-    @staticmethod
-    def _note_retry_metrics(key: str, kind: str, attempt: int, retrying: bool) -> None:
-        """Account one failed attempt in the obs layer (both failure paths)."""
-        metrics().inc(f"retry.{kind}")
-        if not retrying:
-            metrics().inc("retry.quarantined" if kind != TRANSIENT else "retry.exhausted")
-        emit_event(
-            "retry", key=key, kind=kind, attempt=attempt, will_retry=retrying
-        )
-
-    @staticmethod
-    def _finalize_error(result: CellResult, state: RetryState) -> None:
-        """Stamp a no-more-retries error with its classification and lineage."""
-        result.error_kind = PERMANENT
-        result.attempts = state.lineage_dicts()
-
-    def _backoff(self, key: str, attempt: int) -> None:
-        """Sleep the seeded, capped backoff before retry ``attempt``."""
-        delay = self.retry_policy.backoff_s(key, attempt)
-        if delay > 0:
-            time.sleep(delay)
-
-    def _settle_pool_result(
-        self,
-        index: int,
-        cell: ScenarioCell,
-        artifact: Optional[CellArtifact],
-        result: CellResult,
-        deliver: Callable[[int, CellResult], None],
-        retry_states: Dict[str, RetryState],
-        submit_cell: Callable[..., None],
-    ) -> None:
-        """Deliver or retry one pool result (shared by cell and batch paths)."""
-        key = cell.fingerprint()
-        if result.ok:
-            self._attach_lineage(result, retry_states.get(key))
-            self.cache.store(result)
-            deliver(index, result)
-        elif self._note_failure(key, result, retry_states):
-            self._backoff(key, retry_states[key].attempt)
-            submit_cell(index, cell, artifact)
-        else:
-            self._finalize_error(result, retry_states[key])
-            deliver(index, result)
-
-    @staticmethod
-    def _resolve_artifact(
-        cell: ScenarioCell,
-        artifacts: Dict[str, "AgentArtifact"],
-        errors: Dict[str, str],
-        fleets: Dict[str, "FleetArtifact"],
-        fleet_errors: Dict[str, str],
-    ) -> Tuple[Optional[CellArtifact], Optional[str]]:
-        """The cell's trained artifact/fleet, or the training error that doomed it."""
-        fleet = cell.fleet_spec()
-        if fleet is not None:
-            fingerprint = fleet.fingerprint()
-            if fingerprint in fleet_errors:
-                return None, _fleet_error(fingerprint, fleet, fleet_errors[fingerprint])
-            return fleets.get(fingerprint), None
-        spec = cell.training_spec()
-        if spec is None:
-            return None, None
-        fingerprint = spec.fingerprint()
-        if fingerprint in errors:
-            return None, _training_error(fingerprint, spec, errors[fingerprint])
-        return artifacts.get(fingerprint), None
+                raise _PoolRestart("worker crash", jobs.values())
 
 
 def run_matrix(

@@ -7,24 +7,56 @@ The pipeline's contract has three layers, each pinned here:
   accounting), so a restored agent evaluates bit-identically,
 * an :class:`AgentArtifact` freezes a trained agent under a content
   fingerprint derived from its :class:`TrainingSpec` plus agent config, and
-* the :class:`ArtifactStore` trains each distinct spec exactly once and
-  serves every later request from the stored artifact.
+* a sweep trains each distinct spec exactly once and its
+  :class:`ArtifactStore` serves every later request from the stored
+  artifact, whether the sweep runs in-process or across a pool.
 """
 
 import json
 
 import pytest
 
-import repro.experiments.artifacts as artifacts_module
 from repro.core.agent import AgentConfig, NextAgent
 from repro.core.artifact import ARTIFACT_SCHEMA_VERSION, AgentArtifact, TrainingSpec
 from repro.core.governor import NextGovernor
 from repro.core.qlearning import QLearningConfig
 from repro.experiments.artifacts import ArtifactStore, train_artifact
+from repro.experiments.matrix import ScenarioMatrix
+from repro.experiments.runner import SweepRunner
+from repro.reliability.faults import (
+    KIND_TRANSIENT,
+    SITE_TRAIN_ARTIFACT,
+    FaultPlan,
+    FaultRule,
+    injected_faults,
+)
+from repro.reliability.retry import PERMANENT
 from repro.sim.experiment import pretrained_next_governor, run_app_session
 from repro.soc.platform import generic_two_cluster_soc
 
 APP = "home"
+
+#: Worker counts the runner-level store tests run at: the in-process and the
+#: pool executor drive one event loop, so they must agree on every count.
+WORKERS = (1, 2)
+
+
+def _pretrained_matrix(apps=(APP,), seeds=(0,)) -> ScenarioMatrix:
+    """Pretrained Next cells; the ``APP`` workload's spec is ``tiny_spec``."""
+    return ScenarioMatrix.build(
+        name="store",
+        governors=("next",),
+        apps=apps,
+        platforms=("generic-two-cluster",),
+        seeds=seeds,
+        duration_s=4.0,
+        training={
+            "mode": "pretrained",
+            "episodes": 1,
+            "episode_duration_s": 4.0,
+            "seed": 5,
+        },
+    )
 
 
 @pytest.fixture(scope="module")
@@ -231,69 +263,75 @@ class TestTrainArtifact:
 
 
 class TestArtifactStore:
-    def test_trains_each_spec_exactly_once(self, tiny_spec, tmp_path):
-        store = ArtifactStore(str(tmp_path))
-        artifacts, errors = store.ensure([tiny_spec, tiny_spec])
-        assert errors == {}
-        assert store.trained_count == 1 and store.reused_count == 0
-        assert set(artifacts) == {tiny_spec.fingerprint()}
-        # A second resolution (same store) reuses the memory copy.
-        _, errors = store.ensure([tiny_spec])
-        assert errors == {}
-        assert store.trained_count == 1 and store.reused_count == 1
+    def test_trains_each_spec_exactly_once(self):
+        # Two cells share one training spec: the sweep trains it once, and a
+        # second sweep on the same runner reuses the in-memory artifact.
+        matrix = _pretrained_matrix(seeds=(0, 1))
+        for workers in WORKERS:
+            runner = SweepRunner(max_workers=workers)
+            assert all(result.ok for result in runner.run(matrix).results)
+            assert runner.artifacts.trained_count == 1
+            assert runner.artifacts.reused_count == 0
+            runner.run(matrix)
+            assert runner.artifacts.trained_count == 1
+            assert runner.artifacts.reused_count == 1
 
     def test_disk_persistence_across_store_instances(self, tiny_spec, tmp_path):
         first = ArtifactStore(str(tmp_path))
-        first.ensure([tiny_spec])
-        assert first.trained_count == 1
-        second = ArtifactStore(str(tmp_path))
-        artifacts, errors = second.ensure([tiny_spec])
-        assert errors == {}
-        assert second.trained_count == 0 and second.reused_count == 1
-        fingerprint = tiny_spec.fingerprint()
-        assert artifacts[fingerprint].to_dict() == first.load(tiny_spec).to_dict()
+        first.accept(train_artifact(tiny_spec))
+        for workers in WORKERS:
+            runner = SweepRunner(max_workers=workers, artifact_dir=str(tmp_path))
+            assert all(result.ok for result in runner.run(_pretrained_matrix()).results)
+            assert runner.artifacts.trained_count == 0
+            assert runner.artifacts.reused_count == 1
+            assert (
+                runner.artifacts.load(tiny_spec).to_dict()
+                == first.load(tiny_spec).to_dict()
+            )
 
     def test_corrupt_artifact_file_is_retrained(self, tiny_spec, tmp_path):
-        store = ArtifactStore(str(tmp_path))
-        store.ensure([tiny_spec])
+        ArtifactStore(str(tmp_path)).accept(train_artifact(tiny_spec))
         path = tmp_path / f"{tiny_spec.fingerprint()}.agent.json"
-        path.write_text("{not json")
-        fresh = ArtifactStore(str(tmp_path))
-        fresh.ensure([tiny_spec])
-        assert fresh.trained_count == 1  # corrupt entry treated as a miss
-        assert AgentArtifact.load(str(path)).fingerprint == tiny_spec.fingerprint()
+        for workers in WORKERS:
+            path.write_text("{not json")
+            runner = SweepRunner(max_workers=workers, artifact_dir=str(tmp_path))
+            runner.run(_pretrained_matrix())
+            assert runner.artifacts.trained_count == 1  # corrupt entry treated as a miss
+            assert AgentArtifact.load(str(path)).fingerprint == tiny_spec.fingerprint()
 
     def test_memory_only_store_deduplicates(self, tiny_spec):
         store = ArtifactStore(None)
-        store.ensure([tiny_spec])
-        store.ensure([tiny_spec])
+        store.accept(train_artifact(tiny_spec))
+        assert store.resolve(tiny_spec) is not None
         assert store.trained_count == 1 and store.reused_count == 1
 
-    def test_training_failure_is_isolated(self, tiny_spec, monkeypatch):
-        bad_spec = TrainingSpec(
-            apps=("facebook",),
-            platform="generic-two-cluster",
-            episodes=1,
-            episode_duration_s=4.0,
+    def test_training_failure_is_isolated(self):
+        # Every attempt to train the facebook spec fails; the home spec
+        # still trains and its cell still evaluates.
+        matrix = _pretrained_matrix(apps=(APP, "facebook"))
+        doomed = next(cell for cell in matrix.cells() if "facebook" in cell.label())
+        plan = FaultPlan(
+            rules=(
+                FaultRule(
+                    site=SITE_TRAIN_ARTIFACT,
+                    kind=KIND_TRANSIENT,
+                    match=doomed.training_spec().fingerprint(),
+                    max_attempt=99,
+                ),
+            )
         )
-
-        real = artifacts_module.train_artifact
-
-        def crash_on_facebook(spec, agent_config=None):
-            if "facebook" in spec.apps:
-                raise RuntimeError("boom")
-            return real(spec, agent_config)
-
-        monkeypatch.setattr(artifacts_module, "train_artifact", crash_on_facebook)
-        store = ArtifactStore(None)
-        artifacts, errors = store.ensure([tiny_spec, bad_spec])
-        assert tiny_spec.fingerprint() in artifacts
-        assert "boom" in errors[bad_spec.fingerprint()]
-        assert store.trained_count == 1
+        for workers in WORKERS:
+            runner = SweepRunner(max_workers=workers)
+            with injected_faults(plan):
+                sweep = runner.run(matrix)
+            failed = sweep.failures
+            assert [result.cell for result in failed] == [doomed]
+            assert failed[0].error_kind == PERMANENT
+            assert "injected transient fault" in failed[0].error
+            assert runner.artifacts.trained_count == 1
 
     def test_entries_lists_stored_artifacts(self, tiny_spec, tmp_path):
-        store = ArtifactStore(str(tmp_path))
-        store.ensure([tiny_spec])
+        ArtifactStore(str(tmp_path)).accept(train_artifact(tiny_spec))
         listed = ArtifactStore(str(tmp_path)).entries()
         assert [entry.fingerprint for entry in listed] == [tiny_spec.fingerprint()]
 
@@ -307,44 +345,35 @@ class TestArtifactStoreSharedDirectory:
     double-trains within reach of) what the first one persisted.
     """
 
-    def test_second_runner_reuses_instead_of_retraining(self, tiny_spec, tmp_path):
-        # Two independent store instances over one directory model two
-        # runner processes sharing --artifact-dir sequentially.
-        calls = []
-        real = artifacts_module.train_artifact
-
-        def counting(spec, agent_config=None):
-            calls.append(spec.fingerprint(agent_config))
-            return real(spec, agent_config)
-
-        first = ArtifactStore(str(tmp_path))
-        second = ArtifactStore(str(tmp_path))
-        try:
-            artifacts_module.train_artifact = counting
-            a, errors_a = first.ensure([tiny_spec])
-            b, errors_b = second.ensure([tiny_spec])
-        finally:
-            artifacts_module.train_artifact = real
-        assert errors_a == errors_b == {}
-        assert calls == [tiny_spec.fingerprint()]  # trained exactly once
-        fingerprint = tiny_spec.fingerprint()
-        assert a[fingerprint].to_dict() == b[fingerprint].to_dict()
+    def test_second_runner_reuses_instead_of_retraining(self, tmp_path):
+        # Two runners over one directory model two runner processes sharing
+        # --artifact-dir one after the other.
+        for workers in WORKERS:
+            artifact_dir = str(tmp_path / f"workers{workers}")
+            first = SweepRunner(max_workers=workers, artifact_dir=artifact_dir)
+            second = SweepRunner(max_workers=workers, artifact_dir=artifact_dir)
+            a = first.run(_pretrained_matrix())
+            b = second.run(_pretrained_matrix())
+            assert first.artifacts.trained_count == 1  # trained exactly once
+            assert second.artifacts.trained_count == 0
+            assert second.artifacts.reused_count == 1
+            assert [r.summary for r in a.results] == [r.summary for r in b.results]
 
     def test_truncated_artifact_json_is_detected_and_retrained(
         self, tiny_spec, tmp_path
     ):
         # A valid JSON *prefix* (torn non-atomic write) must be a miss, not
         # a crash -- and the sweep retrains and heals the file.
-        store = ArtifactStore(str(tmp_path))
-        store.ensure([tiny_spec])
+        ArtifactStore(str(tmp_path)).accept(train_artifact(tiny_spec))
         path = tmp_path / f"{tiny_spec.fingerprint()}.agent.json"
-        path.write_text(path.read_text()[:200])
-        fresh = ArtifactStore(str(tmp_path))
-        artifacts, errors = fresh.ensure([tiny_spec])
-        assert errors == {}
-        assert fresh.trained_count == 1
-        assert AgentArtifact.load(str(path)).fingerprint == tiny_spec.fingerprint()
-        assert tiny_spec.fingerprint() in artifacts
+        published = path.read_text()
+        for workers in WORKERS:
+            path.write_text(published[:200])
+            runner = SweepRunner(max_workers=workers, artifact_dir=str(tmp_path))
+            sweep = runner.run(_pretrained_matrix())
+            assert all(result.ok for result in sweep.results)
+            assert runner.artifacts.trained_count == 1
+            assert AgentArtifact.load(str(path)).fingerprint == tiny_spec.fingerprint()
 
     def test_interrupted_write_leaves_previous_artifact_intact(
         self, tiny_spec, tmp_path, monkeypatch
@@ -352,7 +381,7 @@ class TestArtifactStoreSharedDirectory:
         # Crash mid-save: the staging file dies, the published artifact
         # survives byte-for-byte (the write-then-rename guarantee).
         store = ArtifactStore(str(tmp_path))
-        store.ensure([tiny_spec])
+        store.accept(train_artifact(tiny_spec))
         path = tmp_path / f"{tiny_spec.fingerprint()}.agent.json"
         published = path.read_text()
 
@@ -404,7 +433,7 @@ class TestArtifactStoreSharedDirectory:
         # A crashed writer's .tmp.<pid> debris must confuse neither load()
         # nor entries().
         store = ArtifactStore(str(tmp_path))
-        store.ensure([tiny_spec])
+        store.accept(train_artifact(tiny_spec))
         debris = tmp_path / f"{tiny_spec.fingerprint()}.agent.json.tmp.12345"
         debris.write_text("{torn")
         listed = ArtifactStore(str(tmp_path)).entries()
@@ -418,7 +447,7 @@ class TestArtifactStoreSharedDirectory:
         # PID-suffixed names; whichever rename lands last, the published
         # file is one writer's complete document.
         store = ArtifactStore(str(tmp_path))
-        store.ensure([tiny_spec])
+        store.accept(train_artifact(tiny_spec))
         artifact = store.load(tiny_spec)
         path = tmp_path / f"{tiny_spec.fingerprint()}.agent.json"
 

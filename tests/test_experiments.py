@@ -656,13 +656,12 @@ class TestPretrainedCells:
         assert [r.summary for r in rerun.results] == [r.summary for r in sweep.results]
 
     def test_training_failure_fails_only_dependent_cells(self, monkeypatch):
-        import repro.experiments.artifacts as artifacts_module
         import repro.experiments.runner as runner_module
 
-        def crash(spec, agent_config=None):
+        def crash(spec, agent_config=None, attempt=0):
             raise RuntimeError("training boom")
 
-        monkeypatch.setattr(artifacts_module, "train_artifact", crash)
+        monkeypatch.setattr(runner_module, "train_artifact", crash)
         sweep = runner_module.run_matrix(self._matrix(), max_workers=1)
         by_governor = {result.cell.governor: result for result in sweep.results}
         assert by_governor["schedutil"].ok

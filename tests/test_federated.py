@@ -5,11 +5,11 @@ Four contract layers, each pinned here:
 * :class:`FederatedAggregator` visit accounting: the merged table carries
   the pooled visit mass, so multi-round aggregation weights fleet
   experience instead of resetting every state to a fresh-write count,
-* :func:`train_fleet_artifact` is a pure function of its
-  :class:`FleetSpec`: sequential == pooled == resumed, bit for bit,
+* fleet training is a pure function of its :class:`FleetSpec`: inline ==
+  swept in-process == swept across a pool == resumed, bit for bit,
 * :class:`FleetArtifact` round-trips through JSON to an identical greedy
-  policy and the :class:`FleetStore` trains each spec once (resuming
-  same-lineage shallower fleets instead of retraining), and
+  policy and a sweep trains each spec once through its :class:`FleetStore`
+  (resuming same-lineage shallower fleets instead of retraining), and
 * the scenario-matrix integration: federated cells evaluate the merged
   agent deterministically next to cold/pretrained cells, with the same
   pool == sequential == cache parity the other variants guarantee.
@@ -17,7 +17,6 @@ Four contract layers, each pinned here:
 
 import dataclasses
 import json
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -40,10 +39,22 @@ from repro.experiments.federated import (
 )
 from repro.experiments.matrix import ScenarioMatrix
 from repro.experiments.runner import SweepRunner, execute_cell, run_matrix
+from repro.reliability.faults import (
+    KIND_TRANSIENT,
+    SITE_TRAIN_ARTIFACT,
+    FaultPlan,
+    FaultRule,
+    injected_faults,
+)
+from repro.reliability.retry import PERMANENT
 from repro.sim.experiment import run_app_session
 from repro.soc.platform import generic_two_cluster_soc
 
 APP = "home"
+
+#: Worker counts the runner-level fleet tests run at: the in-process and the
+#: pool executor drive one event loop, so they must agree on every count.
+WORKERS = (1, 2)
 
 
 def tiny_fleet_spec(**overrides) -> FleetSpec:
@@ -65,7 +76,8 @@ def fleet_artifact():
     return train_fleet_artifact(tiny_fleet_spec())
 
 
-def _federated_matrix(**variant_overrides) -> ScenarioMatrix:
+def _federated_matrix(apps=(APP,), seeds=(0,), **variant_overrides) -> ScenarioMatrix:
+    """Cold and federated cells; the ``APP`` fleet's spec is ``tiny_fleet_spec()``."""
     variant = dict(
         key="federated",
         mode="federated",
@@ -79,8 +91,9 @@ def _federated_matrix(**variant_overrides) -> ScenarioMatrix:
     return ScenarioMatrix.build(
         name="fed",
         governors=("schedutil", "next"),
-        apps=(APP,),
+        apps=apps,
         platforms=("generic-two-cluster",),
+        seeds=seeds,
         duration_s=4.0,
         training=({"key": "cold", "mode": "cold"}, variant),
     )
@@ -215,9 +228,15 @@ class TestFleetTraining:
         assert again.to_dict() == fleet_artifact.to_dict()
 
     def test_pool_matches_sequential(self, fleet_artifact):
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            pooled = train_fleet_artifact(tiny_fleet_spec(), pool=pool)
-        assert pooled.to_dict() == fleet_artifact.to_dict()
+        # The sweep's pooled and in-process routes both train the fleet to
+        # exactly what the one-call inline form produces.
+        for workers in WORKERS:
+            runner = SweepRunner(max_workers=workers)
+            assert all(result.ok for result in runner.run(_federated_matrix()).results)
+            assert (
+                runner.fleets.load(tiny_fleet_spec()).to_dict()
+                == fleet_artifact.to_dict()
+            )
 
     def test_resume_matches_from_scratch(self, fleet_artifact):
         shallow = train_fleet_artifact(tiny_fleet_spec(rounds=1))
@@ -305,35 +324,36 @@ class TestFleetArtifact:
 class TestFleetStore:
     def test_trains_once_then_reuses_across_instances(self, tmp_path):
         spec = tiny_fleet_spec()
-        store = FleetStore(str(tmp_path))
-        fleets, errors = store.ensure([spec, spec])
-        assert errors == {}
-        assert store.trained_count == 1 and store.reused_count == 0
-        second = FleetStore(str(tmp_path))
-        fleets_again, errors = second.ensure([spec])
-        assert errors == {}
-        assert second.trained_count == 0 and second.reused_count == 1
-        fingerprint = spec.fingerprint()
-        assert fleets_again[fingerprint].to_dict() == fleets[fingerprint].to_dict()
+        matrix = _federated_matrix(seeds=(0, 1))  # two federated cells, one fleet
+        for workers in WORKERS:
+            artifact_dir = str(tmp_path / f"workers{workers}")
+            first = SweepRunner(max_workers=workers, artifact_dir=artifact_dir)
+            first.run(matrix)
+            assert first.fleets.trained_count == 1 and first.fleets.reused_count == 0
+            second = SweepRunner(max_workers=workers, artifact_dir=artifact_dir)
+            second.run(matrix)
+            assert second.fleets.trained_count == 0 and second.fleets.reused_count == 1
+            assert second.fleets.load(spec).to_dict() == first.fleets.load(spec).to_dict()
 
-    def test_deeper_spec_resumes_the_stored_lineage(self, tmp_path):
-        store = FleetStore(str(tmp_path))
-        store.ensure([tiny_fleet_spec(rounds=1)])
-        deeper = tiny_fleet_spec(rounds=2)
-        fleets, errors = store.ensure([deeper])
-        assert errors == {}
-        assert store.resumed_count == 1
-        assert (
-            fleets[deeper.fingerprint()].to_dict()
-            == train_fleet_artifact(deeper).to_dict()
-        )
+    def test_deeper_spec_resumes_the_stored_lineage(self, fleet_artifact, tmp_path):
+        shallow = train_fleet_artifact(tiny_fleet_spec(rounds=1))
+        for workers in WORKERS:
+            artifact_dir = str(tmp_path / f"workers{workers}")
+            FleetStore(artifact_dir).accept(shallow)
+            runner = SweepRunner(max_workers=workers, artifact_dir=artifact_dir)
+            assert all(result.ok for result in runner.run(_federated_matrix()).results)
+            assert runner.fleets.resumed_count == 1
+            assert (
+                runner.fleets.load(tiny_fleet_spec()).to_dict()
+                == fleet_artifact.to_dict()
+            )
 
     def test_corrupt_resume_candidate_falls_back_to_the_next_deepest(
-        self, tmp_path
+        self, fleet_artifact, tmp_path
     ):
         store = FleetStore(str(tmp_path))
-        store.ensure([tiny_fleet_spec(rounds=1)])
-        store.ensure([tiny_fleet_spec(rounds=2)])
+        store.accept(train_fleet_artifact(tiny_fleet_spec(rounds=1)))
+        store.accept(fleet_artifact)
         # Corrupt the deepest candidate; resumption must fall back to the
         # 1-round artifact instead of crashing or retraining from scratch.
         deep_path = tmp_path / f"{tiny_fleet_spec(rounds=2).fingerprint()}.fleet.json"
@@ -343,29 +363,40 @@ class TestFleetStore:
         assert candidate is not None
         assert candidate.rounds_completed == 1
 
-    def test_truncated_fleet_file_is_retrained(self, tmp_path):
+    def test_truncated_fleet_file_is_retrained(self, fleet_artifact, tmp_path):
         spec = tiny_fleet_spec()
-        store = FleetStore(str(tmp_path))
-        store.ensure([spec])
+        FleetStore(str(tmp_path)).accept(fleet_artifact)
         path = tmp_path / f"{spec.fingerprint()}.fleet.json"
-        path.write_text(path.read_text()[:100])  # simulate a torn write
-        fresh = FleetStore(str(tmp_path))
-        fleets, errors = fresh.ensure([spec])
-        assert errors == {}
-        assert fresh.trained_count == 1  # corrupt entry treated as a miss
-        assert FleetArtifact.load(str(path)).fingerprint == spec.fingerprint()
+        published = path.read_text()
+        for workers in WORKERS:
+            path.write_text(published[:100])  # simulate a torn write
+            runner = SweepRunner(max_workers=workers, artifact_dir=str(tmp_path))
+            assert all(result.ok for result in runner.run(_federated_matrix()).results)
+            assert runner.fleets.trained_count == 1  # corrupt entry treated as a miss
+            assert FleetArtifact.load(str(path)).fingerprint == spec.fingerprint()
 
-    def test_training_failure_is_isolated(self, monkeypatch):
-        import repro.experiments.federated as federated_module
-
-        def crash(spec, agent_config=None):
-            raise RuntimeError("device boom")
-
-        monkeypatch.setattr(federated_module, "train_artifact", crash)
-        store = FleetStore(None)
-        fleets, errors = store.ensure([tiny_fleet_spec()])
-        assert fleets == {}
-        assert "device boom" in errors[tiny_fleet_spec().fingerprint()]
+    def test_training_failure_is_isolated(self):
+        # Every round-0 training attempt of one device of the facebook fleet
+        # fails: that fleet's cell fails, the home fleet still trains.
+        doomed = tiny_fleet_spec(apps=("facebook",))
+        plan = FaultPlan(
+            rules=(
+                FaultRule(
+                    site=SITE_TRAIN_ARTIFACT,
+                    kind=KIND_TRANSIENT,
+                    match=doomed.device_training_spec(0).fingerprint(),
+                    max_attempt=99,
+                ),
+            )
+        )
+        for workers in WORKERS:
+            runner = SweepRunner(max_workers=workers)
+            with injected_faults(plan):
+                sweep = runner.run(_federated_matrix(apps=(APP, "facebook")))
+            assert [result.cell.fleet_spec() for result in sweep.failures] == [doomed]
+            assert sweep.failures[0].error_kind == PERMANENT
+            assert "injected transient fault" in sweep.failures[0].error
+            assert runner.fleets.trained_count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -475,18 +506,23 @@ class TestFederatedCells:
         sweep = runner.run(matrix)
         assert sweep.result_for(cell).summary == inline.summary
 
-    def test_fleet_training_failure_fails_only_federated_cells(self, monkeypatch):
-        import repro.experiments.federated as federated_module
-
-        def crash(spec, agent_config=None):
-            raise RuntimeError("fleet boom")
-
-        monkeypatch.setattr(federated_module, "train_artifact", crash)
-        sweep = run_matrix(_federated_matrix(), max_workers=1)
-        federated = [r for r in sweep.results if r.cell.federated]
-        others = [r for r in sweep.results if not r.cell.federated]
-        assert all(not r.ok and "fleet boom" in r.error for r in federated)
-        assert all(r.ok for r in others)
+    def test_fleet_training_failure_fails_only_federated_cells(self):
+        # A fault plan, unlike a monkeypatch, reaches pool workers under
+        # every start method.  Every round-0 training attempt fails.
+        plan = FaultPlan(
+            rules=(
+                FaultRule(site=SITE_TRAIN_ARTIFACT, kind=KIND_TRANSIENT, max_attempt=99),
+            )
+        )
+        for workers in WORKERS:
+            with injected_faults(plan):
+                sweep = run_matrix(_federated_matrix(), max_workers=workers)
+            federated = [r for r in sweep.results if r.cell.federated]
+            others = [r for r in sweep.results if not r.cell.federated]
+            assert federated and all(not r.ok for r in federated)
+            assert all(r.error_kind == PERMANENT for r in federated)
+            assert all("injected transient fault" in r.error for r in federated)
+            assert all(r.ok for r in others)
 
     def test_marginal_savings_by_training_mode(self):
         sweep = run_matrix(_federated_matrix(), max_workers=1)
@@ -551,11 +587,10 @@ class TestFederatedCli:
         assert main(["smoke", "--devices", "3"]) == 2
         assert "federated training variant" in capsys.readouterr().err
 
-    def test_list_artifacts_shows_fleets(self, tmp_path, capsys):
+    def test_list_artifacts_shows_fleets(self, fleet_artifact, tmp_path, capsys):
         from repro.experiments.cli import main
 
-        store = FleetStore(str(tmp_path))
-        store.ensure([tiny_fleet_spec()])
+        FleetStore(str(tmp_path)).accept(fleet_artifact)
         assert main(["--list-artifacts", "--artifact-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert f"fleet apps={APP}" in out

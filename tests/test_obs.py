@@ -277,6 +277,18 @@ class TestTracedSweeps:
         assert traced_pool == bare
         assert traced_scalar == bare
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_merged_counters_count_each_cell_once(self, tmp_path, workers):
+        # A forked pool worker starts with an empty registry: its per-task
+        # footers must not ship the orchestrator's counters a second time.
+        matrix = small_matrix()
+        path = str(tmp_path / TRACE_BASENAME)
+        with traced(path):
+            cell_hashes(SweepRunner(max_workers=workers).run(matrix))
+        events, _ = read_trace(path)
+        counters = report_payload(events)["metrics"]["counters"]
+        assert counters["cache.miss"] == len(matrix.cells())
+
     def test_sharded_traces_merge_with_bit_identity(self, tmp_path):
         matrix = small_matrix()
         manifest = plan_shards(matrix, 2)

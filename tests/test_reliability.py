@@ -6,15 +6,19 @@ backoff is a pure function of ``(seed, key, attempt)``; the watchdog's
 budgets are pure functions of the cost model; and the instrumented
 ``atomic_write_json`` seams leave exactly the debris a real crash would.
 The end-to-end recovery behaviour (pool rebuilds, parity under chaos)
-lives in ``test_chaos_parity.py``; this module pins the primitives.
+lives in ``test_chaos_parity.py``; this module pins the primitives, plus
+two end-to-end rules: a retried training job ends the same on every route,
+and an abandoned pool leaves no worker behind.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -23,6 +27,8 @@ from repro.core.federated import FleetSpec
 from repro.core.persistence import atomic_write_json, quarantine_entry
 from repro.experiments.artifacts import ArtifactStore
 from repro.experiments.federated import FleetStore
+from repro.experiments.matrix import ScenarioMatrix
+from repro.experiments.runner import SweepRunner
 from repro.reliability.faults import (
     CRASH_EXIT_CODE,
     FAULT_PLAN_ENV,
@@ -32,7 +38,9 @@ from repro.reliability.faults import (
     KIND_TRANSIENT,
     SITE_ATOMIC_WRITE,
     SITE_ATOMIC_WRITE_STAGED,
+    SITE_EXECUTE_BATCH,
     SITE_EXECUTE_CELL,
+    SITE_TRAIN_ARTIFACT,
     FaultPlan,
     FaultRule,
     InjectedCrashError,
@@ -386,3 +394,76 @@ class TestStoreQuarantine:
         assert not path.exists()
         assert path.with_suffix(".json.bad").exists()
         assert store.entry_paths() == []
+
+
+# ---------------------------------------------------------------------------
+# Route parity: the worker count never changes a result
+# ---------------------------------------------------------------------------
+
+class TestRouteParity:
+    @pytest.mark.parametrize("mode", ["pretrained", "federated"])
+    def test_first_attempt_training_fault_is_retried_on_every_route(self, mode):
+        # One transient fault on every training job's first attempt: the
+        # in-process and the pool executor both retry it, so each cell ends
+        # ok, with the same hash, whatever the worker count.
+        matrix = ScenarioMatrix.build(
+            name="route-parity",
+            governors=("schedutil", "next"),
+            apps=("home",),
+            platforms=("generic-two-cluster",),
+            duration_s=4.0,
+            training={
+                "mode": mode,
+                "episodes": 1,
+                "episode_duration_s": 4.0,
+                "devices": 2,
+                "rounds": 2,
+            },
+        )
+        assert len(matrix.cells()) == 2
+        plan = FaultPlan(rules=(FaultRule(site=SITE_TRAIN_ARTIFACT, kind=KIND_TRANSIENT),))
+        outcomes = {}
+        for workers in (1, 2):
+            with injected_faults(plan):
+                sweep = SweepRunner(max_workers=workers).run(matrix)
+            assert all(result.ok for result in sweep.results), [
+                result.error for result in sweep.failures
+            ]
+            outcomes[workers] = {
+                result.cell.fingerprint(): (
+                    result.status,
+                    result.error_kind,
+                    result.summary["sample_stream_hash"],
+                )
+                for result in sweep.results
+            }
+        assert outcomes[1] == outcomes[2]
+
+
+class TestPoolAbandon:
+    def test_watchdog_restart_terminates_the_hung_worker(self):
+        # The first attempt of every job hangs far past its budget: the
+        # watchdog abandons the pool and the rebuilt pool finishes the
+        # sweep.  The hung worker must die with its pool rather than sleep
+        # on (and hold the interpreter's exit) until its hang ends.
+        matrix = ScenarioMatrix.build(
+            name="hang",
+            governors=("schedutil", "powersave"),
+            apps=("facebook",),
+            duration_s=3.0,
+        )
+        plan = FaultPlan(
+            rules=(
+                FaultRule(site=SITE_EXECUTE_BATCH, kind=KIND_HANG, hang_s=120.0),
+                FaultRule(site=SITE_EXECUTE_CELL, kind=KIND_HANG, hang_s=120.0),
+            )
+        )
+        with injected_faults(plan):
+            sweep = SweepRunner(
+                max_workers=2, watchdog=WatchdogPolicy(cell_timeout_s=1.0)
+            ).run(matrix)
+        assert not sweep.failures
+        deadline = time.monotonic() + 10.0
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []
