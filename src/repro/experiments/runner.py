@@ -116,6 +116,7 @@ from repro.sim.experiment import (
 )
 from repro.soc.platform import make_platform
 from repro.workloads.session import SessionSegment
+from repro.workloads.trace import TracePlayer, WorkloadTrace
 
 #: Progress callback signature: (completed_count, total_count, latest_result).
 ProgressCallback = Callable[[int, int, "CellResult"], None]
@@ -348,7 +349,9 @@ def execute_cells_batched(
     (the grouping in :func:`batchable_cell_groups` guarantees it); each
     cell keeps its own trace, governor and simulation seeds, session
     duration and recording cadence -- mixed durations and cadences run as
-    heterogeneous lanes under the masked kernel.  The batched
+    heterogeneous lanes under the masked kernel.  Lanes replaying the same
+    session (same segments and ``trace_seed``) share one recorded trace;
+    the sharing lasts for this call only.  The batched
     device-population kernel is bit-identical per lane to the scalar
     :func:`execute_cell` path (pinned by the batch parity suite), so cached
     results from either route are interchangeable.
@@ -372,20 +375,25 @@ def execute_cells_batched(
     try:
         fault_point(SITE_EXECUTE_BATCH, cells[0].fingerprint(), attempt)
         from repro.sim.batch import BatchSimulation
-        from repro.workloads.trace import TracePlayer
 
         platform = make_platform(cells[0].platform)
+        # Cells replaying one session (same segments and trace seed, other
+        # governors) share a single recording of its demand trace.
+        session_traces: Dict[Tuple[Any, int], WorkloadTrace] = {}
         traces = []
         governors = []
         configs = []
         for cell in cells:
-            segments = [
-                SessionSegment(app_name, duration_s)
-                for app_name, duration_s in cell.workload.segments
-            ]
-            traces.append(
-                record_session_trace(segments, platform=platform, seed=cell.trace_seed)
-            )
+            key = (cell.workload.segments, cell.trace_seed)
+            if key not in session_traces:
+                segments = [
+                    SessionSegment(app_name, duration_s)
+                    for app_name, duration_s in cell.workload.segments
+                ]
+                session_traces[key] = record_session_trace(
+                    segments, platform=platform, seed=cell.trace_seed
+                )
+            traces.append(session_traces[key])
             params = dict(cell.governor_params)
             if cell.governor in STOCHASTIC_GOVERNORS:
                 params.setdefault("seed", cell.governor_seed)
@@ -403,7 +411,6 @@ def execute_cells_batched(
             [TracePlayer(trace) for trace in traces],
             duration_s=[trace.duration_s for trace in traces],
         )
-        elapsed_s = (time.perf_counter() - started) / len(cells)
         results = []
         for index, cell in enumerate(cells):
             recorder = batch.device_recorder(index)
@@ -414,13 +421,12 @@ def execute_cells_batched(
                 summary=recorder.summary(),
             )
             results.append(
-                CellResult(
-                    cell=cell,
-                    status="ok",
-                    summary=summary_to_dict(session),
-                    elapsed_s=elapsed_s,
-                )
+                CellResult(cell=cell, status="ok", summary=summary_to_dict(session))
             )
+        # Each lane's share covers gather, summary and hash, not just the kernel.
+        elapsed_s = (time.perf_counter() - started) / len(cells)
+        for result in results:
+            result.elapsed_s = elapsed_s
         if tracer is not None:
             span.note("status", "ok")
             for cell in cells:

@@ -14,13 +14,19 @@ tuples instead of building five dict copies and a dataclass per tick
 reconstructed lazily on access -- ``recorder.samples``, :meth:`resample` and
 the analysis APIs are unchanged and the reconstructed samples compare equal
 (bit-identically) to what the previous object-per-tick recorder stored.
+:meth:`Recorder.content_hash` and :meth:`Recorder.summary` read the columns
+directly and build no sample views; the hash formats each row through one
+cached template per mapping-key layout and equals
+:func:`sample_stream_hash` over the views byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from functools import lru_cache
+from itertools import groupby
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.ppdw import compute_ppdw
 
@@ -114,6 +120,39 @@ _MAPPING_FIELDS = (
     "max_limits_mhz",
     "utilisations",
 )
+
+#: Rows formatted per ``str.join`` in :meth:`Recorder.content_hash` (bounds
+#: the transient text to about half a megabyte).
+_HASH_CHUNK_ROWS = 1024
+
+
+@lru_cache(maxsize=256)
+def _row_template(
+    layout: Tuple[Tuple[str, ...], ...]
+) -> Tuple[str, Tuple[Tuple[int, ...], ...]]:
+    """``%``-template of one hashed row, and per mapping field its value order.
+
+    ``layout`` holds the key tuple of each mapping field.  The template
+    spells out ``repr`` of the row tuple :func:`sample_stream_hash` builds,
+    with each mapping's keys sorted and inlined and a ``%r`` wherever a
+    value goes, in row order: the nine scalar fields before the mappings,
+    each mapping's values in sorted-key order, then
+    ``interaction_activity``.  A key listed twice keeps its last value, as
+    ``dict(zip(keys, values))`` does.
+    """
+    mappings = []
+    orders = []
+    for keys in layout:
+        last = {key: index for index, key in enumerate(keys)}
+        ordered = sorted(last)
+        pairs = ["(" + repr(key).replace("%", "%%") + ", %r)" for key in ordered]
+        if len(pairs) == 1:
+            mappings.append("(" + pairs[0] + ",)")
+        else:
+            mappings.append("(" + ", ".join(pairs) + ")")
+        orders.append(tuple(last[key] for key in ordered))
+    template = "(" + "%r, " * 9 + ", ".join(mappings) + ", %r)"
+    return template, tuple(orders)
 
 
 class Recorder:
@@ -273,8 +312,42 @@ class Recorder:
         )
 
     def content_hash(self) -> str:
-        """Canonical hash of the recorded stream (see :func:`sample_stream_hash`)."""
-        return sample_stream_hash(self.samples)
+        """Canonical hash of the recorded stream (see :func:`sample_stream_hash`).
+
+        Reads the columns directly: each run of rows sharing one
+        mapping-key layout is formatted through that layout's
+        :func:`_row_template`, so the digest equals
+        ``sample_stream_hash(self.samples)`` without building any sample.
+        """
+        h = hashlib.sha256()
+        key_columns = [self._map_keys[name] for name in _MAPPING_FIELDS]
+        value_columns = [self._map_vals[name] for name in _MAPPING_FIELDS]
+        scalar_columns = (
+            self._time,
+            self._app,
+            self._phase,
+            self._fps,
+            self._target_fps,
+            self._demanded,
+            self._displayed,
+            self._dropped,
+            self._power_total,
+        )
+        start = 0
+        for layout, run in groupby(zip(*key_columns)):
+            run_stop = start + len(list(run))
+            template, orders = _row_template(layout)
+            format_row = template.__mod__
+            for lo in range(start, run_stop, _HASH_CHUNK_ROWS):
+                hi = min(lo + _HASH_CHUNK_ROWS, run_stop)
+                columns = [column[lo:hi] for column in scalar_columns]
+                for values, order in zip(value_columns, orders):
+                    by_position = list(zip(*values[lo:hi]))
+                    columns.extend(by_position[index] for index in order)
+                columns.append(self._interaction[lo:hi])
+                h.update("".join(map(format_row, zip(*columns))).encode("utf-8"))
+            start = run_stop
+        return h.hexdigest()
 
     # -- column access ------------------------------------------------------------
 
@@ -348,16 +421,16 @@ class Recorder:
         node_names: List[str] = sorted(
             {node for keys in set(self._map_keys["temperatures_c"]) for node in keys}
         )
-        peak_temps = {
-            node: max(self._mapping_series("temperatures_c", node, ambient))
+        node_series = {
+            node: self._mapping_series("temperatures_c", node, ambient)
             for node in node_names
         }
-        avg_temps = {
-            node: sum(self._mapping_series("temperatures_c", node, ambient)) / count
-            for node in node_names
-        }
+        peak_temps = {node: max(series) for node, series in node_series.items()}
+        avg_temps = {node: sum(series) / count for node, series in node_series.items()}
 
-        hot_temps = self._mapping_series("temperatures_c", self.hot_node, ambient)
+        hot_temps = node_series.get(self.hot_node)
+        if hot_temps is None:
+            hot_temps = self._mapping_series("temperatures_c", self.hot_node, ambient)
         ppdw_values = [
             compute_ppdw(
                 fps=fps_values[i],
@@ -416,6 +489,27 @@ class BatchRecorder:
     scalar simulation of that device records.
     """
 
+    #: Columns appended as one per-device Python list per recorded tick.
+    _LIST_COLUMNS = (
+        "_app",
+        "_phase",
+        "_target_fps",
+        "_demanded",
+        "_displayed",
+        "_dropped",
+        "_interaction",
+    )
+    #: Columns appended as one NumPy row per recorded tick.
+    _ARRAY_COLUMNS = (
+        "_fps",
+        "_power_total",
+        "_power_rows",
+        "_temp_rows",
+        "_freq_rows",
+        "_max_limit_rows",
+        "_util_rows",
+    )
+
     def __init__(
         self,
         n_devices: int,
@@ -450,6 +544,10 @@ class BatchRecorder:
         # otherwise a tuple of the device indices whose lane was both active
         # and due under its own recording cadence (heterogeneous batches).
         self._row_mask: List[Optional[Tuple[int, ...]]] = []
+        # Lane-major copies of the rows gathered so far (see _gather_columns)
+        # and which lane recorded each row.
+        self._lanes: Dict[str, Any] = {}
+        self._recorded = None
 
     def __len__(self) -> int:
         return len(self._time)
@@ -497,64 +595,98 @@ class BatchRecorder:
         self._util_rows.append(utilisation_rows)
         self._interaction.append(interaction)
 
+    def _gather_columns(self) -> None:
+        """Turn the rows appended since the last gather into lane-major columns.
+
+        Each Python column becomes one tuple per device and each NumPy
+        column one ``(ticks, ..., devices)`` array, appended to what earlier
+        gathers built.  A column's per-tick rows are released as soon as its
+        gathered copy exists, so the two are never held side by side.  Also
+        rebuilds ``_recorded``, the ``(ticks, devices)`` mask of which lane
+        recorded each row (``None`` when every lane recorded every row).
+        """
+        import numpy as np
+
+        if not self._fps:
+            return  # no row appended since the last gather
+        lanes = self._lanes
+        for name in self._LIST_COLUMNS + self._ARRAY_COLUMNS:
+            rows = getattr(self, name)
+            setattr(self, name, [])
+            if name in self._ARRAY_COLUMNS:
+                column = np.stack(rows)
+                if name in lanes:
+                    column = np.concatenate((lanes[name], column))
+            else:
+                column = list(zip(*rows))
+                if name in lanes:
+                    column = [old + new for old, new in zip(lanes[name], column)]
+            del rows
+            lanes[name] = column
+        masked = [
+            (i, mask) for i, mask in enumerate(self._row_mask) if mask is not None
+        ]
+        if masked:
+            recorded = np.ones((len(self._time), self.n_devices), dtype=bool)
+            for i, mask in masked:
+                recorded[i] = False
+                recorded[i, list(mask)] = True
+            self._recorded = recorded
+        else:
+            self._recorded = None
+
     def device_recorder(self, device: int) -> Recorder:
         """Materialise one device's column as a scalar :class:`Recorder`.
 
         Rows whose ``device_mask`` excludes ``device`` (the lane had
         finished, or its recording cadence was not due) are skipped, so the
         materialised stream is exactly what a scalar run of that device
-        records.
+        records.  Each column is gathered lane-major once per recorder (see
+        :meth:`_gather_columns`); every call slices one lane out of it.
         """
-        import numpy as np
-
         recorder = Recorder(ambient_c=self.ambient_c, hot_node=self.hot_node)
         recorder.register_layout(self._cluster_keys, self._node_keys)
-        row_mask = self._row_mask
-        rows_for_device = [
-            i
-            for i in range(len(self._time))
-            if row_mask[i] is None or device in row_mask[i]
-        ]
-        count = len(rows_for_device)
+        if not self._time:
+            return recorder
+        self._gather_columns()
+        lanes = self._lanes
+        if self._recorded is None:
+            rows = slice(None)
+            count = len(self._time)
+            recorder._time = list(self._time)
 
-        def gather(column_rows):
-            return [column_rows[i][device] for i in rows_for_device]
+            def take(lane):
+                return list(lane)
 
-        recorder._time = [self._time[i] for i in rows_for_device]
-        recorder._app = gather(self._app)
-        recorder._phase = gather(self._phase)
-        recorder._target_fps = gather(self._target_fps)
-        recorder._demanded = gather(self._demanded)
-        recorder._displayed = gather(self._displayed)
-        recorder._dropped = gather(self._dropped)
-        recorder._interaction = gather(self._interaction)
-        if count:
-            recorder._fps = np.stack(
-                [self._fps[i] for i in rows_for_device]
-            )[:, device].tolist()
-            recorder._power_total = np.stack(
-                [self._power_total[i] for i in rows_for_device]
-            )[:, device].tolist()
+        else:
+            rows = self._recorded[:, device].nonzero()[0]
+            indices = rows.tolist()
+            count = len(indices)
+            recorder._time = [self._time[i] for i in indices]
+
+            def take(lane):
+                return [lane[i] for i in indices]
+
+        recorder._app = take(lanes["_app"][device])
+        recorder._phase = take(lanes["_phase"][device])
+        recorder._target_fps = take(lanes["_target_fps"][device])
+        recorder._demanded = take(lanes["_demanded"][device])
+        recorder._displayed = take(lanes["_displayed"][device])
+        recorder._dropped = take(lanes["_dropped"][device])
+        recorder._interaction = take(lanes["_interaction"][device])
+        recorder._fps = lanes["_fps"][rows, device].tolist()
+        recorder._power_total = lanes["_power_total"][rows, device].tolist()
         cluster_keys = recorder._cluster_keys
         node_keys = recorder._node_keys
-        map_keys = recorder._map_keys
-        map_vals = recorder._map_vals
-
-        def column(rows, keys, field):
-            map_keys[field] = [keys] * count
-            if count:
-                sliced = np.stack(
-                    [rows[i] for i in rows_for_device]
-                )[:, :, device].tolist()
-                map_vals[field] = [tuple(row) for row in sliced]
-
-        column(self._power_rows, cluster_keys, "power_per_cluster_w")
-        column(self._temp_rows, node_keys, "temperatures_c")
-        column(self._freq_rows, cluster_keys, "frequencies_mhz")
-        column(self._max_limit_rows, cluster_keys, "max_limits_mhz")
-        column(self._util_rows, cluster_keys, "utilisations")
+        for name, keys, field in (
+            ("_power_rows", cluster_keys, "power_per_cluster_w"),
+            ("_temp_rows", node_keys, "temperatures_c"),
+            ("_freq_rows", cluster_keys, "frequencies_mhz"),
+            ("_max_limit_rows", cluster_keys, "max_limits_mhz"),
+            ("_util_rows", cluster_keys, "utilisations"),
+        ):
+            recorder._map_keys[field] = [keys] * count
+            # (keys, ticks) lists zipped into one values tuple per tick.
+            by_key = lanes[name][rows, :, device].T.tolist()
+            recorder._map_vals[field] = list(zip(*by_key))
         return recorder
-
-    def device_recorders(self) -> List[Recorder]:
-        """Materialise every device column (device order)."""
-        return [self.device_recorder(d) for d in range(self.n_devices)]

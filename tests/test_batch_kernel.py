@@ -280,6 +280,15 @@ HETERO_APPS = ("facebook", "spotify", "lineage")
 
 def hetero_batch_hashes(platform_name, governor_name, lanes):
     """Per-device stream hashes of one heterogeneous (masked) batched run."""
+    batch = hetero_batch(platform_name, governor_name, lanes)
+    return [
+        sample_stream_hash(batch.device_recorder(device).samples)
+        for device in range(len(lanes))
+    ]
+
+
+def hetero_batch(platform_name, governor_name, lanes):
+    """One heterogeneous (masked) batched run, ready to gather."""
     platform = make_platform(platform_name)
     configs = [
         SimulationConfig(
@@ -299,10 +308,7 @@ def hetero_batch_hashes(platform_name, governor_name, lanes):
         ],
         duration_s=[lane["duration_s"] for lane in lanes],
     )
-    return [
-        sample_stream_hash(batch.device_recorder(device).samples)
-        for device in range(len(lanes))
-    ]
+    return batch
 
 
 def hetero_scalar_hash(platform_name, governor_name, lane):
@@ -437,3 +443,55 @@ class TestNonIIDFleetGolden:
             expected["platform"], expected["governor"], NIID_LANES
         )
         assert hashes == expected["hashes"]
+
+
+class TestLaneGather:
+    """``device_recorder`` slices lanes out of columns gathered once."""
+
+    @given(order=st.permutations(range(len(NIID_LANES))))
+    @settings(max_examples=4, deadline=None)
+    def test_any_gather_order_returns_the_same_streams(self, order):
+        """Mixed durations and cadences; every lane gathered, one twice."""
+        with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
+            expected = json.load(handle)["niid_fleet"]["hashes"]
+        batch = hetero_batch("exynos9810", "schedutil", NIID_LANES)
+        streams = {}
+        for device in [*order, order[0]]:
+            recorder = batch.device_recorder(device)
+            assert recorder.content_hash() == expected[device]
+            assert sample_stream_hash(recorder.samples) == expected[device]
+            streams.setdefault(device, []).append(recorder.samples)
+        first, again = streams[order[0]]
+        assert first == again
+
+    def test_gather_between_runs_covers_rows_appended_later(self):
+        """A homogeneous batch may run on after a gather."""
+        platform = make_platform("exynos9810")
+        configs = [
+            SimulationConfig(
+                refresh_hz=platform.display_refresh_hz, duration_s=2.0, seed=device
+            )
+            for device in range(2)
+        ]
+        batch = BatchSimulation(
+            platform, [make_governor("schedutil") for _ in configs], configs
+        )
+        workloads = [
+            SessionWorkload(FIGURE1_SESSION.segments, seed=device)
+            for device in range(2)
+        ]
+        batch.run(workloads, duration_s=1.0)
+        halfway = [batch.device_recorder(device).content_hash() for device in range(2)]
+        batch.run(workloads, duration_s=1.0)
+        for device in range(2):
+            simulation = Simulation(
+                platform, make_governor("schedutil"), configs[device]
+            )
+            workload = SessionWorkload(FIGURE1_SESSION.segments, seed=device)
+            simulation.run(workload, duration_s=1.0)
+            assert halfway[device] == simulation.recorder.content_hash()
+            simulation.run(workload, duration_s=1.0)
+            assert (
+                batch.device_recorder(device).content_hash()
+                == simulation.recorder.content_hash()
+            )

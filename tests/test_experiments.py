@@ -559,6 +559,68 @@ class TestHeterogeneousBatchedSweep:
         ]
 
 
+class TestBatchedCellGroup:
+    """``execute_cells_batched``: one trace per session, whole-lane timings."""
+
+    def _cells(self):
+        # Three governors replay each of four sessions (two apps x two seeds).
+        return ScenarioMatrix.build(
+            name="shared-traces",
+            governors=("schedutil", "powersave", "conservative"),
+            apps=("facebook", "spotify"),
+            seeds=(0, 1),
+            duration_s=1.0,
+        ).cells()
+
+    def test_each_session_is_recorded_once_and_hashes_match_scalar(self, monkeypatch):
+        pytest.importorskip("numpy")
+        import repro.experiments.runner as runner_module
+
+        cells = self._cells()
+        keys = [(cell.workload.segments, cell.trace_seed) for cell in cells]
+        assert len(set(keys)) == 4 < len(cells)
+        recorded = []
+        record = runner_module.record_session_trace
+
+        def counting(segments, platform=None, seed=0):
+            recorded.append(
+                (tuple((s.app_name, s.duration_s) for s in segments), seed)
+            )
+            return record(segments, platform=platform, seed=seed)
+
+        monkeypatch.setattr(runner_module, "record_session_trace", counting)
+        batched = runner_module.execute_cells_batched(cells)
+        monkeypatch.undo()
+        assert sorted(recorded) == sorted(set(keys))
+        assert all(result.ok for result in batched)
+        assert [r.summary["sample_stream_hash"] for r in batched] == [
+            execute_cell(cell).summary["sample_stream_hash"] for cell in cells
+        ]
+
+    def test_elapsed_s_includes_gather_summary_and_hash(self, monkeypatch):
+        pytest.importorskip("numpy")
+        import time
+
+        import repro.experiments.runner as runner_module
+        from repro.sim.recorder import Recorder
+
+        pause_s = 0.2
+        content_hash = Recorder.content_hash
+
+        def slow_hash(recorder):
+            time.sleep(pause_s)
+            return content_hash(recorder)
+
+        def no_fallback(cell, artifact=None, attempt=0):
+            raise AssertionError("the batch fell back to the scalar route")
+
+        monkeypatch.setattr(Recorder, "content_hash", slow_hash)
+        monkeypatch.setattr(runner_module, "execute_cell", no_fallback)
+        results = runner_module.execute_cells_batched(self._cells()[:3])
+        assert all(result.ok for result in results)
+        assert all(result.elapsed_s >= pause_s for result in results)
+
+
 class TestResultCacheQuarantine:
     """Corrupt cache entries are quarantined as misses, never raised mid-sweep."""
 
