@@ -1,11 +1,13 @@
 """Heterogeneous-lane batch kernel benchmark: ``BENCH_batch_hetero.json``.
 
-Measures what the *masked* heterogeneous-lane path of the batch kernel
-(``repro.sim.batch``) costs and buys: device-ticks per wall-clock second
+Measures what masked heterogeneous lanes of the batch kernel
+(``repro.sim.batch``) cost and buy: device-ticks per wall-clock second
 stepping N lanes whose session durations span a 50% spread (lane ``d``
 replays between half and all of the paper's Fig. 1 session), versus the
-scalar kernel replaying the identical trace, and versus the homogeneous
-(unmasked) batch path as the overhead reference.
+scalar kernel replaying the identical trace, and versus a ``uniform`` batch
+as the overhead reference.  The ``uniform`` row runs the same tick loop
+with equal durations (one segment, every lane active), so the
+``masking_overhead_vs_uniform`` ratio is the cost of ragged lanes alone.
 
 Mixed-duration fleets previously fell back to N scalar runs; the masked
 kernel keeps them in one struct-of-arrays loop, zeroing finished lanes out
@@ -87,7 +89,7 @@ def _lane_durations(n: int, total_s: float):
 
 
 def measure(profile: str = "full", repeat: int = 3) -> dict:
-    """Measure scalar, homogeneous and masked throughput in one sitting."""
+    """Measure scalar, uniform and masked throughput in one sitting."""
     from repro.sim.batch import BatchSimulation  # needs NumPy; import late
 
     platform = exynos9810()

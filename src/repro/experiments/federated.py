@@ -147,9 +147,9 @@ def train_device_rounds_batched(
     agents).  Jobs of one round share platform and overrides by construction
     (:meth:`FleetBuild.round_jobs`); episode budgets and durations may differ
     per device (intensity-weighted non-IID fleets) -- mixed-duration episodes
-    route through the masked heterogeneous kernel, and a lane whose budget is
-    exhausted or whose agent converged simply drops out of later episodes
-    instead of forcing the fleet into lockstep.
+    run as masked heterogeneous lanes of the batch kernel, and a lane whose
+    budget is exhausted or whose agent converged simply drops out of later
+    episodes instead of forcing the fleet into lockstep.
     """
     if not jobs:
         return []

@@ -349,7 +349,7 @@ def execute_cells_batched(
     (the grouping in :func:`batchable_cell_groups` guarantees it); each
     cell keeps its own trace, governor and simulation seeds, session
     duration and recording cadence -- mixed durations and cadences run as
-    heterogeneous lanes under the masked kernel.  Lanes replaying the same
+    masked heterogeneous lanes of the batch kernel.  Lanes replaying the same
     session (same segments and ``trace_seed``) share one recorded trace;
     the sharing lasts for this call only.  The batched
     device-population kernel is bit-identical per lane to the scalar
@@ -451,7 +451,9 @@ def execute_cells_batched(
         elapsed_total = time.perf_counter() - started
         device_ticks = metrics().counters.get("batch.device_ticks", 0.0) - ticks_before
         if elapsed_total > 0 and device_ticks > 0:
-            metrics().set_gauge(
+            # A histogram, not a gauge: pooled footers then merge every
+            # worker's batches instead of keeping the last one written.
+            metrics().observe(
                 "batch.device_ticks_per_s", device_ticks / elapsed_total
             )
         if tracer is not None:
@@ -469,7 +471,7 @@ def batchable_cell_groups(
     platform and config overrides (recording cadence aside) can share one
     :class:`~repro.sim.batch.BatchSimulation`.  Session durations and
     ``record_every_n_ticks`` overrides may differ within a group: mixed
-    cells run as heterogeneous lanes under the masked kernel.  Each group
+    cells run as masked heterogeneous lanes of the batch kernel.  Each group
     is split into up to ``workers`` chunks of at least two cells so a
     process pool still spreads a large homogeneous sweep across its
     workers; singleton leftovers run scalar.

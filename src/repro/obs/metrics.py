@@ -2,9 +2,10 @@
 
 Counters accumulate (cache hits, retries by classification, faults
 fired, watchdog reschedules, quarantined entries); gauges hold the last
-written value (device-ticks/s of the most recent batch); histograms keep
-a bounded summary (count/sum/min/max) so observing per-segment lane
-occupancy for a million segments costs four floats, not a list.
+written value, so they only make sense within one process; histograms
+keep a bounded summary (count/sum/min/max) so observing per-segment lane
+occupancy or per-batch device-ticks/s for a million batches costs four
+floats, not a list, and merges across processes.
 
 The registry is always on -- dict updates at per-cell frequency are
 noise -- and is *flushed* only when tracing is active: into the run's

@@ -1,12 +1,16 @@
 """Opt-in sampling profiler for the 60 Hz hot loops.
 
 The Fig. 1 hot loop (``Simulation._run_ticks`` and its batched
-counterpart) binds its stage callables to locals before the tick loop.
-The profiler exploits that: when enabled, the loop rebinds each stage
-callable through :meth:`HotLoopProfiler.wrap`, a closure that times
-every ``stride``-th call into a per-stage bucket and passes results
-through untouched -- bit-identity holds by construction because the
-wrapped function *is* the original function plus two clock reads.
+counterpart ``BatchSimulation._run_ticks``) binds its stage callables to
+locals before the tick loop.  The profiler exploits that: when enabled,
+the loop rebinds each stage callable through :meth:`HotLoopProfiler.wrap`,
+a closure that times every ``stride``-th call into a per-stage bucket and
+passes results through untouched -- bit-identity holds by construction
+because the wrapped function *is* the original function plus two clock
+reads.  Both kernels bucket the same six :data:`STAGES`; the batch
+kernel's ``pipeline`` covers the per-device frame queues and the
+vectorised finish, and its ``governor`` covers both the per-lane
+invocations and the grouped vectorised updates.
 
 When disabled (the default), :func:`active_profiler` returns ``None``
 and the loops take their original, unwrapped path: the cost is one

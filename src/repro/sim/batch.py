@@ -29,10 +29,11 @@ columns, governor observations) is converted back to Python floats via
 Devices in one batch must share a platform, tick length (refresh rate) and
 warm start; seeds, governors, workloads, run durations and recording
 cadences may differ per device.  Heterogeneous lanes run under a per-lane
-active mask (:meth:`BatchSimulation._run_ticks_masked`): a lane whose tick
-budget runs out is masked out of the frontend, governor, observe and
-recorder stages while the surviving lanes keep stepping element-wise with
-unchanged IEEE-754 op order.
+active mask in the one tick loop (:meth:`BatchSimulation._run_ticks`); a
+homogeneous run is the special case in which every lane stays active.  A
+lane whose tick budget runs out is masked out of the frontend, governor,
+observe and recorder stages while the surviving lanes keep stepping
+element-wise with unchanged IEEE-754 op order.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ class BatchSimulation:
         self._ref = ref
         soc0 = ref.soc
         self._dt = ref.config.dt_s
-        self._record_every = ref.config.record_every_n_ticks
         self._record_every_arr = np.array(
             [config.record_every_n_ticks for config in configs], dtype=np.int64
         )
@@ -261,10 +261,9 @@ class BatchSimulation:
         called repeatedly; state (time, thermals, governor counters) carries
         over, so interleaving runs with fleet-level work (e.g. federated
         aggregation) behaves like doing the same to N scalar simulations.
-        A heterogeneous run takes the masked path and *consumes* the batch:
-        lanes finish at different local tick counts, so any further
-        shared-clock run would diverge from scalar per-device runs and is
-        rejected.
+        A heterogeneous run *consumes* the batch: lanes finish at different
+        local tick counts, so any further shared-clock run would diverge
+        from scalar per-device runs and is rejected.
         """
         if len(workloads) != self._n:
             raise ValueError("one workload per device required")
@@ -285,331 +284,20 @@ class BatchSimulation:
             if len(duration_s) != self._n:
                 raise ValueError("one duration per device required")
             budgets = [clock.ticks_for(float(dur)) for dur in duration_s]
-        if self._uniform_cadence and len(set(budgets)) == 1:
-            self._run_ticks(workloads, budgets[0])
-        else:
+        if not (self._uniform_cadence and len(set(budgets)) == 1):
             self._consumed = True
-            self._run_ticks_masked(workloads, budgets)
+        self._run_ticks(workloads, budgets)
         return self.recorder
 
-    def _run_ticks(self, workloads: Sequence, ticks: int) -> None:
-        n = self._n
-        n_clusters = self._n_clusters
-        dt = self._dt
-        record_every = self._record_every
-        pipeline = self._pipeline
-        tick_work = pipeline.tick_device_work
-        batch_rates = pipeline.batch_rates
-        batch_finish = pipeline.batch_finish
-        workload_ticks = [w.tick for w in workloads]
-        governors = self.governors
-        observe = self._observe
-        observe_any = any(fn is not None for fn in observe)
-        agents = self._agents
-        current_app = self._current_app
-        invocation_period = self._invocation_period
-        last_invocation = self._last_invocation
-        dropped_since = self._dropped_since
-        demanded_since = self._demanded_since
-        app_row = self._app_row
-        phase_row = self._phase_row
-        demanded_row = self._demanded_row
-        displayed_row = self._displayed_row
-        dropped_row = self._dropped_row
-        interaction_row = self._interaction_row
-        cpu_done_row = self._cpu_done_row
-        gpu_done_row = self._gpu_done_row
-        background_lists = self._background_lists
-        cluster_names = self._cluster_names
-        util_scratch = self._util
-        cur = self._cur
-        min_limit = self._min_limit
-        max_limit = self._max_limit
-        temps = self._temps
-        heat = self._heat
-        dynamic = self._dynamic
-        leakage = self._leakage
-        power_tables = self._power_tables
-        cluster_node_index = self._cluster_node_index
-        device_node_index = self._device_node_index
-        rest_w = self._rest_w
-        thermal = self._thermal
-        max_substep = thermal.MAX_SUBSTEP_S
-        evaluate_power = self._power_model.evaluate_flat_batch
-        scaler_select = self._scaler.select_tick_batch
-        scaler_state = self._scaler_state
-        freq_arrays = self._freq_arrays
-        fps_events = self._fps_events
-        fps_window_s = self._fps_window_s
-        refresh_hz = self._refresh_hz
-        recorder_append = self.recorder.append_tick
-        invoke_governor = self._invoke_governor
-        devices = self.devices
-        tick_count = self._tick_count
-        soc_time = self._soc_time_s
-
-        profiler = active_profiler()
-        if profiler is not None:
-            # Same opt-in stage wrapping as the scalar engine: results pass
-            # through untouched, so the loop below is identical either way.
-            workload_ticks = [
-                profiler.wrap("workload", fn) for fn in workload_ticks
-            ]
-            batch_finish = profiler.wrap("pipeline", batch_finish)
-            evaluate_power = profiler.wrap("power_thermal", evaluate_power)
-            scaler_select = profiler.wrap("scaler", scaler_select)
-            recorder_append = profiler.wrap("recorder", recorder_append)
-        metrics().observe("batch.lane_occupancy", float(n))
-        metrics().inc("batch.device_ticks", float(ticks) * n)
-
-        try:
-            for _ in range(ticks):
-                # Shared VSync clock: one edge count for every device.
-                edge_count = pipeline.advance_time(dt)
-
-                # Per-device stage budgets from the current OPP indices
-                # (vectorised; bit-identical to the scalar rate computation).
-                big_rate, little_rate, cpu_rate, gpu_rate = batch_rates(cur)
-                cpu_budgets = (cpu_rate * dt).tolist()
-                gpu_budgets = (gpu_rate * dt).tolist()
-
-                # Per-device frontend: workload demand, session hooks, frame
-                # queue drain (utilisation math is vectorised afterwards).
-                prev_background = _SENTINEL
-                background_values: List[float] = [0.0] * n_clusters
-                for d in range(n):
-                    demand = workload_ticks[d](dt)
-                    app_name = demand.app_name
-                    if app_name != current_app[d]:
-                        governor = governors[d]
-                        if current_app[d] is not None:
-                            governor.on_session_end(current_app[d])
-                        current_app[d] = app_name
-                        governor.on_session_start(app_name)
-                        invocation_period[d] = governor.invocation_period_s
-                    frames = demand.frames
-                    displayed, rejected, cpu_done, gpu_done = tick_work(
-                        d, frames, cpu_budgets[d], gpu_budgets[d], edge_count
-                    )
-                    cpu_done_row[d] = cpu_done
-                    gpu_done_row[d] = gpu_done
-                    background = demand.background_work_mwu
-                    if background is not prev_background:
-                        # Devices replaying shared demand objects (e.g. the
-                        # same trace) resolve the mapping once per tick.
-                        prev_background = background
-                        if background:
-                            get = background.get
-                            background_values = [
-                                get(cluster_names[k], 0.0)
-                                for k in range(n_clusters)
-                            ]
-                        else:
-                            background_values = [0.0] * n_clusters
-                    for k in range(n_clusters):
-                        background_lists[k][d] = background_values[k]
-                    app_row[d] = app_name
-                    phase_row[d] = demand.phase_name
-                    demanded_row[d] = len(frames)
-                    displayed_row[d] = displayed
-                    dropped_row[d] = rejected
-                    interaction_row[d] = demand.interaction_activity
-
-                batch_finish(
-                    cur,
-                    np.array(cpu_done_row),
-                    np.array(gpu_done_row),
-                    big_rate,
-                    little_rate,
-                    cpu_rate,
-                    gpu_rate,
-                    np.array(background_lists),
-                    dt,
-                    util_scratch,
-                )
-                # Engine clamp of the pipeline utilisations (same bounds as
-                # the scalar loop's inlined Cluster.utilisation setter).
-                util = np.minimum(1.0, np.maximum(0.0, util_scratch))
-
-                # SoC step: power -> heat -> thermal -> throttle (the batched
-                # mirror of SocSimulator.step_tick).
-                evaluate_power(
-                    power_tables,
-                    cur,
-                    util,
-                    temps,
-                    cluster_node_index,
-                    dynamic,
-                    leakage,
-                )
-                heat[:] = 0.0
-                for k in range(n_clusters):
-                    heat[cluster_node_index[k]] += dynamic[k] + leakage[k]
-                if device_node_index is not None:
-                    heat[device_node_index] += 0.5 * rest_w
-                if 1e-12 < dt <= max_substep:
-                    thermal.euler_substep_batch(temps, heat, dt)
-                else:
-                    thermal.step_flat_batch(temps, heat, dt)
-                soc_time += dt
-                if self._thermal_throttle:
-                    limit = self._max_chip_temperature_c
-                    for k in range(n_clusters):
-                        hot = temps[cluster_node_index[k]] > limit
-                        if hot.any():
-                            cur[k] = np.where(hot, min_limit[k], cur[k])
-
-                tick_count += 1
-                now = tick_count * dt
-                will_record = tick_count % record_every == 0
-                if will_record:
-                    # DVFS snapshot before the scaler moves frequencies, as in
-                    # the scalar engine.
-                    frequency_rows = np.stack(
-                        [freq_arrays[k][cur[k]] for k in range(n_clusters)]
-                    )
-                    max_limit_rows = np.stack(
-                        [freq_arrays[k][max_limit[k]] for k in range(n_clusters)]
-                    )
-
-                # Sliding-window FPS, vectorised over devices (expiry is
-                # time-driven and therefore shared).
-                displayed_arr = np.array(displayed_row, dtype=np.int64)
-                fps_events.append((now, displayed_arr))
-                total = self._fps_total + displayed_arr
-                cutoff = now - fps_window_s
-                while fps_events and fps_events[0][0] <= cutoff:
-                    total = total - fps_events.popleft()[1]
-                self._fps_total = total
-                fps = total / fps_window_s
-                fps = np.where(fps < refresh_hz, fps, refresh_hz)
-                fps_list = fps.tolist()
-
-                if observe_any:
-                    for d in range(n):
-                        fn = observe[d]
-                        if fn is not None:
-                            fn(now, fps_list[d])
-
-                scaler_select(scaler_state, util, cur, min_limit, max_limit, now)
-
-                dropped_since += np.array(dropped_row, dtype=np.int64)
-                demanded_since += np.array(demanded_row, dtype=np.int64)
-                due = np.isnan(last_invocation) | (
-                    (now - last_invocation) >= invocation_period - 1e-9
-                )
-                if due.any():
-                    due_devices = np.nonzero(due)[0].tolist()
-                    fast_update = self._fast_update
-                    slow_devices = [
-                        d for d in due_devices if fast_update[d] is None
-                    ]
-                    if len(slow_devices) < len(due_devices):
-                        # Observation-free governors: apply the policy
-                        # vectorised, grouped by governor class.
-                        groups = {}
-                        for d in due_devices:
-                            update = fast_update[d]
-                            if update is not None:
-                                group = groups.setdefault(
-                                    type(governors[d]), (update, [])
-                                )
-                                group[1].append(d)
-                        for update, lanes in groups.values():
-                            update(
-                                lanes, cur, min_limit, max_limit, self._top_indices
-                            )
-                    if slow_devices:
-                        # Batched column extraction: one transpose per array
-                        # instead of per-element NumPy scalar reads per device.
-                        dynamic_cols = dynamic.T.tolist()
-                        leakage_cols = leakage.T.tolist()
-                        temps_cols = temps.T.tolist()
-                        cur_cols = cur.T.tolist()
-                        min_limit_cols = min_limit.T.tolist()
-                        max_limit_cols = max_limit.T.tolist()
-                        util_cols = util.T.tolist()
-                        last_cols = last_invocation.tolist()
-                        dropped_cols = dropped_since.tolist()
-                        demanded_cols = demanded_since.tolist()
-                        for d in slow_devices:
-                            invoke_governor(
-                                d,
-                                now,
-                                fps_list[d],
-                                soc_time,
-                                dynamic_cols[d],
-                                leakage_cols[d],
-                                temps_cols[d],
-                                cur_cols[d],
-                                min_limit_cols[d],
-                                max_limit_cols[d],
-                                util_cols[d],
-                                last_cols[d],
-                                dropped_cols[d],
-                                demanded_cols[d],
-                            )
-                        # Governors may have adjusted cluster state; sync the
-                        # due lanes back into the arrays in one batched write.
-                        sync = [
-                            [devices[d].soc._cluster_list[k] for d in slow_devices]
-                            for k in range(n_clusters)
-                        ]
-                        cur[:, slow_devices] = [
-                            [c._current_index for c in row] for row in sync
-                        ]
-                        min_limit[:, slow_devices] = [
-                            [c._min_limit_index for c in row] for row in sync
-                        ]
-                        max_limit[:, slow_devices] = [
-                            [c._max_limit_index for c in row] for row in sync
-                        ]
-                    last_invocation[due_devices] = now
-                    dropped_since[due_devices] = 0
-                    demanded_since[due_devices] = 0
-                    invocation_period[due_devices] = [
-                        governors[d].invocation_period_s for d in due_devices
-                    ]
-
-                if will_record:
-                    dynamic_total = dynamic[0]
-                    leakage_total = leakage[0]
-                    for k in range(1, n_clusters):
-                        dynamic_total = dynamic_total + dynamic[k]
-                        leakage_total = leakage_total + leakage[k]
-                    power_total = (dynamic_total + leakage_total) + rest_w
-                    recorder_append(
-                        now,
-                        list(app_row),
-                        list(phase_row),
-                        fps,
-                        [
-                            0.0 if agents[d] is None else agents[d].target_fps
-                            for d in range(n)
-                        ],
-                        list(demanded_row),
-                        list(displayed_row),
-                        list(dropped_row),
-                        power_total,
-                        dynamic + leakage,
-                        temps.copy(),
-                        frequency_rows,
-                        max_limit_rows,
-                        util,
-                        list(interaction_row),
-                    )
-        finally:
-            self._tick_count = tick_count
-            self._soc_time_s = soc_time
-
     def _lane_schedule(self, budgets: Sequence[int]):
-        """Precompiled per-lane index arrays for a heterogeneous run.
+        """Precompiled per-lane index arrays for one run.
 
         The active set only changes when a lane's tick budget runs out, so
         the run splits into segments with a constant active set.  Each entry
         is ``(ticks, active_list, active_mask)``: the Python visit list for
         the ragged frontend (workload stepping, frame-queue advance) plus the
-        boolean device-axis mask for the vectorised stages.
+        boolean device-axis mask for the vectorised stages.  A homogeneous
+        run is a single segment with every lane active.
         """
         n = self._n
         budget_list = [int(b) for b in budgets]
@@ -623,21 +311,23 @@ class BatchSimulation:
             prev = boundary
         return segments
 
-    def _run_ticks_masked(self, workloads: Sequence, budgets: Sequence[int]) -> None:
-        """Heterogeneous-lane loop: per-lane tick budgets and record cadence.
+    def _run_ticks(self, workloads: Sequence, budgets: Sequence[int]) -> None:
+        """The batched tick loop: per-lane tick budgets and record cadence.
 
-        The per-tick stage order is identical to :meth:`_run_ticks`; the
-        differences are confined to *which lanes* each ragged or gated stage
-        visits.  A finished lane is removed from the frontend visit list, its
-        demand/display/drop rows are zeroed (freezing its contribution to the
-        shared FPS window and governor counters), and it is masked out of the
-        observe hooks, governor ``due`` set and recorder rows.  The dense
-        element-wise stages (power, thermal, scaler, throttle) keep stepping
-        every lane -- a dead lane's column is never read again, and per-lane
-        independence means it cannot perturb a live lane's IEEE-754 op
-        order.  Because all lanes share tick zero, a lane's local time equals
-        the global ``now``, so each live lane sees exactly the float sequence
-        its scalar run sees.
+        The per-tick stage order is that of :meth:`Simulation._run_ticks`,
+        run once per segment of :meth:`_lane_schedule`; lanes differ only in
+        *which* ragged or gated stages visit them.  A homogeneous run is one
+        segment in which every lane is active and records on the same ticks.
+        When a lane's budget runs out, it is removed from the frontend visit
+        list, its demand/display/drop rows are zeroed (freezing its
+        contribution to the shared FPS window and governor counters), and it
+        is masked out of the observe hooks, governor ``due`` set and recorder
+        rows.  The dense element-wise stages (power, thermal, scaler,
+        throttle) keep stepping every lane -- a dead lane's column is never
+        read again, and per-lane independence means it cannot perturb a live
+        lane's IEEE-754 op order.  Because all lanes share tick zero, a
+        lane's local time equals the global ``now``, so each live lane sees
+        exactly the float sequence its scalar run sees.
         """
         n = self._n
         n_clusters = self._n_clusters
@@ -690,18 +380,28 @@ class BatchSimulation:
         refresh_hz = self._refresh_hz
         recorder_append = self.recorder.append_tick
         invoke_governor = self._invoke_governor
+        fast_update = self._fast_update
         devices = self.devices
         tick_count = self._tick_count
         soc_time = self._soc_time_s
 
         profiler = active_profiler()
         if profiler is not None:
+            # Same opt-in stage wrapping as the scalar engine, over the same
+            # six stages: results pass through untouched, so the loop below
+            # is identical either way.
             workload_ticks = [
                 profiler.wrap("workload", fn) for fn in workload_ticks
             ]
+            tick_work = profiler.wrap("pipeline", tick_work)
             batch_finish = profiler.wrap("pipeline", batch_finish)
             evaluate_power = profiler.wrap("power_thermal", evaluate_power)
             scaler_select = profiler.wrap("scaler", scaler_select)
+            invoke_governor = profiler.wrap("governor", invoke_governor)
+            fast_update = [
+                None if fn is None else profiler.wrap("governor", fn)
+                for fn in fast_update
+            ]
             recorder_append = profiler.wrap("recorder", recorder_append)
 
         try:
@@ -725,12 +425,17 @@ class BatchSimulation:
                         for k in range(n_clusters):
                             background_lists[k][d] = 0.0
                 for _ in range(seg_ticks):
+                    # Shared VSync clock: one edge count for every device.
                     edge_count = pipeline.advance_time(dt)
 
+                    # Per-device stage budgets from the current OPP indices
+                    # (vectorised; bit-identical to the scalar rate computation).
                     big_rate, little_rate, cpu_rate, gpu_rate = batch_rates(cur)
                     cpu_budgets = (cpu_rate * dt).tolist()
                     gpu_budgets = (gpu_rate * dt).tolist()
 
+                    # Per-device frontend: workload demand, session hooks, frame
+                    # queue drain (utilisation math is vectorised afterwards).
                     prev_background = _SENTINEL
                     background_values: List[float] = [0.0] * n_clusters
                     for d in active_list:
@@ -751,6 +456,8 @@ class BatchSimulation:
                         gpu_done_row[d] = gpu_done
                         background = demand.background_work_mwu
                         if background is not prev_background:
+                            # Devices replaying shared demand objects (e.g. the
+                            # same trace) resolve the mapping once per tick.
                             prev_background = background
                             if background:
                                 get = background.get
@@ -781,8 +488,12 @@ class BatchSimulation:
                         dt,
                         util_scratch,
                     )
+                    # Engine clamp of the pipeline utilisations (same bounds as
+                    # the scalar loop's inlined Cluster.utilisation setter).
                     util = np.minimum(1.0, np.maximum(0.0, util_scratch))
 
+                    # SoC step: power -> heat -> thermal -> throttle (the
+                    # batched mirror of SocSimulator.step_tick).
                     evaluate_power(
                         power_tables,
                         cur,
@@ -817,6 +528,8 @@ class BatchSimulation:
                     )
                     will_record = bool(record_mask.any())
                     if will_record:
+                        # DVFS snapshot before the scaler moves frequencies, as
+                        # in the scalar engine.
                         frequency_rows = np.stack(
                             [freq_arrays[k][cur[k]] for k in range(n_clusters)]
                         )
@@ -824,6 +537,8 @@ class BatchSimulation:
                             [freq_arrays[k][max_limit[k]] for k in range(n_clusters)]
                         )
 
+                    # Sliding-window FPS, vectorised over devices (expiry is
+                    # time-driven and therefore shared).
                     displayed_arr = np.array(displayed_row, dtype=np.int64)
                     fps_events.append((now, displayed_arr))
                     total = self._fps_total + displayed_arr
@@ -851,11 +566,12 @@ class BatchSimulation:
                     ) & active_mask
                     if due.any():
                         due_devices = np.nonzero(due)[0].tolist()
-                        fast_update = self._fast_update
                         slow_devices = [
                             d for d in due_devices if fast_update[d] is None
                         ]
                         if len(slow_devices) < len(due_devices):
+                            # Observation-free governors: apply the policy
+                            # vectorised, grouped by governor class.
                             groups = {}
                             for d in due_devices:
                                 update = fast_update[d]
@@ -869,6 +585,8 @@ class BatchSimulation:
                                     lanes, cur, min_limit, max_limit, self._top_indices
                                 )
                         if slow_devices:
+                            # Batched column extraction: one transpose per array
+                            # instead of per-element NumPy scalar reads per device.
                             dynamic_cols = dynamic.T.tolist()
                             leakage_cols = leakage.T.tolist()
                             temps_cols = temps.T.tolist()
@@ -896,6 +614,8 @@ class BatchSimulation:
                                     dropped_cols[d],
                                     demanded_cols[d],
                                 )
+                            # Governors may have adjusted cluster state; sync the
+                            # due lanes back into the arrays in one batched write.
                             sync = [
                                 [devices[d].soc._cluster_list[k] for d in slow_devices]
                                 for k in range(n_clusters)

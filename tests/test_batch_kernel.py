@@ -26,6 +26,7 @@ pytest.importorskip("numpy")  # the batch kernel is NumPy-backed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.profile import STAGES, profiled
 from repro.sim.batch import BatchSimulation
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SessionWorkload, Simulation
@@ -379,14 +380,14 @@ class TestHeterogeneousLanes:
             )
 
     def test_single_lane_through_masked_path_matches_scalar(self):
-        """N=1 via the masked loop itself (``run()`` would fast-path it)."""
+        """N=1 through the one tick loop: a single segment, one active lane."""
         platform = make_platform("exynos9810")
         config = SimulationConfig(
             refresh_hz=platform.display_refresh_hz, duration_s=2.0, seed=5
         )
         batch = BatchSimulation(platform, [make_governor("schedutil")], [config])
         workload = SessionWorkload(FIGURE1_SESSION.segments, seed=5)
-        batch._run_ticks_masked([workload], [batch._ref.clock.ticks_for(2.0)])
+        batch.run([workload], duration_s=2.0)
         assert sample_stream_hash(
             batch.device_recorder(0).samples
         ) == scalar_device_hash("exynos9810", "schedutil", 0, 5, 2.0)
@@ -413,6 +414,19 @@ class TestHeterogeneousLanes:
         )
         workloads = [make_app(lane["app"], seed=lane["seed"]) for lane in lanes]
         batch.run(workloads, duration_s=[1.0, 2.0])
+        with pytest.raises(ValueError, match="consumes the batch"):
+            batch.run(workloads, duration_s=1.0)
+
+    def test_mixed_cadence_run_consumes_the_batch(self):
+        """Equal durations but cadences 1 and 2 still consume the batch."""
+        lanes = [
+            {"app": "facebook", "duration_s": 1.0, "record_every": 1,
+             "intensity": 1.0, "seed": 1},
+            {"app": "spotify", "duration_s": 1.0, "record_every": 2,
+             "intensity": 1.0, "seed": 2},
+        ]
+        batch = hetero_batch("exynos9810", "schedutil", lanes)
+        workloads = [make_app(lane["app"], seed=lane["seed"]) for lane in lanes]
         with pytest.raises(ValueError, match="consumes the batch"):
             batch.run(workloads, duration_s=1.0)
 
@@ -495,3 +509,47 @@ class TestLaneGather:
                 batch.device_recorder(device).content_hash()
                 == simulation.recorder.content_hash()
             )
+
+
+class TestBatchProfiler:
+    """The batch loop buckets the scalar engine's stages, hashes untouched."""
+
+    @staticmethod
+    def lane_hashes(governor_names, duration_s=2.0):
+        platform = make_platform("exynos9810")
+        configs = [
+            SimulationConfig(
+                refresh_hz=platform.display_refresh_hz,
+                duration_s=duration_s,
+                seed=device,
+            )
+            for device in range(len(governor_names))
+        ]
+        batch = BatchSimulation(
+            platform, [make_governor(name) for name in governor_names], configs
+        )
+        batch.run(
+            [
+                SessionWorkload(FIGURE1_SESSION.segments, seed=device)
+                for device in range(len(governor_names))
+            ],
+            duration_s=duration_s,
+        )
+        return [
+            batch.device_recorder(device).content_hash()
+            for device in range(len(governor_names))
+        ]
+
+    def test_profiled_batch_records_every_stage(self):
+        """Both governor routes: conservative invokes, schedutil updates."""
+        governors = ("conservative", "schedutil")
+        bare = self.lane_hashes(governors)
+        with profiled(stride=1) as profiler:
+            hot = self.lane_hashes(governors)
+        called = {
+            stage
+            for stage, stats in profiler.snapshot()["stages"].items()
+            if stats["calls"] > 0
+        }
+        assert called == set(STAGES)
+        assert hot == bare

@@ -620,6 +620,22 @@ class TestBatchedCellGroup:
         assert all(result.ok for result in results)
         assert all(result.elapsed_s >= pause_s for result in results)
 
+    def test_device_ticks_per_s_is_a_histogram_of_batches(self):
+        """Per-batch throughput merges across processes (count/sum/min/max)."""
+        pytest.importorskip("numpy")
+        from repro.experiments.runner import execute_cells_batched
+        from repro.obs.metrics import metrics, reset_metrics
+
+        cells = self._cells()
+        reset_metrics()
+        try:
+            for group in (cells[:2], cells[2:4]):
+                assert all(result.ok for result in execute_cells_batched(group))
+            assert metrics().histograms["batch.device_ticks_per_s"]["count"] == 2
+            assert "batch.device_ticks_per_s" not in metrics().gauges
+        finally:
+            reset_metrics()
+
 
 class TestResultCacheQuarantine:
     """Corrupt cache entries are quarantined as misses, never raised mid-sweep."""
