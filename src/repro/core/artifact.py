@@ -25,17 +25,13 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.agent import AgentConfig, NextAgent
 from repro.core.governor import NextGovernor
-from repro.core.persistence import atomic_write_json, list_entry_paths
+from repro.core.persistence import atomic_write_json, read_json_object
 from repro.core.seeding import canonical_fingerprint
 
 __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
     "AgentArtifact",
     "TrainingSpec",
-    # Re-exported from repro.core.persistence for backward compatibility;
-    # new code should import the seam from there.
-    "atomic_write_json",
-    "list_entry_paths",
 ]
 
 #: Bumped whenever the artifact layout or training semantics change, so a
@@ -199,17 +195,18 @@ class AgentArtifact:
 
     @classmethod
     def load(cls, path: str) -> "AgentArtifact":
-        """Load an artifact written by :meth:`save`.
+        """Load an artifact written by :meth:`save`; see :meth:`from_document`."""
+        return cls.from_document(read_json_object(path))
 
-        Raises ``ValueError`` when the file does not round-trip to a
+    @classmethod
+    def from_document(cls, data: Mapping[str, Any]) -> "AgentArtifact":
+        """Rebuild a stored artifact and check it against its own content.
+
+        Raises ``ValueError`` when the document does not round-trip to a
         schema-compatible artifact whose stored fingerprint matches a
         recomputation from its own spec and agent configuration (i.e. the
         content was edited or belongs to an older scheme).
         """
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict):
-            raise ValueError(f"artifact file {path!r} does not contain an object")
         artifact = cls.from_dict(data)
         expected = artifact.spec.fingerprint(
             AgentConfig.from_dict(artifact.agent_state["config"])

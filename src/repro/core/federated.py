@@ -38,7 +38,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.agent import AgentConfig, NextAgent
 from repro.core.artifact import TrainingSpec
-from repro.core.persistence import atomic_write_json
+from repro.core.persistence import atomic_write_json, read_json_object
 from repro.core.governor import NextGovernor
 from repro.core.qtable import QTable
 from repro.core.seeding import canonical_fingerprint, derive_seed
@@ -573,16 +573,17 @@ class FleetArtifact:
 
     @classmethod
     def load(cls, path: str) -> "FleetArtifact":
-        """Load a fleet artifact written by :meth:`save`.
+        """Load and check a fleet written by :meth:`save`; see :meth:`from_document`."""
+        return cls.from_document(read_json_object(path))
 
-        Raises ``ValueError`` when the file does not round-trip to a
+    @classmethod
+    def from_document(cls, data: Mapping[str, Any]) -> "FleetArtifact":
+        """Rebuild a stored fleet artifact and check it against its own content.
+
+        Raises ``ValueError`` when the document does not round-trip to a
         schema-compatible artifact whose stored fingerprint and lineage
         match a recomputation from its own spec and agent configuration.
         """
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict):
-            raise ValueError(f"fleet file {path!r} does not contain an object")
         artifact = cls.from_dict(data)
         agent_config = AgentConfig.from_dict(artifact.agent_state["config"])
         expected = artifact.spec.fingerprint(agent_config)

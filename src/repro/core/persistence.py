@@ -1,6 +1,6 @@
-"""Crash-safe JSON persistence primitives shared by every on-disk store.
+"""Crash-safe JSON persistence: the primitives and the one entry store.
 
-Every artifact store in the project (sweep result cache, agent artifacts,
+Every on-disk store in the project (sweep result cache, agent artifacts,
 fleet artifacts, shard manifests, per-app Q-table files) persists JSON
 documents into directories that may be shared by several runner processes
 and scanned by later sessions.  Three invariants make that safe and
@@ -21,6 +21,10 @@ deterministic, and all live here so the static-analysis pass
   filesystem) moves it aside as ``<path>.bad`` and recomputes, instead of
   letting one bad file abort a whole sweep.
 
+The result cache, the agent-artifact store and the fleet store are one
+:class:`EntryStore` each: it alone knows where an entry lives, how it is
+read, when it is corrupt and what the shard merge compares.
+
 The write path is also a named fault-injection seam
 (:mod:`repro.reliability.faults`): a seeded chaos plan can tear a write
 (truncated document at the final path) or crash it after staging (temp
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
 from repro.reliability.faults import (
     KIND_TORN_WRITE,
@@ -161,3 +165,109 @@ def append_jsonl(path: str, payload: Mapping[str, Any]) -> str:
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(line)
     return path
+
+
+#: What reading a store entry raises when the file holds no valid document
+#: of the store's kind; every store treats them alike, as a corrupt entry.
+CORRUPT_ENTRY_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError)
+
+T = TypeVar("T")
+
+
+def parse_json_object(raw: bytes) -> Dict[str, Any]:
+    """Decode a stored document; ``ValueError`` unless it is a JSON object."""
+    data = json.loads(raw.decode("utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"stored document is a {type(data).__name__}, not an object")
+    return data
+
+
+def read_json_object(path: str) -> Dict[str, Any]:
+    """:func:`parse_json_object` of the file at ``path``."""
+    with open(path, "rb") as handle:
+        return parse_json_object(handle.read())
+
+
+class EntryStore:
+    """JSON documents keyed by fingerprint, at ``<directory>/<fingerprint><suffix>``.
+
+    Without a directory every read misses and every write is dropped.
+    Constructing or reading a store never creates its directory; the first
+    write does.  Readers pass a ``decode`` callable that turns the parsed
+    object into their value: it returns ``None`` for a well-formed entry
+    the caller must not use (a plain miss, left on disk) and raises one of
+    :data:`CORRUPT_ENTRY_ERRORS` for a document of the wrong shape.
+    """
+
+    #: Filename suffix of the entries; ``.bad`` quarantines, ``.tmp.<pid>``
+    #: staging files and subdirectories are not entries.
+    ENTRY_SUFFIX: str
+
+    def __init__(self, directory: Optional[str] = None) -> None:
+        self.directory = directory
+
+    def entry_path(self, fingerprint: str) -> Optional[str]:
+        """Where the entry for ``fingerprint`` lives (``None`` without a directory)."""
+        if self.directory is None:
+            return None
+        return os.path.join(self.directory, fingerprint + self.ENTRY_SUFFIX)
+
+    def entry_paths(self) -> List[str]:
+        """Paths of every entry in the store directory, sorted by name."""
+        return list_entry_paths(self.directory, self.ENTRY_SUFFIX)
+
+    def fingerprints(self) -> List[str]:
+        """Fingerprints of every entry in the store directory, sorted by name."""
+        cut = len(self.ENTRY_SUFFIX)
+        return [os.path.basename(path)[:-cut] for path in self.entry_paths()]
+
+    def read_entry(
+        self, fingerprint: str, decode: Callable[[Dict[str, Any]], Optional[T]]
+    ) -> Tuple[Optional[T], Optional[str]]:
+        """``(value, corrupt_path)`` of one entry, without side effects.
+
+        ``value`` is ``None`` on a miss; ``corrupt_path`` names the file
+        when the miss was caused by a corrupt entry.
+        """
+        path = self.entry_path(fingerprint)
+        if path is None or not os.path.exists(path):
+            return None, None
+        try:
+            return decode(read_json_object(path)), None
+        except CORRUPT_ENTRY_ERRORS:
+            return None, path
+
+    def load_entry(
+        self, fingerprint: str, decode: Callable[[Dict[str, Any]], Optional[T]]
+    ) -> Optional[T]:
+        """:meth:`read_entry` that quarantines a corrupt entry as a miss."""
+        value, corrupt_path = self.read_entry(fingerprint, decode)
+        if corrupt_path is not None:
+            self.quarantine(corrupt_path)
+        return value
+
+    def quarantine(self, path: str) -> None:
+        """Move a corrupt entry aside (:func:`quarantine_entry`)."""
+        quarantine_entry(path)
+
+    def write_entry(self, fingerprint: str, payload: Mapping[str, Any]) -> None:
+        """Atomically publish ``payload`` as the entry for ``fingerprint``."""
+        path = self.entry_path(fingerprint)
+        if path is not None:
+            atomic_write_json(path, payload)
+
+    @staticmethod
+    def canonical_entry(data: Dict[str, Any]) -> Dict[str, Any]:
+        """The content identity the shard merge compares: the whole document.
+
+        A store whose entries carry machine-dependent fields drops them.
+        """
+        return data
+
+    @classmethod
+    def canonical_document(cls, raw: bytes) -> Optional[Dict[str, Any]]:
+        """:meth:`canonical_entry` of an entry's bytes; ``None`` if they are torn."""
+        try:
+            return cls.canonical_entry(parse_json_object(raw))
+        except ValueError:
+            return None

@@ -11,21 +11,22 @@ halves:
   turns a :class:`~repro.core.artifact.TrainingSpec` into an
   :class:`~repro.core.artifact.AgentArtifact` -- shippable to a process-pool
   worker exactly like a scenario cell, and
-* :class:`ArtifactStore` mirrors the runner's ``ResultCache``: a
-  fingerprint-keyed store of trained artifacts (in memory, optionally
-  backed by a directory).  The sweep runner trains each distinct spec once
-  and serves every later request from the store.
+* :class:`ArtifactStore` is the fingerprint-keyed store of trained
+  artifacts: an in-memory layer over the same
+  :class:`~repro.core.persistence.EntryStore` the runner's ``ResultCache``
+  is built on.  The sweep runner trains each distinct spec once and serves
+  every later request from the store.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional, Type, Union
 
 from repro.core.agent import AgentConfig
 from repro.core.artifact import AgentArtifact, TrainingSpec
-from repro.core.persistence import list_entry_paths, quarantine_entry
+from repro.core.federated import FleetArtifact, FleetSpec
+from repro.core.persistence import EntryStore
 from repro.core.governor import NextGovernor
 from repro.obs.metrics import metrics
 from repro.obs.trace import flush_task_metrics, maybe_span
@@ -34,6 +35,12 @@ from repro.reliability.faults import SITE_TRAIN_ARTIFACT, fault_point
 from repro.sim.config import SimulationConfig
 from repro.sim.experiment import train_next_on_apps
 from repro.soc.platform import make_platform
+
+#: What the artifact stores hold and a cell may evaluate instead of a cold
+#: governor -- a trained agent or a trained fleet, both exposing
+#: ``build_governor`` and a content ``fingerprint`` -- and the spec keying it.
+StoredArtifact = Union[AgentArtifact, FleetArtifact]
+ArtifactSpec = Union[TrainingSpec, FleetSpec]
 
 
 def train_artifact(
@@ -93,70 +100,63 @@ def train_artifact(
         flush_task_metrics()
 
 
-class ArtifactStore:
-    """Fingerprint-keyed store of trained agents, mirroring ``ResultCache``.
+class ArtifactStore(EntryStore):
+    """Fingerprint-keyed store of trained agents, in memory and on disk.
 
     With a ``directory`` the store persists each artifact to
     ``<fingerprint>.agent.json`` and re-runs of the same sweep (or other
     sweeps sharing a training spec) load instead of retrain; without one it
     de-duplicates within the process only.  ``trained_count`` /
     ``reused_count`` expose how much training a sweep actually performed.
+    :class:`~repro.experiments.federated.FleetStore` is this store over
+    fleet artifacts.
+
+    The shard merge compares same-fingerprint entries whole (the default
+    ``canonical_entry``): training is a pure function of the spec end to
+    end -- even the ``training_time_s`` diagnostics accumulate *simulated*
+    seconds, not wall clock -- so two shards that trained the same
+    fingerprint must agree on every field of the parsed document.
     """
 
+    ENTRY_SUFFIX = ".agent.json"
+    #: The artifact class of the entries; its ``from_document`` decodes and
+    #: integrity-checks one stored document.
+    ARTIFACT: Type[StoredArtifact] = AgentArtifact
+
     def __init__(self, directory: Optional[str] = None) -> None:
-        # The directory is created lazily on the first store(), so read-only
-        # uses (cache lookups, --list-artifacts) never create paths.
-        self.directory = directory
-        self._memory: Dict[str, AgentArtifact] = {}
+        super().__init__(directory)
+        self._memory: Dict[str, StoredArtifact] = {}
         self.trained_count = 0
         self.reused_count = 0
 
-    def _path(self, fingerprint: str) -> Optional[str]:
-        if self.directory is None:
-            return None
-        return os.path.join(self.directory, f"{fingerprint}.agent.json")
-
-    # -- access -------------------------------------------------------------------------
-
     def load(
-        self, spec: TrainingSpec, agent_config: Optional[AgentConfig] = None
-    ) -> Optional[AgentArtifact]:
+        self, spec: ArtifactSpec, agent_config: Optional[AgentConfig] = None
+    ) -> Optional[StoredArtifact]:
         """Return the stored artifact for ``spec``, or ``None`` on a miss.
 
-        An unparseable entry (a torn copy on a non-atomic filesystem) is
+        A corrupt entry (a torn copy on a non-atomic filesystem) is
         quarantined as ``<path>.bad`` and treated as a miss, so one bad file
-        retrains one agent instead of raising mid-sweep -- the same
-        hardening the runner's ``ResultCache`` applies to cell entries.  A
-        parseable entry whose fingerprint does not match is left in place:
-        that is a foreign or stale-format file, not corruption.
+        retrains once instead of raising mid-sweep.  A parseable entry whose
+        fingerprint does not match is left in place: that is a foreign or
+        stale-format file, not corruption.
         """
         fingerprint = spec.fingerprint(agent_config)
         artifact = self._memory.get(fingerprint)
-        if artifact is not None:
-            return artifact
-        path = self._path(fingerprint)
-        if path is None or not os.path.exists(path):
-            return None
-        try:
-            artifact = AgentArtifact.load(path)
-        except (OSError, ValueError, KeyError, TypeError):
-            quarantine_entry(path)
-            return None  # corrupt entry: treat as a miss and retrain
-        if artifact.fingerprint != fingerprint:
-            return None
-        self._memory[fingerprint] = artifact
+        if artifact is None:
+            artifact = self.load_entry(fingerprint, self.ARTIFACT.from_document)
+            if artifact is None or artifact.fingerprint != fingerprint:
+                return None
+            self._memory[fingerprint] = artifact
         return artifact
 
-    def store(self, artifact: AgentArtifact) -> None:
+    def store(self, artifact: StoredArtifact) -> None:
         """Keep an artifact in memory and, when backed by a directory, on disk."""
         self._memory[artifact.fingerprint] = artifact
-        path = self._path(artifact.fingerprint)
-        if path is not None:
-            artifact.save(path)
+        self.write_entry(artifact.fingerprint, artifact.to_dict())
 
     def resolve(
-        self, spec: TrainingSpec, agent_config: Optional[AgentConfig] = None
-    ) -> Optional[AgentArtifact]:
+        self, spec: ArtifactSpec, agent_config: Optional[AgentConfig] = None
+    ) -> Optional[StoredArtifact]:
         """:meth:`load` that also counts the hit as a reuse.
 
         The single accounting point for "this spec did not need training";
@@ -167,42 +167,17 @@ class ArtifactStore:
             self.reused_count += 1
         return artifact
 
-    def accept(self, artifact: AgentArtifact) -> None:
+    def accept(self, artifact: StoredArtifact) -> None:
         """Store a freshly trained artifact and count the training."""
         self.store(artifact)
         self.trained_count += 1
 
-    # -- merge support (used by repro.experiments.distributed) -------------------------
-
-    #: Filename suffix of agent-artifact entries in the shared directory.
-    ENTRY_SUFFIX = ".agent.json"
-
-    def entry_paths(self) -> List[str]:
-        """Paths of every artifact entry in the store directory, sorted by name."""
-        return list_entry_paths(self.directory, self.ENTRY_SUFFIX)
-
-    @staticmethod
-    def canonical_entry(data: Dict[str, Any]) -> Dict[str, Any]:
-        """The content identity of one artifact entry: the parsed document.
-
-        Training is a pure function of the spec end to end -- even the
-        ``training_time_s`` diagnostics accumulate *simulated* seconds, not
-        wall clock -- so two shards that trained the same fingerprint must
-        agree on every field of the parsed document.  The shard merge engine
-        compares artifacts through this hook: honest duplicates merge
-        cleanly, any divergence fails loudly.
-        """
-        return data
-
-    def entries(self) -> List[AgentArtifact]:
+    def entries(self) -> List[StoredArtifact]:
         """Every stored artifact (memory plus directory), sorted by fingerprint."""
         by_fingerprint = dict(self._memory)
-        for path in self.entry_paths():
-            fingerprint = os.path.basename(path)[: -len(self.ENTRY_SUFFIX)]
-            if fingerprint in by_fingerprint:
-                continue
-            try:
-                by_fingerprint[fingerprint] = AgentArtifact.load(path)
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
+        for fingerprint in self.fingerprints():
+            if fingerprint not in by_fingerprint:
+                artifact, _ = self.read_entry(fingerprint, self.ARTIFACT.from_document)
+                if artifact is not None:
+                    by_fingerprint[fingerprint] = artifact
         return [by_fingerprint[key] for key in sorted(by_fingerprint)]

@@ -46,7 +46,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.persistence import atomic_write_json, quarantine_entry
+from repro.core.persistence import EntryStore, atomic_write_json, quarantine_entry
 from repro.core.seeding import canonical_fingerprint
 from repro.obs.metrics import metrics
 from repro.obs.progress import ProgressTracker
@@ -715,9 +715,7 @@ def shard_status(
     if cells_by_fingerprint is None:
         cells_by_fingerprint = manifest.cells_by_fingerprint()
     fingerprints = manifest.assignments[shard_index]
-    cache = ResultCache(shard_cache_dir(shard_dir)) if os.path.isdir(
-        shard_cache_dir(shard_dir)
-    ) else ResultCache(None)
+    cache = ResultCache(shard_cache_dir(shard_dir))
     done = {
         fingerprint
         for fingerprint in fingerprints
@@ -797,67 +795,53 @@ class ShardMergeError(RuntimeError):
     """A distributed merge found conflicting or incomplete shard content."""
 
 
-def _parse_entry(raw_bytes: bytes, canonical_entry) -> Optional[Dict[str, Any]]:
-    """Parse one entry's bytes into its canonical content, ``None`` if torn."""
-    try:
-        return canonical_entry(json.loads(raw_bytes.decode("utf-8")))
-    except (ValueError, UnicodeDecodeError):
-        return None
-
-
 def _merge_entry(
-    source_path: str,
-    dest_path: str,
-    canonical_entry,
-    kind: str,
+    source: EntryStore, dest: EntryStore, fingerprint: str, kind: str
 ) -> Optional[bool]:
     """Copy one fingerprint-keyed entry into the merged store.
 
     Returns ``True`` when the entry was copied, ``False`` when the
     destination already held a content-identical entry (a clean overlap),
-    and ``None`` when the source entry was unparseable JSON -- a torn write
-    from a crashed worker or an interrupted copy.  Torn sources are
-    quarantined as ``<path>.bad`` (so re-running the shard recomputes them)
-    and skipped, never merged.  A torn *destination* (an earlier merge
-    interrupted mid-write) is likewise quarantined and replaced by the
-    parseable source.  Raises :class:`ShardMergeError` only when two
+    and ``None`` when the source entry was torn -- not parseable as a JSON
+    object, as after a crashed worker or an interrupted copy.  Torn sources
+    are quarantined as ``<path>.bad`` (so re-running the shard recomputes
+    them) and skipped, never merged.  A torn *destination* (an earlier
+    merge interrupted mid-write) is likewise quarantined and replaced by
+    the parseable source.  Raises :class:`ShardMergeError` only when two
     *parseable* copies of the same fingerprint disagree -- which can only
     mean corruption, tampering or a non-deterministic bug, all of which
     must stop the merge.
     """
+    source_path = source.entry_path(fingerprint)
+    dest_path = dest.entry_path(fingerprint)
     with open(source_path, "rb") as handle:
         source_bytes = handle.read()
-    source_data = _parse_entry(source_bytes, canonical_entry)
+    source_data = source.canonical_document(source_bytes)
     if source_data is None:
         quarantine_entry(source_path)
         return None
-    if not os.path.exists(dest_path):
-        tmp_path = f"{dest_path}.tmp.{os.getpid()}"
-        with open(tmp_path, "wb") as handle:
-            handle.write(source_bytes)
-        os.replace(tmp_path, dest_path)
-        return True
-    with open(dest_path, "rb") as handle:
-        dest_bytes = handle.read()
-    if source_bytes == dest_bytes:
-        return False
-    dest_data = _parse_entry(dest_bytes, canonical_entry)
-    if dest_data is None:
+    if os.path.exists(dest_path):
+        with open(dest_path, "rb") as handle:
+            dest_bytes = handle.read()
+        if source_bytes == dest_bytes:
+            return False
+        dest_data = dest.canonical_document(dest_bytes)
+        if dest_data is not None:
+            if source_data != dest_data:
+                raise ShardMergeError(
+                    f"{kind} entry {os.path.basename(source_path)!r} diverges "
+                    f"between shards: {source_path} and the already-merged copy "
+                    f"at {dest_path} disagree beyond wall-clock timing fields.  "
+                    "Same-fingerprint entries must be content-identical; one "
+                    "shard is corrupt, tampered with, or ran incompatible code."
+                )
+            return False
         quarantine_entry(dest_path)
-        tmp_path = f"{dest_path}.tmp.{os.getpid()}"
-        with open(tmp_path, "wb") as handle:
-            handle.write(source_bytes)
-        os.replace(tmp_path, dest_path)
-        return True
-    if source_data != dest_data:
-        raise ShardMergeError(
-            f"{kind} entry {os.path.basename(source_path)!r} diverges between "
-            f"shards: {source_path} and the already-merged copy at {dest_path} "
-            "disagree beyond wall-clock timing fields.  Same-fingerprint "
-            "entries must be content-identical; one shard is corrupt, "
-            "tampered with, or ran incompatible code."
-        )
-    return False
+    tmp_path = f"{dest_path}.tmp.{os.getpid()}"
+    with open(tmp_path, "wb") as handle:
+        handle.write(source_bytes)
+    os.replace(tmp_path, dest_path)
+    return True
 
 
 def merge_shard_stores(
@@ -880,45 +864,28 @@ def merge_shard_stores(
         "duplicates": 0,
         "quarantined": 0,
     }
-
-    def tally(copied: Optional[bool], kind: str) -> None:
-        if copied is None:
-            counters["quarantined"] += 1
-            metrics().inc("merge.quarantined")
-        elif copied:
-            counters[kind] += 1
-        else:
-            counters["duplicates"] += 1
-
     os.makedirs(dest_cache_dir, exist_ok=True)
     dest_artifact_dir = default_artifact_dir(dest_cache_dir)
     os.makedirs(dest_artifact_dir, exist_ok=True)
+    merged_results = ResultCache(dest_cache_dir)
+    merged_artifacts = ArtifactStore(dest_artifact_dir)
+    merged_fleets = FleetStore(dest_artifact_dir)
     for cache_dir in shard_cache_dirs:
-        for source_path in ResultCache(cache_dir).entry_paths():
-            copied = _merge_entry(
-                source_path,
-                os.path.join(dest_cache_dir, os.path.basename(source_path)),
-                ResultCache.canonical_entry,
-                "result-cache",
-            )
-            tally(copied, "results")
         artifact_dir = default_artifact_dir(cache_dir)
-        for source_path in ArtifactStore(artifact_dir).entry_paths():
-            copied = _merge_entry(
-                source_path,
-                os.path.join(dest_artifact_dir, os.path.basename(source_path)),
-                ArtifactStore.canonical_entry,
-                "artifact",
-            )
-            tally(copied, "artifacts")
-        for source_path in FleetStore(artifact_dir).entry_paths():
-            copied = _merge_entry(
-                source_path,
-                os.path.join(dest_artifact_dir, os.path.basename(source_path)),
-                FleetStore.canonical_entry,
-                "fleet",
-            )
-            tally(copied, "fleets")
+        for counter, kind, source, dest in (
+            ("results", "result-cache", ResultCache(cache_dir), merged_results),
+            ("artifacts", "artifact", ArtifactStore(artifact_dir), merged_artifacts),
+            ("fleets", "fleet", FleetStore(artifact_dir), merged_fleets),
+        ):
+            for fingerprint in source.fingerprints():
+                copied = _merge_entry(source, dest, fingerprint, kind)
+                if copied is None:
+                    counters["quarantined"] += 1
+                    metrics().inc("merge.quarantined")
+                elif copied:
+                    counters[counter] += 1
+                else:
+                    counters["duplicates"] += 1
     return counters
 
 
@@ -979,12 +946,9 @@ def merge_shards(
     merge.  Shards without traces merge exactly as before.
     """
     with maybe_span("merge", shards=len(shard_dirs)) as span:
-        cache_dirs = [
-            shard_cache_dir(shard_dir)
-            for shard_dir in shard_dirs
-            if os.path.isdir(shard_cache_dir(shard_dir))
-        ]
-        counters = merge_shard_stores(cache_dirs, dest_cache_dir)
+        counters = merge_shard_stores(
+            [shard_cache_dir(shard_dir) for shard_dir in shard_dirs], dest_cache_dir
+        )
         trace_sources = [
             os.path.join(shard_dir, TRACE_BASENAME) for shard_dir in shard_dirs
         ]

@@ -31,13 +31,11 @@ tests pin that down.
 from __future__ import annotations
 
 import json
-import os
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.actions import ActionSpace
 from repro.core.agent import AgentConfig, NextAgent
 from repro.core.artifact import TrainingSpec
-from repro.core.persistence import list_entry_paths, quarantine_entry
 from repro.reliability.faults import SITE_TRAIN_DEVICE_ROUND, fault_point
 from repro.core.federated import (
     FederatedAggregator,
@@ -521,67 +519,26 @@ def train_fleet_artifact(
     return build.artifact()
 
 
-class FleetStore:
-    """Fingerprint-keyed store of trained fleets, mirroring ``ArtifactStore``.
+class FleetStore(ArtifactStore):
+    """The :class:`ArtifactStore` of trained fleets.
 
     With a ``directory`` each fleet persists to ``<fingerprint>.fleet.json``
     (the same directory agent artifacts live in; the suffixes keep them
     apart), so re-runs load instead of retrain and a copied artifact
     directory ships the whole fleet to another machine.  ``trained_count`` /
     ``reused_count`` / ``resumed_count`` expose how much federated training
-    a sweep actually performed.
+    a sweep actually performed.  Fleet training is pure data manipulation
+    end to end -- device states, merged agent and round reports carry no
+    wall-clock measurements -- so the shard merge compares fleet entries
+    whole, like agent artifacts.
     """
 
+    ENTRY_SUFFIX = ".fleet.json"
+    ARTIFACT = FleetArtifact
+
     def __init__(self, directory: Optional[str] = None) -> None:
-        # Created lazily on the first store(), like ArtifactStore.
-        self.directory = directory
-        self._memory: Dict[str, FleetArtifact] = {}
-        self.trained_count = 0
-        self.reused_count = 0
+        super().__init__(directory)
         self.resumed_count = 0
-
-    def _path(self, fingerprint: str) -> Optional[str]:
-        if self.directory is None:
-            return None
-        return os.path.join(self.directory, f"{fingerprint}.fleet.json")
-
-    # -- access -------------------------------------------------------------------------
-
-    def load(
-        self, spec: FleetSpec, agent_config: Optional[AgentConfig] = None
-    ) -> Optional[FleetArtifact]:
-        """Return the stored fleet for ``spec``, or ``None`` on a miss.
-
-        An unparseable entry (a torn copy on a non-atomic filesystem) is
-        quarantined as ``<path>.bad`` and treated as a miss, so one bad
-        file retrains one fleet instead of raising mid-sweep -- matching
-        ``ResultCache`` and ``ArtifactStore``.  A parseable entry whose
-        fingerprint does not match is left in place: foreign or
-        stale-format, not corrupt.
-        """
-        fingerprint = spec.fingerprint(agent_config)
-        artifact = self._memory.get(fingerprint)
-        if artifact is not None:
-            return artifact
-        path = self._path(fingerprint)
-        if path is None or not os.path.exists(path):
-            return None
-        try:
-            artifact = FleetArtifact.load(path)
-        except (OSError, ValueError, KeyError, TypeError):
-            quarantine_entry(path)
-            return None  # corrupt entry: treat as a miss and retrain
-        if artifact.fingerprint != fingerprint:
-            return None
-        self._memory[fingerprint] = artifact
-        return artifact
-
-    def store(self, artifact: FleetArtifact) -> None:
-        """Keep a fleet in memory and, when backed by a directory, on disk."""
-        self._memory[artifact.fingerprint] = artifact
-        path = self._path(artifact.fingerprint)
-        if path is not None:
-            artifact.save(path)
 
     def accept(self, artifact: FleetArtifact, resumed: bool = False) -> None:
         """Store a freshly trained fleet and count the training."""
@@ -617,59 +574,22 @@ class FleetStore:
                 best = artifact
         best_rounds = -1 if best is None else best.rounds_completed
         candidates: List[Tuple[int, str]] = []
-        for path in self.entry_paths():
-            if os.path.basename(path)[: -len(self.ENTRY_SUFFIX)] in self._memory:
+        for fingerprint in self.fingerprints():
+            if fingerprint in self._memory:
                 continue
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    data = json.load(handle)
-                rounds_completed = int(data["rounds_completed"])
-                file_lineage = data["lineage"]
-            except (OSError, ValueError, KeyError, TypeError):
+            metadata, _ = self.read_entry(
+                fingerprint,
+                lambda data: (data["lineage"], int(data["rounds_completed"])),
+            )
+            if metadata is None or metadata[0] != lineage:
                 continue  # torn or foreign file: not a candidate
-            if file_lineage != lineage:
-                continue
-            if best_rounds < rounds_completed < spec.rounds:
-                candidates.append((rounds_completed, path))
-        for _, path in sorted(candidates, reverse=True):
-            try:
-                return FleetArtifact.load(path)
-            except (OSError, ValueError, KeyError, TypeError):
-                continue  # corrupt candidate: fall back to the next deepest
+            if best_rounds < metadata[1] < spec.rounds:
+                candidates.append((metadata[1], fingerprint))
+        for _, fingerprint in sorted(candidates, reverse=True):
+            artifact, _ = self.read_entry(fingerprint, FleetArtifact.from_document)
+            if artifact is not None:  # else corrupt: fall back to the next deepest
+                return artifact
         return best
-
-    # -- merge support (used by repro.experiments.distributed) -------------------------
-
-    #: Filename suffix of fleet entries in the shared artifact directory.
-    ENTRY_SUFFIX = ".fleet.json"
-
-    def entry_paths(self) -> List[str]:
-        """Paths of every fleet entry in the store directory, sorted by name."""
-        return list_entry_paths(self.directory, self.ENTRY_SUFFIX)
-
-    @staticmethod
-    def canonical_entry(data: Dict[str, Any]) -> Dict[str, Any]:
-        """The content identity of one fleet entry: the parsed document.
-
-        Fleet training is pure data manipulation end to end -- device states,
-        merged agent and round reports carry no wall-clock measurements -- so
-        two shards that trained the same fleet fingerprint must agree on
-        every byte of the parsed document.
-        """
-        return data
-
-    def entries(self) -> List[FleetArtifact]:
-        """Every stored fleet (memory plus directory), sorted by fingerprint."""
-        by_fingerprint = dict(self._memory)
-        for path in self.entry_paths():
-            fingerprint = os.path.basename(path)[: -len(self.ENTRY_SUFFIX)]
-            if fingerprint in by_fingerprint:
-                continue
-            try:
-                by_fingerprint[fingerprint] = FleetArtifact.load(path)
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
-        return [by_fingerprint[key] for key in sorted(by_fingerprint)]
 
 
 def fleet_convergence_table(artifact: FleetArtifact) -> str:

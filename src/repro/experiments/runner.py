@@ -73,12 +73,8 @@ from typing import (
 
 from repro.core.artifact import AgentArtifact, TrainingSpec
 from repro.core.federated import FleetArtifact, FleetSpec
-from repro.core.persistence import (
-    atomic_write_json,
-    list_entry_paths,
-    quarantine_entry,
-)
-from repro.experiments.artifacts import ArtifactStore, train_artifact
+from repro.core.persistence import EntryStore
+from repro.experiments.artifacts import ArtifactStore, StoredArtifact, train_artifact
 from repro.experiments.federated import (
     FleetBuild,
     FleetStore,
@@ -120,11 +116,6 @@ from repro.workloads.trace import TracePlayer, WorkloadTrace
 
 #: Progress callback signature: (completed_count, total_count, latest_result).
 ProgressCallback = Callable[[int, int, "CellResult"], None]
-
-#: What a cell may evaluate instead of a cold governor: a trained single
-#: agent or a trained federated fleet (both expose ``build_governor`` and a
-#: content ``fingerprint``).
-CellArtifact = Union[AgentArtifact, FleetArtifact]
 
 
 @dataclass
@@ -229,7 +220,7 @@ def summary_to_dict(result: SessionResult) -> Dict[str, Any]:
 
 
 def run_cell_session(
-    cell: ScenarioCell, artifact: Optional[CellArtifact] = None
+    cell: ScenarioCell, artifact: Optional[StoredArtifact] = None
 ) -> SessionResult:
     """Execute one cell in-process and return the full session result.
 
@@ -289,7 +280,7 @@ def run_cell_session(
 
 def execute_cell(
     cell: ScenarioCell,
-    artifact: Optional[CellArtifact] = None,
+    artifact: Optional[StoredArtifact] = None,
     attempt: int = 0,
 ) -> CellResult:
     """Run one cell with failure isolation (the process-pool work unit).
@@ -528,36 +519,23 @@ def default_artifact_dir(cache_dir: Optional[str]) -> Optional[str]:
     return os.path.join(cache_dir, "artifacts")
 
 
-class ResultCache:
-    """On-disk JSON cache of completed cells, keyed by cell fingerprint."""
+class ResultCache(EntryStore):
+    """On-disk JSON cache of completed cells, keyed by cell fingerprint.
 
-    def __init__(self, directory: Optional[str]) -> None:
-        self.directory = directory
-        if directory is not None:
-            os.makedirs(directory, exist_ok=True)
+    Adds to the entry store what a cell entry means: the acceptance rule,
+    the ``cache.*`` counters and the merge's timing normalisation.
+    """
 
-    def _path(self, cell: ScenarioCell) -> Optional[str]:
-        if self.directory is None:
-            return None
-        return os.path.join(self.directory, f"{cell.fingerprint()}.json")
+    ENTRY_SUFFIX = ".json"
 
-    def _read(self, cell: ScenarioCell) -> Tuple[Optional[CellResult], Optional[str]]:
-        """Acceptance check without side effects: ``(result, corrupt_path)``.
+    @staticmethod
+    def _accept(cell: ScenarioCell, data: Dict[str, Any]) -> Optional[CellResult]:
+        """The cached result in ``data`` if it may stand for ``cell``, else ``None``.
 
-        ``result`` is the accepted entry or ``None``; ``corrupt_path`` names
-        the file when the miss was caused by unparseable content (so
-        :meth:`load` can quarantine it) rather than by absence, semantic
-        mismatch or a stale format.
+        Raises on a document that is not a cell result at all, which the
+        store treats as a corrupt entry.
         """
-        path = self._path(cell)
-        if path is None or not os.path.exists(path):
-            return None, None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            result = CellResult.from_dict(data)
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            return None, path  # corrupt entry
+        result = CellResult.from_dict(data)
         # Fingerprints are truncated hashes; verify the stored cell really is
         # semantically this cell before trusting the hit.  Comparing the
         # canonical payloads (the fingerprint hash inputs) applies the same
@@ -568,15 +546,15 @@ class ResultCache:
         cached_payload = json.loads(json.dumps(result.cell.canonical_payload()))
         live_payload = json.loads(json.dumps(cell.canonical_payload()))
         if cached_payload != live_payload or not result.ok:
-            return None, None
+            return None
         if result.summary is None or "sample_stream_hash" not in result.summary:
             # Entry from before summaries carried the recorded-stream hash
             # (the distributed-merge parity currency).  The execution
             # semantics -- and therefore the fingerprint -- are unchanged,
             # so treat it as a stale-format miss: the cell recomputes once
             # and the rewritten entry carries the hash.
-            return None, None
-        return result, None
+            return None
+        return result
 
     def peek(self, cell: ScenarioCell) -> Optional[CellResult]:
         """Read-only form of :meth:`load`: same acceptance, no side effects.
@@ -586,22 +564,17 @@ class ResultCache:
         must not touch the directory -- not even to quarantine a torn file
         that might still be mid-copy.
         """
-        result, _ = self._read(cell)
-        return result
+        return self.read_entry(cell.fingerprint(), partial(self._accept, cell))[0]
 
     def load(self, cell: ScenarioCell) -> Optional[CellResult]:
         """Return the cached result for ``cell``, or ``None`` on a miss.
 
         A truncated or otherwise corrupt entry (a torn copy, a filled disk
-        mid-write on a non-atomic filesystem) is quarantined with a ``.bad``
-        suffix and treated as a miss, so one bad file re-runs one cell
-        instead of raising mid-sweep -- the same hardening the artifact
-        store applies to its entries.
+        mid-write on a non-atomic filesystem, a document of the wrong
+        shape) is quarantined with a ``.bad`` suffix and treated as a miss,
+        so one bad file re-runs one cell instead of raising mid-sweep.
         """
-        result, corrupt_path = self._read(cell)
-        if corrupt_path is not None:
-            quarantine_entry(corrupt_path)
-            metrics().inc("cache.quarantined")
+        result = self.load_entry(cell.fingerprint(), partial(self._accept, cell))
         if result is None:
             metrics().inc("cache.miss")
             return None
@@ -610,23 +583,15 @@ class ResultCache:
         result.from_cache = True
         return result
 
+    def quarantine(self, path: str) -> None:
+        """Quarantine a corrupt entry and count it."""
+        super().quarantine(path)
+        metrics().inc("cache.quarantined")
+
     def store(self, result: CellResult) -> None:
         """Persist a successful result (errors are never cached)."""
-        path = self._path(result.cell)
-        if path is None or not result.ok:
-            return
-        atomic_write_json(path, result.to_dict())
-
-    # -- merge support (used by repro.experiments.distributed) -------------------------
-
-    #: Filename suffix of cache entries; everything else in the directory
-    #: (``.bad`` quarantines, ``.tmp.<pid>`` staging files, the ``artifacts``
-    #: subdirectory) is not a result entry.
-    ENTRY_SUFFIX = ".json"
-
-    def entry_paths(self) -> List[str]:
-        """Paths of every result entry in the cache directory, sorted by name."""
-        return list_entry_paths(self.directory, self.ENTRY_SUFFIX)
+        if result.ok:
+            self.write_entry(result.cell.fingerprint(), result.to_dict())
 
     @staticmethod
     def canonical_entry(data: Dict[str, Any]) -> Dict[str, Any]:
@@ -1017,9 +982,8 @@ class SweepRunner:
         round_buffers: Dict[str, List[Optional[Dict[str, Any]]]] = {}
 
         for fleet_fingerprint, fleet_spec in fleet_specs.items():
-            stored = self.fleets.load(fleet_spec)
+            stored = self.fleets.resolve(fleet_spec)
             if stored is not None:
-                self.fleets.reused_count += 1
                 fleets[fleet_fingerprint] = stored
             else:
                 builds[fleet_fingerprint] = FleetBuild(
@@ -1104,7 +1068,7 @@ class SweepRunner:
             return retrying
 
         def cell_job(
-            index: int, cell: ScenarioCell, artifact: Optional[CellArtifact] = None
+            index: int, cell: ScenarioCell, artifact: Optional[StoredArtifact] = None
         ) -> _Job:
             if isinstance(artifact, FleetArtifact):
                 # Don't serialise N device states per cell; evaluation only
