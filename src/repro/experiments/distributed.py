@@ -15,9 +15,10 @@ unsharded run:
   :class:`~repro.core.federated.FleetSpec` lands on one shard (the spec then
   trains exactly once across the whole distributed sweep), then the groups
   are balanced across shards greedily by estimated cost.  The
-  :class:`CostModel` prices cells and training from the committed
-  ``BENCH_hotloop.json`` per-simulated-second throughput numbers, so
-  training-heavy cells weigh as much as they cost.  The plan freezes into a
+  :class:`~repro.experiments.costs.CostModel` (re-exported here) prices
+  cells and training from the committed ``BENCH_hotloop.json``
+  per-simulated-second throughput numbers, so training-heavy cells weigh
+  as much as they cost.  The plan freezes into a
   schema-versioned ``shard-manifest.json`` (matrix fingerprint, per-shard
   assignments, per-cell cost estimates).
 * :func:`run_shard` executes one shard against its own cache/artifact/fleet
@@ -55,6 +56,7 @@ from repro.reliability.clock import wall_now
 from repro.reliability.retry import RetryPolicy
 from repro.reliability.watchdog import WatchdogPolicy
 from repro.experiments.artifacts import ArtifactStore
+from repro.experiments.costs import DEFAULT_COST_MODEL, CostModel
 from repro.experiments.federated import FleetStore
 from repro.experiments.matrix import ScenarioCell, ScenarioMatrix
 from repro.experiments.runner import (
@@ -94,115 +96,6 @@ MANIFEST_SCHEMA_VERSION = 1
 #: Canonical file names inside a plan directory / shard directory.
 MANIFEST_FILENAME = "shard-manifest.json"
 STATUS_FILENAME = "shard-status.json"
-
-#: Simulated seconds behind ``BENCH_hotloop.json``'s ``sweep_cell_wall_s``
-#: measurement (the bench runs one 4 sim-s cell end to end).
-_BENCH_SWEEP_CELL_SIM_S = 4.0
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Wall-clock price of one simulated second, for planning and ETAs.
-
-    The defaults come from the committed ``BENCH_hotloop.json`` perf
-    trajectory (compiled-kernel numbers): a sweep cell costs
-    ``sweep_cell_wall_s / 4 sim-s`` and training throughput is
-    ``1 / cold_train_sim_s_per_wall_s``.  Absolute values only matter for
-    ETA display; shard *balance* only needs the ratio between evaluation and
-    training work, which is stable across machines of the same class.
-    """
-
-    #: ``after.sweep_cell_wall_s`` (0.00762 s) over the bench's 4 sim-s cell.
-    cell_s_per_sim_s: float = 0.00762 / _BENCH_SWEEP_CELL_SIM_S
-    #: Reciprocal of ``after.cold_train_sim_s_per_wall_s`` (328.7 sim-s/s).
-    train_s_per_sim_s: float = 1.0 / 328.7
-
-    def __post_init__(self) -> None:
-        if self.cell_s_per_sim_s <= 0 or self.train_s_per_sim_s <= 0:
-            raise ValueError("cost-model rates must be positive")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form (recorded in the manifest)."""
-        return {
-            "cell_s_per_sim_s": self.cell_s_per_sim_s,
-            "train_s_per_sim_s": self.train_s_per_sim_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CostModel":
-        """Rebuild a model from :meth:`to_dict` output."""
-        return cls(
-            cell_s_per_sim_s=float(data["cell_s_per_sim_s"]),
-            train_s_per_sim_s=float(data["train_s_per_sim_s"]),
-        )
-
-    @classmethod
-    def from_bench_report(cls, data: Mapping[str, Any]) -> "CostModel":
-        """Derive a model from a ``BENCH_hotloop.json``-shaped report.
-
-        Strict about the expected keys: silently falling back to the
-        committed defaults would record another machine's numbers in the
-        manifest as if they were the operator's calibration.
-        """
-        after = data.get("after") if isinstance(data, Mapping) else None
-        if not isinstance(after, Mapping):
-            after = {}
-        missing = sorted(
-            key
-            for key in ("sweep_cell_wall_s", "cold_train_sim_s_per_wall_s")
-            if not after.get(key)
-        )
-        if missing:
-            raise ValueError(
-                f"bench report is missing 'after' key(s) {missing}; expected a "
-                "BENCH_hotloop.json-shaped report (benchmarks/bench_hot_loop.py)"
-            )
-        return cls(
-            cell_s_per_sim_s=(
-                float(after["sweep_cell_wall_s"]) / _BENCH_SWEEP_CELL_SIM_S
-            ),
-            train_s_per_sim_s=1.0 / float(after["cold_train_sim_s_per_wall_s"]),
-        )
-
-    @classmethod
-    def from_bench_file(cls, path: str) -> "CostModel":
-        """Load a model from a committed benchmark report on disk."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_bench_report(json.load(handle))
-
-    # -- pricing ------------------------------------------------------------------------
-
-    def cell_cost_s(self, cell: ScenarioCell) -> float:
-        """Estimated wall time of one cell's evaluation (without training)."""
-        return cell.workload.duration_s * self.cell_s_per_sim_s
-
-    def training_cost_s(self, cell: ScenarioCell) -> float:
-        """Estimated wall time of the cell's training spec or fleet, if any.
-
-        A pretrained spec trains ``apps x episodes x episode_duration_s``
-        simulated seconds; a federated fleet multiplies that by ``devices``
-        and ``rounds`` (round 0 plus every continuation round runs one full
-        local-training phase per device).
-        """
-        fleet = cell.fleet_spec()
-        if fleet is not None:
-            sim_s = (
-                fleet.devices
-                * fleet.rounds
-                * len(fleet.apps)
-                * fleet.episodes
-                * fleet.episode_duration_s
-            )
-            return sim_s * self.train_s_per_sim_s
-        spec = cell.training_spec()
-        if spec is not None:
-            sim_s = len(spec.apps) * spec.episodes * spec.episode_duration_s
-            return sim_s * self.train_s_per_sim_s
-        return 0.0
-
-
-#: Shared default instance (the committed BENCH_hotloop.json numbers).
-DEFAULT_COST_MODEL = CostModel()
 
 
 class RemainingCost:

@@ -36,7 +36,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.actions import ActionSpace
 from repro.core.agent import AgentConfig, NextAgent
 from repro.core.artifact import TrainingSpec
-from repro.reliability.faults import SITE_TRAIN_DEVICE_ROUND, fault_point
 from repro.core.federated import (
     FederatedAggregator,
     FleetArtifact,
@@ -47,7 +46,19 @@ from repro.core.governor import NextGovernor
 from repro.core.qtable import QTable, QTableStore
 from repro.core.seeding import derive_seed
 from repro.experiments.artifacts import ArtifactStore, train_artifact
+from repro.experiments.costs import (
+    DEFAULT_COST_MODEL,
+    Route,
+    note_route,
+    round_job_sim_s,
+    routes_to_batch,
+)
 from repro.obs.trace import flush_task_metrics, maybe_span
+from repro.reliability.faults import (
+    SITE_TRAIN_DEVICE_BATCH,
+    SITE_TRAIN_DEVICE_ROUND,
+    fault_point,
+)
 from repro.sim.config import SimulationConfig
 from repro.sim.experiment import train_next_on_apps
 from repro.soc.platform import make_platform
@@ -113,7 +124,9 @@ def batch_kernel_available() -> bool:
 
     The batch kernel is a pure throughput optimisation (bit-identical
     results, pinned by the batch parity suite), so callers fall back to the
-    scalar per-device path when NumPy is absent rather than failing.
+    scalar per-device path when NumPy is absent rather than failing.  It is
+    asked only once the cost model has routed a group to the batch kernel
+    (importing NumPy costs time and memory a scalar sweep does not need).
     """
     try:
         import numpy  # noqa: F401
@@ -122,8 +135,19 @@ def batch_kernel_available() -> bool:
     return True
 
 
+def round_route(jobs: Sequence[Tuple[Any, ...]]) -> Route:
+    """The cost model's route for one fleet round: each device job is a lane.
+
+    A device lane lasts its whole local training (``apps x episodes x
+    episode_duration_s``), so a non-IID round is priced by its longest
+    device.  The sweep runner and :func:`train_fleet_artifact` both route
+    rounds through this one function.
+    """
+    return DEFAULT_COST_MODEL.route(jobs[0][2], [round_job_sim_s(job) for job in jobs])
+
+
 def train_device_rounds_batched(
-    jobs: Sequence[Tuple[Any, ...]],
+    jobs: Sequence[Tuple[Any, ...]], attempt: int = 0
 ) -> List[Dict[str, Any]]:
     """One federated round's device jobs as a single batched step loop.
 
@@ -148,11 +172,21 @@ def train_device_rounds_batched(
     run as masked heterogeneous lanes of the batch kernel, and a lane whose
     budget is exhausted or whose agent converged simply drops out of later
     episodes instead of forcing the fleet into lockstep.
+
+    ``attempt`` is the orchestrator's retry counter for the round, consumed
+    only by the fault-injection seam, which is keyed like
+    :func:`train_device_round`'s: by the first device's round seed.
     """
     if not jobs:
         return []
-    with maybe_span("device_batch", devices=len(jobs)):
-        return _train_device_rounds_batched(jobs)
+    try:
+        with maybe_span("device_batch", devices=len(jobs), attempt=attempt) as span:
+            fault_point(SITE_TRAIN_DEVICE_BATCH, str(jobs[0][5]), attempt)
+            if span is not None:
+                note_route(span, round_route(jobs))
+            return _train_device_rounds_batched(jobs)
+    finally:
+        flush_task_metrics()
 
 
 def _train_device_rounds_batched(
@@ -485,10 +519,12 @@ def train_fleet_artifact(
     The one-call form of :class:`FleetBuild`, for callers outside the sweep
     runner (which schedules the same build through its event loop).  Round-0
     device specs resolve through ``artifacts`` -- stored ones are reused,
-    missing ones train and are stored.  Multi-device rounds run through the
-    batched device-population kernel when NumPy is available (one lockstep
-    step loop for the whole fleet instead of N sequential simulations);
-    every path is bit-identical.  ``start`` resumes a same-lineage artifact
+    missing ones train and are stored.  Each round takes the route
+    :func:`round_route` picks, as in the sweep runner: the batched
+    device-population kernel (one lockstep step loop for the whole fleet)
+    when the cost model predicts it beats N sequential simulations and
+    NumPy is importable, else one scalar run per device; every path is
+    bit-identical.  ``start`` resumes a same-lineage artifact
     with fewer rounds: only the missing rounds run, and the outcome equals a
     from-scratch run of the full depth.
     """
@@ -508,10 +544,13 @@ def train_fleet_artifact(
         build.provide_round0(round0)
     while not build.finished:
         round_index, jobs = build.round_jobs()
+        batched = routes_to_batch(
+            round_route(jobs), "devices", batch_kernel_available
+        )
         with maybe_span(
             "federated_round", round=round_index, devices=len(jobs)
         ):
-            if len(jobs) > 1 and batch_kernel_available():
+            if batched:
                 results = train_device_rounds_batched(jobs)
             else:
                 results = [train_device_round(*job) for job in jobs]

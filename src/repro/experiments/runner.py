@@ -75,10 +75,17 @@ from repro.core.artifact import AgentArtifact, TrainingSpec
 from repro.core.federated import FleetArtifact, FleetSpec
 from repro.core.persistence import EntryStore
 from repro.experiments.artifacts import ArtifactStore, StoredArtifact, train_artifact
+from repro.experiments.costs import (
+    DEFAULT_COST_MODEL,
+    Route,
+    note_route,
+    routes_to_batch,
+)
 from repro.experiments.federated import (
     FleetBuild,
     FleetStore,
     batch_kernel_available,
+    round_route,
     train_device_round,
     train_device_rounds_batched,
     train_fleet_artifact,
@@ -362,6 +369,8 @@ def execute_cells_batched(
         if tracer is not None
         else None
     )
+    if span is not None:
+        note_route(span, cell_route(cells))
     ticks_before = metrics().counters.get("batch.device_ticks", 0.0)
     try:
         fault_point(SITE_EXECUTE_BATCH, cells[0].fingerprint(), attempt)
@@ -452,6 +461,13 @@ def execute_cells_batched(
             flush_task_metrics()
 
 
+def cell_route(cells: List[ScenarioCell]) -> Route:
+    """The cost model's route for one group of artifact-free cells."""
+    return DEFAULT_COST_MODEL.route(
+        cells[0].platform, [cell.workload.duration_s for cell in cells]
+    )
+
+
 def batchable_cell_groups(
     pending: List[Tuple[int, ScenarioCell]], workers: int = 1
 ) -> Tuple[List[List[Tuple[int, ScenarioCell]]], List[Tuple[int, ScenarioCell]]]:
@@ -465,7 +481,8 @@ def batchable_cell_groups(
     cells run as masked heterogeneous lanes of the batch kernel.  Each group
     is split into up to ``workers`` chunks of at least two cells so a
     process pool still spreads a large homogeneous sweep across its
-    workers; singleton leftovers run scalar.
+    workers; singleton leftovers run scalar.  Whether a chunk then runs on
+    the batch kernel is the cost model's call (:func:`cell_route`).
 
     Returns ``(groups, rest)`` preserving the original ``(index, cell)``
     pairs; ``rest`` keeps its input order.
@@ -810,9 +827,6 @@ class SweepRunner:
         self.fleets = FleetStore(artifact_dir)
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         if watchdog is None:
-            # Imported lazily: distributed imports this module at top level.
-            from repro.experiments.distributed import DEFAULT_COST_MODEL
-
             watchdog = WatchdogPolicy(cost_model=DEFAULT_COST_MODEL)
         self.watchdog = watchdog
         self.max_pool_rebuilds = max_pool_rebuilds
@@ -969,7 +983,6 @@ class SweepRunner:
 
         jobs: Dict[Future, _Job] = {}
         waiting: Dict[str, List[Tuple[int, ScenarioCell]]] = {}
-        use_batch_kernel = batch_kernel_available()
 
         # -- fleet state -------------------------------------------------------
         fleets: Dict[str, FleetArtifact] = {}
@@ -1135,8 +1148,7 @@ class SweepRunner:
 
         def submit_training(fingerprint: str, spec: TrainingSpec) -> None:
             # Price the budget from a cell that needs this spec; a fleet
-            # round-0 device spec has no such cell, so it only gets the flat
-            # --cell-timeout override (if any).
+            # round-0 device spec has no such cell and is priced on its own.
             representative = spec_cells.get(fingerprint)
             launch(
                 _Job(
@@ -1148,7 +1160,7 @@ class SweepRunner:
                     budget_s=(
                         self.watchdog.training_budget_s(representative)
                         if representative is not None
-                        else self.watchdog.cell_timeout_s
+                        else self.watchdog.spec_budget_s(spec)
                     ),
                 )
             )
@@ -1214,7 +1226,9 @@ class SweepRunner:
                     launch(cell_job(index, cell, artifact))
                 return
             round_index, round_jobs = build.round_jobs()
-            if use_batch_kernel and len(round_jobs) > 1:
+            if routes_to_batch(
+                round_route(round_jobs), "devices", batch_kernel_available
+            ):
                 # One job steps the whole fleet through the batched
                 # device-population kernel -- bit-identical to the
                 # one-job-per-device fan-out (the federated parity tests
@@ -1223,12 +1237,12 @@ class SweepRunner:
                     _Job(
                         keys=(f"{fleet_fingerprint}:r{round_index}",),
                         start=lambda attempt: executor.submit(
-                            train_device_rounds_batched, round_jobs
+                            train_device_rounds_batched, round_jobs, attempt=attempt
                         ),
                         settle=partial(
                             settle_batched_round, fleet_fingerprint, round_index
                         ),
-                        budget_s=self.watchdog.cell_timeout_s,
+                        budget_s=self.watchdog.round_budget_s(round_jobs),
                     )
                 )
                 return
@@ -1243,7 +1257,7 @@ class SweepRunner:
                         settle=partial(
                             settle_round, fleet_fingerprint, round_index, device
                         ),
-                        budget_s=self.watchdog.cell_timeout_s,
+                        budget_s=self.watchdog.round_budget_s([args]),
                     )
                 )
 
@@ -1267,7 +1281,8 @@ class SweepRunner:
             fleet_fingerprint: str, round_index: int, job: _Job, states: Any
         ) -> None:
             if isinstance(states, _Failure):
-                fail_fleet(fleet_fingerprint, states.error)
+                if not retry(job, states):
+                    fail_fleet(fleet_fingerprint, states.error)
                 return
             builds[fleet_fingerprint].finish_round(round_index, states)
             advance_fleet(fleet_fingerprint)
@@ -1285,18 +1300,21 @@ class SweepRunner:
                 build.provide_round0(device_artifacts)
                 advance_fleet(fleet_fingerprint)
 
-        if use_batch_kernel:
-            # Homogeneous artifact-free cells run through the batched
-            # device-population kernel, chunked so a pool still spreads a
-            # large sweep across its workers; everything else (trained,
-            # federated, singleton cells) dispatches per cell below.
-            cell_groups, dispatch = batchable_cell_groups(
-                pending, workers=executor.workers
-            )
-            for group in cell_groups:
+        # Artifact-free cells group and chunk so a pool still spreads a large
+        # sweep across its workers.  A chunk runs on the batch kernel only
+        # when the cost model predicts that beats running its cells one by
+        # one; every other cell (trained, federated, singleton, or in a
+        # chunk below the crossover) dispatches per cell below.
+        cell_groups, dispatch = batchable_cell_groups(
+            pending, workers=executor.workers
+        )
+        for group in cell_groups:
+            route = cell_route([cell for _, cell in group])
+            if routes_to_batch(route, "cells", batch_kernel_available):
                 launch(batch_job(group))
-        else:
-            dispatch = pending
+            else:
+                dispatch.extend(group)
+        dispatch.sort(key=lambda pair: pair[0])
 
         for index, cell in dispatch:
             fleet = cell.fleet_spec()

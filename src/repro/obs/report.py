@@ -5,9 +5,11 @@ closed span, possibly from several processes and several merged shards).
 :func:`build_span_tree` stitches them back into a forest by parent id --
 worker spans hang off the orchestrator span they inherited through the
 ``REPRO_TRACE`` root -- and the text renderer draws the indented
-timeline with durations, child counts and retry annotations that
-``repro-sweep report`` prints.  Metrics footers from every process are
-re-aggregated through :func:`repro.obs.metrics.merge_snapshots`.
+timeline with durations, retry annotations and the batch route (each
+batched group's lane count and predicted batch and scalar costs, each
+batched lane's amortised share) that ``repro-sweep report`` prints.
+Metrics footers from every process are re-aggregated through
+:func:`repro.obs.metrics.merge_snapshots`.
 """
 
 from __future__ import annotations
@@ -127,9 +129,20 @@ def _render_node(
     retry_note = f"  [{retries} retries]" if retries else ""
     status = attrs.get("status")
     status_note = f"  status={status}" if status else ""
+    route_note = ""
+    if "amortised_s" in attrs:
+        # A batch-kernel lane: its span is closed at zero duration, and its
+        # share of the batch's wall time rides along as an attribute.
+        route_note = f"  amortised={attrs['amortised_s']:.3f}s"
+    elif "predicted_batch_s" in attrs:
+        route_note = (
+            f"  lanes={attrs['lanes']} predicted batch="
+            f"{attrs['predicted_batch_s']:.3f}s scalar="
+            f"{attrs['predicted_scalar_s']:.3f}s"
+        )
     lines.append(
         f"{_TREE_INDENT * depth}{node['name']:<14s} {node['duration_s']:8.3f}s"
-        f"{suffix}{status_note}{retry_note}"
+        f"{suffix}{status_note}{route_note}{retry_note}"
     )
     for child in node["children"]:
         _render_node(child, retry_parents, depth + 1, lines)

@@ -19,7 +19,10 @@ run of this harness replays the identical failure sequence.
 The faulted phases run with span tracing *force-enabled* (the pooled sweep
 to a scratch trace, each shard to its own ``trace.jsonl`` that the merge
 folds together), so the parity checks double as the observability layer's
-perturbation gate: tracing a chaotic run may not move a single sample.
+perturbation gate: tracing a chaotic run may not move a single sample.  The
+pooled phase must also record a ``cell_batch`` span: its matrix is sized so
+the cost model batches each worker's chunk, which keeps the batch route's
+fault site in the mix (with NumPy installed, as in CI).
 """
 
 from __future__ import annotations
@@ -47,13 +50,24 @@ from repro.reliability.faults import (
 from repro.reliability.retry import RetryPolicy
 
 
-def chaos_matrix() -> ScenarioMatrix:
-    """2 governors x 2 workloads x 1 seed, ~3 s cells: small but real."""
+#: Replication seeds of the harness's matrix: 36 cells, so a 2-worker pool
+#: splits them into two 18-lane chunks, each above the cost model's batch
+#: crossover, and the pooled phase runs the batch route and its fault site.
+HARNESS_SEEDS = 9
+
+
+def chaos_matrix(seeds: int = 1) -> ScenarioMatrix:
+    """2 governors x 2 workloads x ``seeds`` seeds, ~3 s cells: small but real.
+
+    The default 4 cells keep the fault suites fast on every route: a rule
+    that hangs every cell's first attempt costs one watchdog budget per
+    in-flight job.  The harness runs :data:`HARNESS_SEEDS` seeds instead.
+    """
     return ScenarioMatrix.build(
         name="chaos-smoke",
         governors=("schedutil", "powersave"),
         apps=("facebook", "spotify"),
-        seeds=(0,),
+        seeds=tuple(range(seeds)),
         duration_s=3.0,
     )
 
@@ -139,7 +153,7 @@ def _check_parity(
 
 
 def main() -> int:
-    matrix = chaos_matrix()
+    matrix = chaos_matrix(HARNESS_SEEDS)
     print(
         f"chaos-smoke: matrix '{matrix.name}' ({len(matrix)} cells), "
         "baseline fault-free run..."
@@ -172,6 +186,12 @@ def main() -> int:
         if not spans:
             raise SystemExit(
                 "chaos-smoke: traced faulted sweep recorded no spans"
+            )
+        if not any(span.get("name") == "cell_batch" for span in spans):
+            raise SystemExit(
+                "chaos-smoke: traced faulted sweep recorded no cell_batch "
+                "span, so the batch route and its fault site went untested "
+                "(is NumPy installed?)"
             )
         print(
             f"chaos-smoke: trace recorded {len(spans)} spans, "

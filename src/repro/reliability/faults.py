@@ -53,6 +53,7 @@ SITE_EXECUTE_CELL = "runner.execute_cell"
 SITE_EXECUTE_BATCH = "runner.execute_cells_batched"
 SITE_TRAIN_ARTIFACT = "artifacts.train_artifact"
 SITE_TRAIN_DEVICE_ROUND = "federated.train_device_round"
+SITE_TRAIN_DEVICE_BATCH = "federated.train_device_rounds_batched"
 SITE_ATOMIC_WRITE = "persistence.atomic_write_json"
 #: Stage inside :func:`~repro.core.persistence.atomic_write_json` after the
 #: temporary file is staged but before the ``os.replace`` publication --
@@ -64,6 +65,7 @@ KNOWN_SITES = (
     SITE_EXECUTE_BATCH,
     SITE_TRAIN_ARTIFACT,
     SITE_TRAIN_DEVICE_ROUND,
+    SITE_TRAIN_DEVICE_BATCH,
     SITE_ATOMIC_WRITE,
     SITE_ATOMIC_WRITE_STAGED,
 )

@@ -524,7 +524,7 @@ class TestHeterogeneousBatchedSweep:
         scalar = [execute_cell(cell) for cell in cells]
         assert [r.summary for r in batched] == [r.summary for r in scalar]
 
-    def test_pool_sequential_and_scalar_routes_agree(self, monkeypatch):
+    def test_pool_sequential_and_scalar_routes_agree(self, monkeypatch, batch_route):
         pytest.importorskip("numpy")
         import repro.experiments.runner as runner_module
 
@@ -540,7 +540,7 @@ class TestHeterogeneousBatchedSweep:
         assert all(sweep.failures == [] for sweep in (sequential, pooled, scalar))
         assert summaries[0] == summaries[1] == summaries[2]
 
-    def test_scalar_fallback_with_numpy_absent(self, monkeypatch):
+    def test_scalar_fallback_with_numpy_absent(self, monkeypatch, batch_route):
         # Simulate a NumPy-less interpreter: ``sys.modules[name] = None``
         # makes ``import numpy`` raise ImportError, so the runner must take
         # the scalar route end to end -- with identical results.

@@ -223,7 +223,7 @@ class TestMergeTraces:
 # ---------------------------------------------------------------------------
 
 class TestTracedSweeps:
-    def test_pooled_sweep_builds_one_tree_across_processes(self, tmp_path):
+    def test_pooled_sweep_builds_one_tree_across_processes(self, tmp_path, batch_route):
         matrix = small_matrix()
         path = str(tmp_path / TRACE_BASENAME)
         with traced(path):
