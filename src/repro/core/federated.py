@@ -630,10 +630,6 @@ class FleetArtifact:
         """Materialise the merged fleet agent (a fresh instance every call)."""
         return NextAgent.from_dict(self.agent_state)
 
-    def build_device_agent(self, device: int) -> NextAgent:
-        """Materialise one device's post-training agent (for resumption)."""
-        return NextAgent.from_dict(self.device_states[device])
-
     def build_governor(self) -> NextGovernor:
         """A Next governor running the merged fleet agent greedily."""
         return NextGovernor(agent=self.build_agent(), training=False)

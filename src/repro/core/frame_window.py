@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 
 def quantise_fps(fps: float, levels: int, max_fps: float = 60.0) -> int:
@@ -93,11 +93,19 @@ class FrameWindowConfig:
 
 
 class FrameWindowMonitor:
-    """Collects frame-rate samples and produces the target FPS (window mode)."""
+    """Collects frame-rate samples and produces the target FPS (window mode).
+
+    The window keeps a count per quantised level as samples enter and
+    leave, so a read of the mode walks the distinct levels present, not all
+    160 samples.
+    """
 
     def __init__(self, config: Optional[FrameWindowConfig] = None) -> None:
         self.config = config or FrameWindowConfig()
         self._samples: Deque[int] = deque(maxlen=self.config.samples_per_window)
+        #: Samples per level in the window, kept as samples enter and leave
+        #: (a level whose count drops to zero is removed).
+        self._counts: Dict[int, int] = {}
         self._last_sample_time_s: Optional[float] = None
         self._raw_last_fps: float = 0.0
 
@@ -124,7 +132,17 @@ class FrameWindowMonitor:
             return False
         self._last_sample_time_s = time_s
         level = quantise_fps(fps, self.config.quantisation_levels, self.config.max_fps)
-        self._samples.append(level)
+        samples = self._samples
+        counts = self._counts
+        if len(samples) == samples.maxlen:
+            evicted = samples[0]
+            remaining = counts[evicted] - 1
+            if remaining:
+                counts[evicted] = remaining
+            else:
+                del counts[evicted]
+        samples.append(level)
+        counts[level] = counts.get(level, 0) + 1
         return True
 
     # -- results ----------------------------------------------------------------
@@ -150,12 +168,13 @@ class FrameWindowMonitor:
         Ties are broken towards the *higher* level so that the agent never
         under-serves the user when two frame-rate plateaus are equally common.
         """
-        if not self._samples:
-            return 0
-        counts = Counter(self._samples)
-        best_count = max(counts.values())
-        candidates = [level for level, count in counts.items() if count == best_count]
-        return max(candidates)
+        mode = 0
+        best = 0
+        for level, count in self._counts.items():
+            if count > best or (count == best and level > mode):
+                mode = level
+                best = count
+        return mode
 
     def target_fps(self) -> float:
         """The target FPS: the de-quantised mode of the frame window."""
@@ -165,12 +184,12 @@ class FrameWindowMonitor:
 
     def histogram(self) -> Tuple[Tuple[int, int], ...]:
         """(level, count) pairs of the current window, sorted by level."""
-        counts = Counter(self._samples)
-        return tuple(sorted(counts.items()))
+        return tuple(sorted(self._counts.items()))
 
     def reset(self) -> None:
         """Drop all samples (used when the foreground application changes)."""
         self._samples.clear()
+        self._counts = {}
         self._last_sample_time_s = None
         self._raw_last_fps = 0.0
 
@@ -188,6 +207,8 @@ class FrameWindowMonitor:
         """Restore the monitor from :meth:`state_dict` output."""
         self._samples.clear()
         self._samples.extend(int(level) for level in data.get("samples", ()))
+        # Count what the deque kept: only the last ``maxlen`` of a longer list.
+        self._counts = dict(Counter(self._samples))
         last = data.get("last_sample_time_s")
         self._last_sample_time_s = None if last is None else float(last)
         self._raw_last_fps = float(data.get("raw_last_fps", 0.0))

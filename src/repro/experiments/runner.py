@@ -695,10 +695,16 @@ class _PoolRestart(Exception):
     """Internal signal: the process pool must be torn down and rebuilt.
 
     Raised inside the event loop when the pool breaks (a worker died) or a
-    watchdog deadline expires (a worker hung).  Carries the retry keys of
-    the jobs it voids so :meth:`SweepRunner.run` can bump their attempt
-    counters before resubmitting -- which is what lets a first-attempt-only
-    injected crash or hang rule stop firing on the rebuilt pool.
+    watchdog deadline expires (a worker hung).  It carries the retry keys of
+    the jobs the teardown voids -- not only the expired or crashed one --
+    and :meth:`SweepRunner.run` bumps their attempt counters before
+    resubmitting.  That is what lets a first-attempt-only injected crash or
+    hang rule stop firing on the rebuilt pool, for the job that tripped the
+    restart and for every sibling it took down.  A crash carries every job
+    in flight (a broken pool fails all their futures at once, so the
+    started ones cannot be told apart); a watchdog timeout carries the
+    expired jobs and those on a worker, and jobs still queued keep their
+    retry budget.
     """
 
     def __init__(self, cause: str, jobs: Iterable[_Job]) -> None:
@@ -965,7 +971,7 @@ class SweepRunner:
         transient failure (a classified error result or raised exception)
         relaunches the job after seeded backoff; a broken pool or an expired
         deadline raises :class:`_PoolRestart` carrying the retry keys of
-        every job in flight, and :meth:`run` rebuilds the pool around
+        the jobs it voids, and :meth:`run` rebuilds the pool around
         whatever this loop already delivered.
         """
         specs: Dict[str, TrainingSpec] = {}
@@ -1357,7 +1363,18 @@ class SweepRunner:
                     if job.deadline <= now and not future.done()
                 ]
                 if expired:
-                    raise _PoolRestart("watchdog timeout", expired)
+                    # The teardown also voids the jobs on the other workers,
+                    # so they count a failed attempt too: a sibling hung by
+                    # the same first-attempt fault must not rerun at attempt
+                    # 0 and spend a second budget.  Futures turn running in
+                    # submission order, and the pool marks up to workers + 1
+                    # queued ones running ahead of time, so the first
+                    # ``workers`` running jobs are those on a worker.  Jobs
+                    # still queued never started and keep their retry budget.
+                    running = [job for future, job in jobs.items() if future.running()]
+                    raise _PoolRestart(
+                        "watchdog timeout", [*expired, *running[: executor.workers]]
+                    )
                 continue
             try:
                 for future in finished:

@@ -14,7 +14,9 @@ Per tick the engine performs, in order:
    :class:`~repro.governors.base.GovernorObservation` from the *sensed*
    (noisy) values and let the governor adjust limits/frequencies.
 
-The engine records ground truth into a :class:`~repro.sim.recorder.Recorder`.
+The engine records ground truth into a :class:`~repro.sim.recorder.Recorder`,
+unless it is built with ``record=False``, as training episodes are: the
+trained agent is all they produce.
 
 Hot-loop kernel
 ---------------
@@ -135,9 +137,13 @@ class Simulation:
         governor: Governor,
         config: Optional[SimulationConfig] = None,
         scaler: Optional[SchedutilScaler] = None,
+        record: bool = True,
     ) -> None:
         self.platform = platform
         self.governor = governor
+        #: Whether ticks are recorded; a training episode, whose stream no
+        #: one reads, runs with ``record=False`` and leaves the recorder empty.
+        self.record = record
         self.config = config or SimulationConfig(refresh_hz=platform.display_refresh_hz)
         self.scaler = scaler or SchedutilScaler()
 
@@ -190,12 +196,6 @@ class Simulation:
         gpu = self._gpu_cluster_name() or "__no_gpu__"
         return PipelineConfig(big_cluster=big, little_cluster=little, gpu_cluster=gpu)
 
-    def _target_fps(self) -> float:
-        agent = getattr(self.governor, "agent", None)
-        if agent is None:
-            return 0.0
-        return agent.target_fps
-
     # -- main loop --------------------------------------------------------------------
 
     def run(self, workload, duration_s: Optional[float] = None) -> Recorder:
@@ -222,6 +222,7 @@ class Simulation:
         """
         config = self.config
         dt = config.dt_s
+        record = self.record
         record_every = config.record_every_n_ticks
         governor = self.governor
         invocation_period = governor.invocation_period_s
@@ -299,7 +300,7 @@ class Simulation:
                 clock._ticks = tick_count
                 now = tick_count * dt
 
-                will_record = tick_count % record_every == 0
+                will_record = record and tick_count % record_every == 0
                 if will_record:
                     # Snapshot DVFS state *now*: the recorded sample reflects
                     # the frequencies/limits the tick was simulated at, before

@@ -261,7 +261,8 @@ def train_next_governor(
     Each episode uses a freshly seeded application model so the agent sees
     varied user behaviour, mirroring the paper's on-device training across
     real usage.  Training stops early once the agent's TD error drops below
-    ``td_error_threshold``.
+    ``td_error_threshold``.  Episodes run unrecorded: the trained agent is
+    their only product.
     """
     platform = platform or exynos9810()
     governor.set_training(True)
@@ -280,7 +281,9 @@ def train_next_governor(
                 duration_s=episode_duration_s,
                 seed=episode_seed,
             )
-        simulation = Simulation(platform=platform, governor=governor, config=episode_config)
+        simulation = Simulation(
+            platform=platform, governor=governor, config=episode_config, record=False
+        )
         app = make_app(app_name, seed=episode_seed)
         with maybe_span("episode", app=app_name, episode=episode, seed=episode_seed):
             simulation.run(app, duration_s=episode_duration_s)

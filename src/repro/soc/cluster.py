@@ -167,14 +167,6 @@ class Cluster:
         self._current_index = index
         return index
 
-    def set_frequency_mhz(self, frequency_mhz: float) -> float:
-        """Request the closest OPP to ``frequency_mhz`` within the limits.
-
-        Returns the frequency actually applied in MHz.
-        """
-        self.set_frequency_index(self._table.nearest_index(frequency_mhz))
-        return self.current_frequency_mhz
-
     # -- limits (the Next actuation surface) ------------------------------------
 
     @property

@@ -117,10 +117,6 @@ class SocPowerModel:
         }
         self.rest_of_platform_power_w = rest_of_platform_power_w
 
-    def cluster_model(self, name: str) -> ClusterPowerModel:
-        """Return the per-cluster power model for ``name``."""
-        return self._models[name]
-
     def compile_coefficients(
         self, cluster_names: Sequence[str]
     ) -> Tuple[Tuple[float, int, float, float], ...]:

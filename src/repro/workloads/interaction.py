@@ -137,11 +137,6 @@ class InteractionGenerator:
         """Current smoothed activity level in [0, 1]."""
         return self._activity
 
-    def set_profile(self, profile: InteractionProfile) -> None:
-        """Switch to a new interaction profile (e.g. when the phase changes)."""
-        self.profile = profile
-        self._state_time_left_s = min(self._state_time_left_s, self._sample_state_duration())
-
     def step(self, dt_s: float) -> float:
         """Advance the interaction process by ``dt_s`` and return the activity."""
         if dt_s < 0:

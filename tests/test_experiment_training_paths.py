@@ -4,14 +4,23 @@
 paper's evaluation protocol (train fully, then evaluate greedily; pick the
 candidate that saves the most power *without* violating QoS).  These tests
 exercise both with tiny budgets and pin the QoS-first selection ordering.
+They also pin what training produces, a trained artifact and a federated
+fleet on both fleet-round routes, by digest, and that scalar training
+episodes, whose streams nobody reads, record nothing.
 """
 
+import hashlib
+import json
 from types import SimpleNamespace
 
 import pytest
 
 import repro.sim.experiment as experiment
+from repro.core.artifact import TrainingSpec
+from repro.core.federated import FleetSpec
 from repro.core.governor import NextGovernor
+from repro.experiments.artifacts import train_artifact
+from repro.experiments.federated import train_fleet_artifact
 from repro.sim.config import SimulationConfig
 from repro.sim.experiment import (
     candidate_sort_key,
@@ -57,7 +66,7 @@ class TestTrainNextGovernorSeeding:
         seeds = []
 
         class FakeSimulation:
-            def __init__(self, platform=None, governor=None, config=None):
+            def __init__(self, platform=None, governor=None, config=None, record=True):
                 seeds.append(config.seed)
 
             def run(self, workload, duration_s=None):
@@ -95,7 +104,7 @@ class TestTrainNextGovernorSeeding:
         captured = []
 
         class FakeSimulation:
-            def __init__(self, platform=None, governor=None, config=None):
+            def __init__(self, platform=None, governor=None, config=None, record=True):
                 captured.append(config)
 
             def run(self, workload, duration_s=None):
@@ -113,6 +122,60 @@ class TestTrainNextGovernorSeeding:
         )
         assert all(c.warm_start_temperature_c == 33.0 for c in captured)
         assert [c.seed for c in captured] == [0, 101]
+
+
+def document_sha256(document) -> str:
+    return hashlib.sha256(json.dumps(document, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+#: A small pretrained spec: two apps, two 5 s episodes each.
+PINNED_SPEC = TrainingSpec(
+    apps=("home", "facebook"), episodes=2, episode_duration_s=5.0, seed=11
+)
+#: A 2-device, 2-round fleet: round 0 trains scalar, round 1 on the routed path.
+PINNED_FLEET = FleetSpec(
+    apps=("home", "spotify"),
+    devices=2,
+    rounds=2,
+    platform="generic-two-cluster",
+    episodes=1,
+    episode_duration_s=4.0,
+)
+#: ``document_sha256`` of ``train_artifact(PINNED_SPEC).to_dict()`` and of
+#: ``train_fleet_artifact(PINNED_FLEET).to_dict()`` (merged agent, device
+#: states and round reports), captured while training episodes were still
+#: recorded: not recording them must not change one byte.
+PINNED_ARTIFACT_SHA256 = "b7d300783f1650e5ac6108e035e770d79161e1c51d011ece69cecabc1ab2aaf0"
+PINNED_FLEET_SHA256 = "769e4661fe8138b3dc3dbe6260f6984c419f6a7bed553d9c18f10ac8683fee4d"
+
+
+class TestTrainedAgentsArePinned:
+    def test_trained_artifact_document(self):
+        assert document_sha256(train_artifact(PINNED_SPEC).to_dict()) == (
+            PINNED_ARTIFACT_SHA256
+        )
+
+    def test_fleet_document_on_both_round_routes(self, batch_route):
+        assert document_sha256(train_fleet_artifact(PINNED_FLEET).to_dict()) == (
+            PINNED_FLEET_SHA256
+        )
+
+
+class TestTrainingRecordsNothing:
+    def test_training_episodes_leave_their_recorders_empty(self, monkeypatch):
+        simulations = []
+
+        class CollectedSimulation(experiment.Simulation):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                simulations.append(self)
+
+        monkeypatch.setattr(experiment, "Simulation", CollectedSimulation)
+        artifact = train_artifact(PINNED_SPEC)
+        assert all(artifact.agent_state["steps_per_app"].values())
+        # Two apps, two episodes each.
+        assert len(simulations) == 4
+        assert [len(simulation.recorder) for simulation in simulations] == [0] * 4
 
 
 class TestCandidateSortKey:

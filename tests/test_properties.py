@@ -1,12 +1,19 @@
 """Property-based tests (hypothesis) on the library's core invariants."""
 
+import json
 import random
+from collections import Counter, deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.actions import ActionSpace
-from repro.core.frame_window import FrameWindowConfig, FrameWindowMonitor, quantise_fps
+from repro.core.frame_window import (
+    FrameWindowConfig,
+    FrameWindowMonitor,
+    dequantise_fps,
+    quantise_fps,
+)
 from repro.core.ppdw import compute_ppdw, compute_reward
 from repro.core.qlearning import QLearningConfig, QLearningCore
 from repro.graphics.display import FpsCounter
@@ -208,6 +215,147 @@ def test_frame_window_mode_is_a_representable_level(samples, levels):
     # the window.
     levels_in_window = {level for level, _ in monitor.histogram()}
     assert quantise_fps(target, levels, config.max_fps) in levels_in_window
+
+
+class CounterModeWindow:
+    """Reference frame window: the mode is a ``Counter`` over every sample.
+
+    The monitor's cadence, window and serialisation written out plainly,
+    with the mode, target and histogram rebuilt from the whole deque on
+    each read.  :class:`FrameWindowMonitor` keeps per-level counts instead
+    and must read the same after any sequence of operations.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.samples = deque(maxlen=config.samples_per_window)
+        self.last_sample_time_s = None
+        self.raw_last_fps = 0.0
+
+    def observe(self, time_s, fps):
+        self.raw_last_fps = fps
+        if (
+            self.last_sample_time_s is not None
+            and 0.0 <= time_s - self.last_sample_time_s < self.config.sample_period_s - 1e-9
+        ):
+            return False
+        self.last_sample_time_s = time_s
+        self.samples.append(
+            quantise_fps(fps, self.config.quantisation_levels, self.config.max_fps)
+        )
+        return True
+
+    def mode_level(self):
+        if not self.samples:
+            return 0
+        counts = Counter(self.samples)
+        best = max(counts.values())
+        return max(level for level, count in counts.items() if count == best)
+
+    def target_fps(self):
+        return dequantise_fps(
+            self.mode_level(), self.config.quantisation_levels, self.config.max_fps
+        )
+
+    def histogram(self):
+        return tuple(sorted(Counter(self.samples).items()))
+
+    def reset(self):
+        self.samples.clear()
+        self.last_sample_time_s = None
+        self.raw_last_fps = 0.0
+
+    def state_dict(self):
+        return {
+            "samples": list(self.samples),
+            "last_sample_time_s": self.last_sample_time_s,
+            "raw_last_fps": self.raw_last_fps,
+        }
+
+    def load_state_dict(self, data):
+        self.samples.clear()
+        self.samples.extend(int(level) for level in data.get("samples", ()))
+        last = data.get("last_sample_time_s")
+        self.last_sample_time_s = None if last is None else float(last)
+        self.raw_last_fps = float(data.get("raw_last_fps", 0.0))
+
+
+#: A few plateaus (so equal counts, i.e. ties, are common) plus any FPS,
+#: out-of-range values included (quantisation clamps them).
+window_fps = st.one_of(
+    st.sampled_from([0.0, 2.0, 12.0, 30.0, 58.0, 60.0, 90.0]),
+    st.floats(min_value=-10.0, max_value=120.0, allow_nan=False),
+)
+window_operations = st.lists(
+    st.one_of(
+        # The clock step: the 25 ms cadence, faster (ignored) samples, and a
+        # clock running backwards (a restarted session).
+        st.tuples(
+            st.just("observe"),
+            st.sampled_from([0.025, 0.025, 0.03, 0.01, 0.0, -0.02, -5.0]),
+            window_fps,
+        ),
+        st.tuples(st.just("reset")),
+        st.tuples(st.just("round_trip")),
+        # A stored window of any length and any levels, those outside
+        # [0, levels] included.
+        st.tuples(
+            st.just("load"),
+            st.lists(st.integers(min_value=-5, max_value=70), max_size=30),
+            st.one_of(st.none(), st.floats(min_value=-1.0, max_value=10.0, allow_nan=False)),
+            st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
+        ),
+    ),
+    max_size=120,
+)
+
+
+@given(
+    st.sampled_from([2, 3, 5, 12, 160]),
+    st.integers(min_value=1, max_value=60),
+    window_operations,
+)
+@settings(max_examples=200, deadline=None)
+def test_frame_window_counts_read_like_a_counter_over_the_window(
+    samples_per_window, levels, operations
+):
+    config = FrameWindowConfig(
+        sample_period_s=0.025,
+        window_s=0.025 * samples_per_window,
+        quantisation_levels=levels,
+    )
+    assert config.samples_per_window == samples_per_window
+    monitor = FrameWindowMonitor(config)
+    reference = CounterModeWindow(config)
+    time_s = 0.0
+    for operation in operations:
+        kind = operation[0]
+        if kind == "observe":
+            time_s += operation[1]
+            assert monitor.observe(time_s, operation[2]) == reference.observe(
+                time_s, operation[2]
+            )
+        elif kind == "reset":
+            monitor.reset()
+            reference.reset()
+        elif kind == "round_trip":
+            state = json.loads(json.dumps(monitor.state_dict()))
+            assert state == reference.state_dict()
+            monitor = FrameWindowMonitor(config)
+            monitor.load_state_dict(state)
+            reference.load_state_dict(state)
+        else:
+            state = {
+                "samples": operation[1],
+                "last_sample_time_s": operation[2],
+                "raw_last_fps": operation[3],
+            }
+            monitor.load_state_dict(state)
+            reference.load_state_dict(state)
+        assert monitor.mode_level() == reference.mode_level()
+        assert monitor.target_fps() == reference.target_fps()
+        assert monitor.histogram() == reference.histogram()
+        assert monitor.state_dict() == reference.state_dict()
 
 
 @given(st.floats(min_value=0.0, max_value=300.0, allow_nan=False), st.integers(min_value=1, max_value=120))

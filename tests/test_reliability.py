@@ -7,8 +7,9 @@ budgets are pure functions of the cost model; and the instrumented
 ``atomic_write_json`` seams leave exactly the debris a real crash would.
 The end-to-end recovery behaviour (pool rebuilds, parity under chaos)
 lives in ``test_chaos_parity.py``; this module pins the primitives, plus
-two end-to-end rules: a retried training job ends the same on every route,
-and an abandoned pool leaves no worker behind.
+three end-to-end rules: a retried training job ends the same on every route,
+an abandoned pool leaves no worker behind, and abandoning it bumps the
+attempt of every job that was on a worker and of no job still queued.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ from repro.core.artifact import TrainingSpec
 from repro.core.federated import FleetSpec
 from repro.core.persistence import atomic_write_json, quarantine_entry
 from repro.experiments.artifacts import ArtifactStore
+from repro.experiments.costs import DEFAULT_COST_MODEL
 from repro.experiments.federated import FleetStore
 from repro.experiments.matrix import ScenarioMatrix
 from repro.experiments.runner import SweepRunner
+from repro.obs.metrics import metrics, reset_metrics
 from repro.reliability.faults import (
     CRASH_EXIT_CODE,
     FAULT_PLAN_ENV,
@@ -467,3 +470,60 @@ class TestPoolAbandon:
         while multiprocessing.active_children() and time.monotonic() < deadline:
             time.sleep(0.05)
         assert multiprocessing.active_children() == []
+
+    def test_watchdog_restart_bumps_the_jobs_on_workers_only(self):
+        # Two workers, six cells.  The first two cells hang on their first
+        # attempt, under budgets of about 1.1 s and 3.4 s, and hold both
+        # workers; the other four queue behind them.  The shorter budget
+        # expires first and the pool is abandoned.  The sibling on the
+        # other worker counts a failed attempt too, so the rebuilt pool runs
+        # it past the fault and one restart ends the sweep; bumping only the
+        # expired job reruns the sibling at attempt 0, where it hangs again
+        # and spends its own budget.  The queued cells never started, so
+        # they keep their retry budget: no attempt is recorded against them.
+        matrix = ScenarioMatrix.build(
+            name="hang-siblings",
+            governors=("schedutil",),
+            apps=("facebook", "pubg"),
+            seeds=(0, 1, 2, 3, 4),
+            duration_s=4.0,
+            game_duration_s=12.0,
+        )
+        by_key = {(cell.workload.key, cell.seed): cell for cell in matrix.cells()}
+        hung = [by_key["facebook", 0], by_key["pubg", 0]]
+        queued = [by_key["pubg", seed] for seed in (1, 2, 3, 4)]
+        watchdog = WatchdogPolicy(
+            cost_model=DEFAULT_COST_MODEL, floor_s=0.0, multiplier=150.0
+        )
+        short, long = (watchdog.cell_budget_s(cell) for cell in hung)
+        # The queued cells' deadlines, armed at submission, outlast the
+        # first hang's, so only that one can trip the watchdog.
+        assert short < long == watchdog.cell_budget_s(queued[0])
+        plan = FaultPlan(
+            rules=tuple(
+                FaultRule(
+                    site=SITE_EXECUTE_CELL,
+                    kind=KIND_HANG,
+                    match=cell.fingerprint(),
+                    hang_s=30.0,
+                )
+                for cell in hung
+            )
+        )
+        reset_metrics()
+        try:
+            with injected_faults(plan):
+                sweep = SweepRunner(max_workers=2, watchdog=watchdog).run(
+                    matrix, cells=[*hung, *queued]
+                )
+            assert not sweep.failures
+            assert metrics().counters["watchdog.reschedules"] == 1
+            assert "pool.rebuilds" not in metrics().counters
+        finally:
+            reset_metrics()
+        attempts = {result.cell: result.attempts for result in sweep.results}
+        for cell in hung:
+            assert [record["error_type"] for record in attempts[cell]] == [
+                "watchdog timeout"
+            ]
+        assert [attempts[cell] for cell in queued] == [None] * len(queued)
