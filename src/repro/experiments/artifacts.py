@@ -32,8 +32,7 @@ from repro.obs.metrics import metrics
 from repro.obs.trace import flush_task_metrics, maybe_span
 from repro.reliability.clock import monotonic_now
 from repro.reliability.faults import SITE_TRAIN_ARTIFACT, fault_point
-from repro.sim.config import SimulationConfig
-from repro.sim.experiment import train_next_on_apps
+from repro.sim.experiment import train_next_on_apps, training_config
 from repro.soc.platform import make_platform
 
 #: What the artifact stores hold and a cell may evaluate instead of a cold
@@ -71,17 +70,6 @@ def train_artifact(
         ):
             fault_point(SITE_TRAIN_ARTIFACT, spec.fingerprint(agent_config), attempt)
             platform = make_platform(spec.platform)
-            overrides = dict(spec.config_overrides)
-            simulation_config = None
-            if overrides:
-                # Train under the spec's environment overrides (the per-episode
-                # seed is re-derived by train_next_governor).
-                simulation_config = SimulationConfig(
-                    refresh_hz=platform.display_refresh_hz,
-                    duration_s=spec.episode_duration_s,
-                    seed=spec.seed,
-                    **overrides,
-                )
             governor = NextGovernor(config=agent_config, seed=spec.seed)
             results = train_next_on_apps(
                 governor,
@@ -90,7 +78,9 @@ def train_artifact(
                 episodes=spec.episodes,
                 episode_duration_s=spec.episode_duration_s,
                 seed=spec.seed,
-                config=simulation_config,
+                config=training_config(
+                    platform, spec.episode_duration_s, spec.seed, spec.config_overrides
+                ),
             )
             return AgentArtifact.capture(
                 spec, governor.agent, [asdict(r) for r in results]

@@ -488,20 +488,18 @@ def run_shard(
     cache and only recomputes what is missing.
 
     ``retry_policy`` and ``cell_timeout_s`` configure the runner's fault
-    tolerance (transient-failure retries and the per-cell watchdog budget);
-    defaults mirror a plain :class:`~repro.experiments.runner.SweepRunner`.
+    tolerance (transient-failure retries and a flat per-job watchdog
+    budget).  Without ``cell_timeout_s`` the watchdog prices every job from
+    the manifest's cost model, the one the planner balanced the shards with.
     """
     cells = manifest.shard_cells(shard_index)
-    watchdog = None
-    if cell_timeout_s is not None:
-        watchdog = WatchdogPolicy(
-            cost_model=manifest.cost_model, cell_timeout_s=cell_timeout_s
-        )
     runner = SweepRunner(
         max_workers=max_workers,
         cache_dir=shard_cache_dir(shard_dir),
         retry_policy=retry_policy,
-        watchdog=watchdog,
+        watchdog=WatchdogPolicy(
+            cost_model=manifest.cost_model, cell_timeout_s=cell_timeout_s
+        ),
     )
     costs = RemainingCost(
         {f: manifest.cell_costs[f] for f in manifest.assignments[shard_index]}

@@ -59,8 +59,7 @@ from repro.reliability.faults import (
     SITE_TRAIN_DEVICE_ROUND,
     fault_point,
 )
-from repro.sim.config import SimulationConfig
-from repro.sim.experiment import train_next_on_apps
+from repro.sim.experiment import train_lanes, training_config
 from repro.soc.platform import make_platform
 
 
@@ -76,12 +75,11 @@ def train_device_round(
 ) -> Dict[str, Any]:
     """One device's local-training phase of a federated round.
 
-    Restores the device agent from its serialised state (which includes the
-    merged tables the server distributed), trains it on its own app mix
-    through the shared :func:`~repro.sim.experiment.train_next_on_apps`
-    path, and returns the JSON-normalised post-training state.  A plain
-    top-level callable over plain data: process pools run it like any cell,
-    and pickling cannot change the result.
+    Trains the device as one scalar lane of the round body both routes
+    share (:func:`_train_devices`) and returns its JSON-normalised
+    post-training state.  A plain top-level callable over plain data:
+    process pools run it like any cell, and pickling cannot change the
+    result.
 
     ``attempt`` is the orchestrator's retry counter for this device job,
     consumed only by the fault-injection seam (keyed by the device's
@@ -91,30 +89,8 @@ def train_device_round(
     try:
         with maybe_span("device_round", seed=seed, attempt=attempt):
             fault_point(SITE_TRAIN_DEVICE_ROUND, str(seed), attempt)
-            agent = NextAgent.from_dict(agent_state)
-            governor = NextGovernor(agent=agent)  # re-enables training
-            platform_spec = make_platform(platform)
-            overrides = dict(config_overrides)
-            simulation_config = None
-            if overrides:
-                # Same override threading as train_artifact: the per-episode
-                # seed is re-derived by train_next_governor.
-                simulation_config = SimulationConfig(
-                    refresh_hz=platform_spec.display_refresh_hz,
-                    duration_s=episode_duration_s,
-                    seed=seed,
-                    **overrides,
-                )
-            train_next_on_apps(
-                governor,
-                tuple(apps),
-                platform=platform_spec,
-                episodes=episodes,
-                episode_duration_s=episode_duration_s,
-                seed=seed,
-                config=simulation_config,
-            )
-            return json.loads(json.dumps(agent.to_dict()))
+            job = (agent_state, apps, platform, episodes, episode_duration_s, seed)
+            return _train_devices([(*job, config_overrides)], batched=False)[0]
     finally:
         flush_task_metrics()
 
@@ -157,21 +133,14 @@ def train_device_rounds_batched(
     :class:`~repro.sim.batch.BatchSimulation` per training episode, which
     amortises the per-tick Python frontend across the device axis.
 
-    Bit-identity with the scalar path is structural: each device's episode
-    seeds are derived with the same strides
-    (:data:`~repro.sim.experiment.APP_SEED_STRIDE` per app,
-    :data:`~repro.sim.experiment.EPISODE_SEED_STRIDE` per episode), each
-    episode constructs the same fresh app model and
-    :class:`~repro.sim.config.SimulationConfig`, per-device convergence
-    drops a lane from later episodes exactly where the scalar loop breaks,
-    and the batch kernel itself is bit-identical per lane (the batch parity
-    suite pins the sample streams, the federated parity tests the merged
-    agents).  Jobs of one round share platform and overrides by construction
+    Bit-identity with the scalar path is structural: both run the one
+    schedule of :func:`~repro.sim.experiment.train_lanes` (seed strides,
+    episode budgets, convergence drop-out), which only picks the kernel,
+    and the batch kernel is bit-identical per lane (the batch parity suite
+    pins the sample streams, the federated parity tests the merged agents).
+    Jobs of one round share platform and overrides by construction
     (:meth:`FleetBuild.round_jobs`); episode budgets and durations may differ
-    per device (intensity-weighted non-IID fleets) -- mixed-duration episodes
-    run as masked heterogeneous lanes of the batch kernel, and a lane whose
-    budget is exhausted or whose agent converged simply drops out of later
-    episodes instead of forcing the fleet into lockstep.
+    per device (intensity-weighted non-IID fleets).
 
     ``attempt`` is the orchestrator's retry counter for the round, consumed
     only by the fault-injection seam, which is keyed like
@@ -184,19 +153,21 @@ def train_device_rounds_batched(
             fault_point(SITE_TRAIN_DEVICE_BATCH, str(jobs[0][5]), attempt)
             if span is not None:
                 note_route(span, round_route(jobs))
-            return _train_device_rounds_batched(jobs)
+            return _train_devices(jobs, batched=True)
     finally:
         flush_task_metrics()
 
 
-def _train_device_rounds_batched(
-    jobs: Sequence[Tuple[Any, ...]],
+def _train_devices(
+    jobs: Sequence[Tuple[Any, ...]], batched: bool
 ) -> List[Dict[str, Any]]:
-    """Span-free body of :func:`train_device_rounds_batched`."""
-    from repro.sim.batch import BatchSimulation
-    from repro.sim.experiment import APP_SEED_STRIDE, EPISODE_SEED_STRIDE
-    from repro.workloads.apps import make_app
+    """Span-free body of both round routes: each device job is one lane.
 
+    Restores every device agent from its serialised state (which includes
+    the merged tables the server distributed), trains it on its own app mix
+    through :func:`~repro.sim.experiment.train_lanes` on the kernel
+    ``batched`` picks, freezes it and returns its JSON-normalised state.
+    """
     platform_name = jobs[0][2]
     config_overrides = jobs[0][6]
     for job in jobs[1:]:
@@ -205,61 +176,28 @@ def _train_device_rounds_batched(
                 "batched round jobs must share platform and overrides "
                 "(episode budgets and durations may differ per device)"
             )
-    agents = [NextAgent.from_dict(job[0]) for job in jobs]
-    governors = [NextGovernor(agent=agent) for agent in agents]
-    platform_spec = make_platform(platform_name)
-    overrides = dict(config_overrides)
-    app_lists = [tuple(job[1]) for job in jobs]
-    episode_budgets = [int(job[3]) for job in jobs]
-    durations = [float(job[4]) for job in jobs]
-    base_seeds = [job[5] for job in jobs]
-
-    # Same convergence bar as train_next_on_apps' default, which is what
-    # train_device_round (no explicit threshold) trains against.
-    td_error_threshold = 0.02
-    for app_index in range(max(len(apps) for apps in app_lists)):
-        lanes = [d for d in range(len(jobs)) if app_index < len(app_lists[d])]
-        for device in lanes:
-            governors[device].set_training(True)
-        active = lanes
-        for episode in range(max(episode_budgets[d] for d in lanes)):
-            # A lane trains this episode while its own budget lasts and its
-            # agent has not converged; everyone else is dropped, not padded.
-            running = [d for d in active if episode < episode_budgets[d]]
-            if not running:
-                break
-            episode_seeds = [
-                base_seeds[d] + app_index * APP_SEED_STRIDE + episode * EPISODE_SEED_STRIDE
-                for d in running
-            ]
-            configs = [
-                SimulationConfig(
-                    refresh_hz=platform_spec.display_refresh_hz,
-                    duration_s=durations[d],
-                    seed=episode_seed,
-                    **overrides,
-                )
-                for d, episode_seed in zip(running, episode_seeds)
-            ]
-            batch = BatchSimulation(
-                platform_spec, [governors[d] for d in running], configs
+    platform = make_platform(platform_name)
+    governors = [NextGovernor(agent=NextAgent.from_dict(job[0])) for job in jobs]
+    train_lanes(
+        [
+            (
+                governor,
+                apps,
+                episodes,
+                duration_s,
+                seed,
+                training_config(platform, duration_s, seed, config_overrides),
             )
-            batch.run(
-                [
-                    make_app(app_lists[d][app_index], seed=episode_seed)
-                    for d, episode_seed in zip(running, episode_seeds)
-                ],
-                duration_s=[durations[d] for d in running],
+            for governor, (_, apps, _, episodes, duration_s, seed, _) in zip(
+                governors, jobs
             )
-            converged = {
-                d
-                for d in running
-                if governors[d].agent.has_converged(td_error_threshold)
-            }
-            active = [d for d in active if d not in converged]
+        ],
+        platform,
+        batched=batched,
+    )
     for governor in governors:
         governor.set_training(False)
-    return [json.loads(json.dumps(agent.to_dict())) for agent in agents]
+    return [json.loads(json.dumps(governor.agent.to_dict())) for governor in governors]
 
 
 def _action_count(agent_config: AgentConfig) -> int:

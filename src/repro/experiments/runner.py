@@ -71,10 +71,15 @@ from typing import (
     Union,
 )
 
-from repro.core.artifact import AgentArtifact, TrainingSpec
+from repro.core.artifact import TrainingSpec
 from repro.core.federated import FleetArtifact, FleetSpec
 from repro.core.persistence import EntryStore
-from repro.experiments.artifacts import ArtifactStore, StoredArtifact, train_artifact
+from repro.experiments.artifacts import (
+    ArtifactSpec,
+    ArtifactStore,
+    StoredArtifact,
+    train_artifact,
+)
 from repro.experiments.costs import (
     DEFAULT_COST_MODEL,
     Route,
@@ -91,6 +96,7 @@ from repro.experiments.federated import (
     train_fleet_artifact,
 )
 from repro.experiments.matrix import ScenarioCell, ScenarioMatrix
+from repro.governors.base import Governor
 from repro.obs.metrics import metrics, reset_metrics
 from repro.obs.profile import active_profiler
 from repro.obs.trace import active_tracer, emit_event, flush_task_metrics
@@ -117,7 +123,7 @@ from repro.sim.experiment import (
     record_session_trace,
     run_trace,
 )
-from repro.soc.platform import make_platform
+from repro.soc.platform import PlatformSpec, make_platform
 from repro.workloads.session import SessionSegment
 from repro.workloads.trace import TracePlayer, WorkloadTrace
 
@@ -226,49 +232,41 @@ def summary_to_dict(result: SessionResult) -> Dict[str, Any]:
     return summary
 
 
-def run_cell_session(
-    cell: ScenarioCell, artifact: Optional[StoredArtifact] = None
-) -> SessionResult:
-    """Execute one cell in-process and return the full session result.
-
-    Records the cell's demand trace with its governor-independent
-    ``trace_seed``, instantiates the governor (seeding stochastic ones with
-    the cell's ``governor_seed``) and replays the trace through the shared
-    single-cell primitive.
-
-    A pretrained cell evaluates the frozen greedy policy of its trained
-    artifact, a federated cell the merged greedy agent of its trained fleet
-    (``training=False`` either way), never a cold exploring agent.  The
-    sweep runner resolves artifacts through its
-    :class:`ArtifactStore` / :class:`FleetStore` and passes them in;
-    standalone callers may omit ``artifact``, in which case the cell's
-    :class:`TrainingSpec` or :class:`FleetSpec` is trained inline --
-    identical result, just without the train-once sharing.
-    """
-    platform = make_platform(cell.platform)
+def cell_trace(cell: ScenarioCell, platform: PlatformSpec) -> WorkloadTrace:
+    """Record the cell's demand trace with its governor-independent ``trace_seed``."""
     segments = [
         SessionSegment(app_name, duration_s)
         for app_name, duration_s in cell.workload.segments
     ]
-    trace = record_session_trace(segments, platform=platform, seed=cell.trace_seed)
-    spec = cell.training_spec()
-    fleet = cell.fleet_spec()
-    if fleet is not None:
+    return record_session_trace(segments, platform=platform, seed=cell.trace_seed)
+
+
+def cell_lane(
+    cell: ScenarioCell,
+    platform: PlatformSpec,
+    trace: WorkloadTrace,
+    artifact: Optional[StoredArtifact] = None,
+) -> Tuple[Governor, SimulationConfig]:
+    """The governor and simulation config that replay ``trace`` for ``cell``.
+
+    Stochastic governors are seeded with the cell's ``governor_seed``.  A
+    pretrained cell evaluates the frozen greedy policy of its trained
+    artifact, a federated cell the merged greedy agent of its trained fleet
+    (``training=False`` either way), never a cold exploring agent.  Without
+    ``artifact`` the cell's :class:`TrainingSpec` or :class:`FleetSpec` is
+    trained inline -- identical result, just without the train-once sharing.
+    """
+    spec = cell.fleet_spec() or cell.training_spec()
+    if spec is not None:
         if artifact is None:
-            artifact = train_fleet_artifact(fleet)
-        elif artifact.fingerprint != fleet.fingerprint():
-            raise ValueError(
-                f"fleet artifact {artifact.fingerprint!r} does not match cell "
-                f"{cell.label()} fleet spec {fleet.fingerprint()!r}"
-            )
-        governor = artifact.build_governor()
-    elif spec is not None:
-        if artifact is None:
-            artifact = train_artifact(spec)
+            train = train_fleet_artifact if cell.federated else train_artifact
+            artifact = train(spec)
         elif artifact.fingerprint != spec.fingerprint():
+            kind = "fleet artifact" if cell.federated else "artifact"
+            noun = "fleet spec" if cell.federated else "training spec"
             raise ValueError(
-                f"artifact {artifact.fingerprint!r} does not match cell "
-                f"{cell.label()} training spec {spec.fingerprint()!r}"
+                f"{kind} {artifact.fingerprint!r} does not match cell "
+                f"{cell.label()} {noun} {spec.fingerprint()!r}"
             )
         governor = artifact.build_governor()
     else:
@@ -282,6 +280,23 @@ def run_cell_session(
         seed=cell.sim_seed,
         **dict(cell.config_overrides),
     )
+    return governor, config
+
+
+def run_cell_session(
+    cell: ScenarioCell, artifact: Optional[StoredArtifact] = None
+) -> SessionResult:
+    """Execute one cell in-process and return the full session result.
+
+    Records the cell's demand trace, builds its lane (:func:`cell_lane`) and
+    replays the trace through the shared single-cell primitive.  The sweep
+    runner resolves artifacts through its :class:`ArtifactStore` /
+    :class:`FleetStore` and passes them in; standalone callers may omit
+    ``artifact``.
+    """
+    platform = make_platform(cell.platform)
+    trace = cell_trace(cell, platform)
+    governor, config = cell_lane(cell, platform, trace, artifact)
     return run_trace(trace, governor, platform=platform, config=config)
 
 
@@ -386,26 +401,11 @@ def execute_cells_batched(
         for cell in cells:
             key = (cell.workload.segments, cell.trace_seed)
             if key not in session_traces:
-                segments = [
-                    SessionSegment(app_name, duration_s)
-                    for app_name, duration_s in cell.workload.segments
-                ]
-                session_traces[key] = record_session_trace(
-                    segments, platform=platform, seed=cell.trace_seed
-                )
+                session_traces[key] = cell_trace(cell, platform)
             traces.append(session_traces[key])
-            params = dict(cell.governor_params)
-            if cell.governor in STOCHASTIC_GOVERNORS:
-                params.setdefault("seed", cell.governor_seed)
-            governors.append(make_governor(cell.governor, **params))
-            configs.append(
-                SimulationConfig(
-                    refresh_hz=platform.display_refresh_hz,
-                    duration_s=traces[-1].duration_s,
-                    seed=cell.sim_seed,
-                    **dict(cell.config_overrides),
-                )
-            )
+            governor, config = cell_lane(cell, platform, traces[-1])
+            governors.append(governor)
+            configs.append(config)
         batch = BatchSimulation(platform, governors, configs)
         batch.run(
             [TracePlayer(trace) for trace in traces],
@@ -517,16 +517,10 @@ def batchable_cell_groups(
     return groups, rest
 
 
-def _training_error(fingerprint: str, spec: TrainingSpec, details: str) -> str:
-    """One message format for "this cell's artifact failed to train"."""
-    return (
-        f"training failed for artifact {fingerprint} ({spec.label()}):\n{details}"
-    )
-
-
-def _fleet_error(fingerprint: str, spec: FleetSpec, details: str) -> str:
-    """One message format for "this cell's fleet failed to train"."""
-    return f"training failed for fleet {fingerprint} ({spec.label()}):\n{details}"
+def _training_error(fingerprint: str, spec: ArtifactSpec, details: str) -> str:
+    """One message format for "this cell's agent or fleet failed to train"."""
+    kind = "fleet" if isinstance(spec, FleetSpec) else "artifact"
+    return f"training failed for {kind} {fingerprint} ({spec.label()}):\n{details}"
 
 
 def default_artifact_dir(cache_dir: Optional[str]) -> Optional[str]:
@@ -976,26 +970,24 @@ class SweepRunner:
         """
         specs: Dict[str, TrainingSpec] = {}
         fleet_specs: Dict[str, FleetSpec] = {}
-        spec_cells: Dict[str, ScenarioCell] = {}  # spec fp -> a cell needing it
         for _, cell in pending:
             spec = cell.training_spec()
             if spec is not None:
-                fingerprint = spec.fingerprint()
-                specs.setdefault(fingerprint, spec)
-                spec_cells.setdefault(fingerprint, cell)
+                specs.setdefault(spec.fingerprint(), spec)
             fleet = cell.fleet_spec()
             if fleet is not None:
                 fleet_specs.setdefault(fleet.fingerprint(), fleet)
 
         jobs: Dict[Future, _Job] = {}
+        # One dependency map: a cell waits on at most one fingerprint, of an
+        # agent spec or a fleet spec.  ``ready`` holds the agents (round-0
+        # device agents included) and fleets resolved so far.
+        ready: Dict[str, StoredArtifact] = {}
         waiting: Dict[str, List[Tuple[int, ScenarioCell]]] = {}
+        failed: set = set()
 
         # -- fleet state -------------------------------------------------------
-        fleets: Dict[str, FleetArtifact] = {}
         builds: Dict[str, FleetBuild] = {}
-        failed_fleets: set = set()
-        fleet_waiting: Dict[str, List[Tuple[int, ScenarioCell]]] = {}
-        device_artifacts: Dict[str, AgentArtifact] = {}
         device_needs: Dict[str, List[str]] = {}  # device spec fp -> fleet fps
         missing_devices: Dict[str, set] = {}  # fleet fp -> unresolved device fps
         round_buffers: Dict[str, List[Optional[Dict[str, Any]]]] = {}
@@ -1003,14 +995,13 @@ class SweepRunner:
         for fleet_fingerprint, fleet_spec in fleet_specs.items():
             stored = self.fleets.resolve(fleet_spec)
             if stored is not None:
-                fleets[fleet_fingerprint] = stored
+                ready[fleet_fingerprint] = stored
             else:
                 builds[fleet_fingerprint] = FleetBuild(
                     fleet_spec, start=self.fleets.resume_candidate(fleet_spec)
                 )
 
         # -- artifact resolution: cell specs + fleet round-0 device specs ------
-        artifacts: Dict[str, AgentArtifact] = {}
         missing: Dict[str, TrainingSpec] = {}
         for fleet_fingerprint, build in builds.items():
             if not build.needs_round0:
@@ -1018,12 +1009,12 @@ class SweepRunner:
             unresolved = set()
             for device_spec in build.device_specs():
                 fingerprint = device_spec.fingerprint()
-                if fingerprint in device_artifacts:
+                if fingerprint in ready:
                     continue
                 if fingerprint not in missing:
                     artifact = self.artifacts.resolve(device_spec)
                     if artifact is not None:
-                        device_artifacts[fingerprint] = artifact
+                        ready[fingerprint] = artifact
                         continue
                     missing[fingerprint] = device_spec
                 unresolved.add(fingerprint)
@@ -1031,14 +1022,11 @@ class SweepRunner:
             if unresolved:
                 missing_devices[fleet_fingerprint] = unresolved
         for fingerprint, spec in specs.items():
-            if fingerprint in missing:
-                continue  # already queued as a fleet device spec
-            if fingerprint in device_artifacts:
-                artifacts[fingerprint] = device_artifacts[fingerprint]
-                continue
+            if fingerprint in ready or fingerprint in missing:
+                continue  # already resolved or queued as a fleet device spec
             artifact = self.artifacts.resolve(spec)
             if artifact is not None:
-                artifacts[fingerprint] = artifact
+                ready[fingerprint] = artifact
             else:
                 missing[fingerprint] = spec
 
@@ -1153,9 +1141,6 @@ class SweepRunner:
                 settle_cell(index, cell, cell_job(index, cell), result)
 
         def submit_training(fingerprint: str, spec: TrainingSpec) -> None:
-            # Price the budget from a cell that needs this spec; a fleet
-            # round-0 device spec has no such cell and is priced on its own.
-            representative = spec_cells.get(fingerprint)
             launch(
                 _Job(
                     keys=(fingerprint,),
@@ -1163,11 +1148,7 @@ class SweepRunner:
                         train_artifact, spec, attempt=attempt
                     ),
                     settle=partial(settle_training, fingerprint, spec),
-                    budget_s=(
-                        self.watchdog.training_budget_s(representative)
-                        if representative is not None
-                        else self.watchdog.spec_budget_s(spec)
-                    ),
+                    budget_s=self.watchdog.spec_budget_s(spec),
                 )
             )
 
@@ -1175,123 +1156,112 @@ class SweepRunner:
             fingerprint: str, spec: TrainingSpec, job: _Job, outcome: Any
         ) -> None:
             if isinstance(outcome, _Failure):
-                if retry(job, outcome):
-                    return
-                # The artifact failed to train for good: fail its cells, and
-                # any fleet whose round 0 needed it, without occupying
-                # workers (errors are never cached).
-                error = _training_error(fingerprint, spec, outcome.error)
-                for index, cell in waiting.pop(fingerprint, ()):
-                    deliver(
-                        index,
-                        CellResult(
-                            cell=cell, status="error", error=error,
-                            error_kind=PERMANENT, error_type=outcome.error_type,
-                        ),
-                    )
-                for fleet_fingerprint in device_needs.pop(fingerprint, ()):
-                    if fleet_fingerprint not in failed_fleets:
-                        fail_fleet(fleet_fingerprint, error)
+                if not retry(job, outcome):
+                    fail(fingerprint, spec, outcome.error, outcome.error_type)
                 return
             self.artifacts.accept(outcome)
-            device_artifacts[fingerprint] = outcome
-            for index, cell in waiting.pop(fingerprint, ()):
-                launch(cell_job(index, cell, outcome))
+            release(fingerprint, outcome)
             for fleet_fingerprint in device_needs.pop(fingerprint, ()):
-                if fleet_fingerprint in failed_fleets:
+                if fleet_fingerprint in failed:
                     continue
                 unresolved = missing_devices[fleet_fingerprint]
                 unresolved.discard(fingerprint)
                 if not unresolved:
                     del missing_devices[fleet_fingerprint]
-                    builds[fleet_fingerprint].provide_round0(device_artifacts)
+                    builds[fleet_fingerprint].provide_round0(ready)
                     advance_fleet(fleet_fingerprint)
 
-        def fail_fleet(fleet_fingerprint: str, details: str) -> None:
-            failed_fleets.add(fleet_fingerprint)
-            round_buffers.pop(fleet_fingerprint, None)
-            error = _fleet_error(
-                fleet_fingerprint, fleet_specs[fleet_fingerprint], details
-            )
-            for index, cell in fleet_waiting.pop(fleet_fingerprint, ()):
+        def release(fingerprint: str, artifact: StoredArtifact) -> None:
+            """An agent or fleet is ready: launch the cells waiting on it."""
+            ready[fingerprint] = artifact
+            for index, cell in waiting.pop(fingerprint, ()):
+                launch(cell_job(index, cell, artifact))
+
+        def fail(
+            fingerprint: str, spec: ArtifactSpec, details: str, error_type: Optional[str]
+        ) -> None:
+            """An agent or fleet failed to train for good: fail what waits on it.
+
+            Its cells report the failure without occupying workers (errors are
+            never cached), and every fleet whose round 0 needed it fails too.
+            """
+            error = _training_error(fingerprint, spec, details)
+            failed.add(fingerprint)
+            round_buffers.pop(fingerprint, None)
+            for index, cell in waiting.pop(fingerprint, ()):
                 deliver(
                     index,
                     CellResult(
-                        cell=cell, status="error", error=error, error_kind=PERMANENT
+                        cell=cell, status="error", error=error,
+                        error_kind=PERMANENT, error_type=error_type,
                     ),
                 )
+            for fleet_fingerprint in device_needs.pop(fingerprint, ()):
+                if fleet_fingerprint not in failed:
+                    fail(
+                        fleet_fingerprint, fleet_specs[fleet_fingerprint], error, None
+                    )
 
         def advance_fleet(fleet_fingerprint: str) -> None:
-            """Submit the build's next round, or capture and release it."""
+            """Launch the build's next round as device chunks, or release it.
+
+            The batch route puts every device in one job, which steps the
+            whole fleet through the batched device-population kernel --
+            bit-identical to one job per device (the federated parity tests
+            pin it), but the round costs one worker instead of N.
+            """
             build = builds[fleet_fingerprint]
             if build.finished:
                 artifact = build.artifact()
                 self.fleets.accept(artifact, resumed=build.resumed)
-                fleets[fleet_fingerprint] = artifact
-                for index, cell in fleet_waiting.pop(fleet_fingerprint, ()):
-                    launch(cell_job(index, cell, artifact))
+                release(fleet_fingerprint, artifact)
                 return
             round_index, round_jobs = build.round_jobs()
-            if routes_to_batch(
+            batched = routes_to_batch(
                 round_route(round_jobs), "devices", batch_kernel_available
-            ):
-                # One job steps the whole fleet through the batched
-                # device-population kernel -- bit-identical to the
-                # one-job-per-device fan-out (the federated parity tests
-                # pin it), but the round costs one worker instead of N.
-                launch(
-                    _Job(
-                        keys=(f"{fleet_fingerprint}:r{round_index}",),
-                        start=lambda attempt: executor.submit(
-                            train_device_rounds_batched, round_jobs, attempt=attempt
-                        ),
-                        settle=partial(
-                            settle_batched_round, fleet_fingerprint, round_index
-                        ),
-                        budget_s=self.watchdog.round_budget_s(round_jobs),
-                    )
-                )
-                return
+            )
             round_buffers[fleet_fingerprint] = [None] * len(round_jobs)
-            for device, args in enumerate(round_jobs):
+            key = f"{fleet_fingerprint}:r{round_index}"
+            chunks = [round_jobs] if batched else [[args] for args in round_jobs]
+            for device, chunk in enumerate(chunks):
                 launch(
                     _Job(
-                        keys=(f"{fleet_fingerprint}:r{round_index}:d{device}",),
-                        start=lambda attempt, args=args: executor.submit(
-                            train_device_round, *args, attempt=attempt
-                        ),
+                        keys=(key if batched else f"{key}:d{device}",),
+                        start=partial(submit_round, chunk, batched),
                         settle=partial(
                             settle_round, fleet_fingerprint, round_index, device
                         ),
-                        budget_s=self.watchdog.round_budget_s([args]),
+                        budget_s=self.watchdog.round_budget_s(chunk),
                     )
                 )
 
+        def submit_round(
+            chunk: List[Tuple[Any, ...]], batched: bool, attempt: int
+        ) -> Future:
+            if batched:
+                return executor.submit(
+                    train_device_rounds_batched, chunk, attempt=attempt
+                )
+            return executor.submit(train_device_round, *chunk[0], attempt=attempt)
+
         def settle_round(
-            fleet_fingerprint: str, round_index: int, device: int, job: _Job, state: Any
+            fleet_fingerprint: str, round_index: int, first: int, job: _Job, states: Any
         ) -> None:
-            if fleet_fingerprint in failed_fleets:
+            if fleet_fingerprint in failed:
                 return  # a sibling device job already doomed it
-            if isinstance(state, _Failure):
-                if not retry(job, state):
-                    fail_fleet(fleet_fingerprint, state.error)
+            if isinstance(states, _Failure):
+                if not retry(job, states):
+                    spec = fleet_specs[fleet_fingerprint]
+                    fail(fleet_fingerprint, spec, states.error, None)
                 return
+            if isinstance(states, dict):
+                states = [states]  # a per-device job returns its one state
             buffer = round_buffers[fleet_fingerprint]
-            buffer[device] = state
+            buffer[first : first + len(states)] = states
             if all(entry is not None for entry in buffer):
                 del round_buffers[fleet_fingerprint]
                 builds[fleet_fingerprint].finish_round(round_index, buffer)
                 advance_fleet(fleet_fingerprint)
-
-        def settle_batched_round(
-            fleet_fingerprint: str, round_index: int, job: _Job, states: Any
-        ) -> None:
-            if isinstance(states, _Failure):
-                if not retry(job, states):
-                    fail_fleet(fleet_fingerprint, states.error)
-                return
-            builds[fleet_fingerprint].finish_round(round_index, states)
-            advance_fleet(fleet_fingerprint)
 
         # -- initial submissions -----------------------------------------------
         for fingerprint, spec in missing.items():
@@ -1303,7 +1273,7 @@ class SweepRunner:
             if not build.needs_round0:
                 advance_fleet(fleet_fingerprint)
             elif fleet_fingerprint not in missing_devices:
-                build.provide_round0(device_artifacts)
+                build.provide_round0(ready)
                 advance_fleet(fleet_fingerprint)
 
         # Artifact-free cells group and chunk so a pool still spreads a large
@@ -1323,26 +1293,13 @@ class SweepRunner:
         dispatch.sort(key=lambda pair: pair[0])
 
         for index, cell in dispatch:
-            fleet = cell.fleet_spec()
-            if fleet is not None:
-                fleet_fingerprint = fleet.fingerprint()
-                if fleet_fingerprint in fleets:
-                    launch(cell_job(index, cell, fleets[fleet_fingerprint]))
-                else:
-                    # No fleet can have failed yet (nothing has completed),
-                    # so every unresolved fleet's cells simply queue.
-                    fleet_waiting.setdefault(fleet_fingerprint, []).append(
-                        (index, cell)
-                    )
-                continue
-            spec = cell.training_spec()
-            if spec is None:
-                launch(cell_job(index, cell))
-                continue
-            fingerprint = spec.fingerprint()
-            if fingerprint in artifacts:
-                launch(cell_job(index, cell, artifacts[fingerprint]))
+            spec = cell.fleet_spec() or cell.training_spec()
+            fingerprint = None if spec is None else spec.fingerprint()
+            if fingerprint is None or fingerprint in ready:
+                launch(cell_job(index, cell, ready.get(fingerprint)))
             else:
+                # Nothing has completed yet, so nothing has failed: the
+                # cells of every unresolved agent or fleet simply queue.
                 waiting.setdefault(fingerprint, []).append((index, cell))
 
         # -- the loop ----------------------------------------------------------

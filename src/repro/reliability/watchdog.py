@@ -77,12 +77,8 @@ class WatchdogPolicy:
         """
         return self._total([self.cell_budget_s(cell) for cell in cells])
 
-    def training_budget_s(self, cell: Any) -> Optional[float]:
-        """Budget for training the spec or fleet of one cell."""
-        return self._priced(lambda model: model.training_cost_s(cell))
-
     def spec_budget_s(self, spec: Any) -> Optional[float]:
-        """Budget for training one spec (a fleet's round-0 device spec)."""
+        """Budget for training one spec (a cell's, or a fleet's round-0 device)."""
         return self._priced(lambda model: model.spec_training_cost_s(spec))
 
     def round_budget_s(self, jobs: Any) -> Optional[float]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.agent import AgentConfig, NextAgent
 from repro.core.governor import NextGovernor
@@ -240,10 +240,115 @@ def compare_governors_on_trace(
 # ----------------------------------------------------------------------------------
 
 #: Stride between the seeds of consecutive training episodes on one app.
-#: Shared with the batched federated round path
-#: (:func:`repro.experiments.federated.train_device_rounds_batched`), which
-#: must derive bit-identical per-episode seeds.
 EPISODE_SEED_STRIDE = 101
+
+#: Stride between the base seeds of consecutive apps when one governor is
+#: trained on several applications, so their episode seeds cannot overlap.
+APP_SEED_STRIDE = 1009
+
+
+#: One agent's part of a training schedule: ``(governor, apps, episodes,
+#: episode_duration_s, seed, config)``; each episode replaces the config's seed.
+TrainingLane = Tuple[NextGovernor, Sequence[str], int, float, int, SimulationConfig]
+
+
+def training_config(
+    platform: PlatformSpec,
+    duration_s: float,
+    seed: int,
+    overrides: Sequence[Tuple[str, Any]] = (),
+) -> SimulationConfig:
+    """A training lane's environment: the platform's, plus a spec's overrides."""
+    return SimulationConfig(
+        refresh_hz=platform.display_refresh_hz,
+        duration_s=duration_s,
+        seed=seed,
+        **dict(overrides),
+    )
+
+
+def train_lanes(
+    lanes: Sequence[TrainingLane],
+    platform: PlatformSpec,
+    td_error_threshold: float = 0.02,
+    batched: bool = False,
+) -> List[List[TrainingResult]]:
+    """Train every lane's agent on its apps; one result per lane and app.
+
+    The one Next training schedule.  Episode ``e`` of a lane's app ``a`` runs
+    a fresh app model and simulation seeded ``seed + a * APP_SEED_STRIDE +
+    e * EPISODE_SEED_STRIDE``, so the agent sees varied user behaviour, as
+    in the paper's on-device training across real usage; reusing one seed
+    would narrow the experience it trains on.  A lane leaves an app once its
+    episode budget is spent or its agent's TD error drops below
+    ``td_error_threshold``.  Governors train per app and stay training;
+    callers freeze them.
+
+    ``batched`` only picks the kernel, bit-identical per lane: one
+    :class:`~repro.sim.batch.BatchSimulation` per episode over the running
+    lanes, or one unrecorded :class:`Simulation` per lane and episode --
+    the trained agent is an episode's only product.
+    """
+    governors, app_lists, budgets, durations, base_seeds, configs = zip(*lanes)
+    results: List[List[TrainingResult]] = [[] for _ in lanes]
+    for app_index in range(max(len(apps) for apps in app_lists)):
+        on_app = [i for i, apps in enumerate(app_lists) if app_index < len(apps)]
+        for i in on_app:
+            governors[i].set_training(True)
+        episodes_run = [0] * len(lanes)
+        running = on_app
+        for episode in range(max(budgets[i] for i in on_app)):
+            running = [i for i in running if episode < budgets[i]]
+            if not running:
+                break
+            offset = app_index * APP_SEED_STRIDE + episode * EPISODE_SEED_STRIDE
+            seeds = [base_seeds[i] + offset for i in running]
+            apps = [
+                make_app(app_lists[i][app_index], seed=seed)
+                for i, seed in zip(running, seeds)
+            ]
+            episode_configs = [
+                replace(configs[i], seed=seed) for i, seed in zip(running, seeds)
+            ]
+            if batched:
+                from repro.sim.batch import BatchSimulation
+
+                batch = BatchSimulation(
+                    platform, [governors[i] for i in running], episode_configs
+                )
+                batch.run(apps, duration_s=[durations[i] for i in running])
+            else:
+                for i, seed, config, app in zip(running, seeds, episode_configs, apps):
+                    simulation = Simulation(
+                        platform=platform, governor=governors[i], config=config,
+                        record=False,
+                    )
+                    with maybe_span(
+                        "episode", app=app.name, episode=episode, seed=seed
+                    ):
+                        simulation.run(app, duration_s=durations[i])
+            for i in running:
+                episodes_run[i] = episode + 1
+            running = [
+                i
+                for i in running
+                if not governors[i].agent.has_converged(td_error_threshold)
+            ]
+        for i in on_app:
+            agent = governors[i].agent
+            app_name = app_lists[i][app_index]
+            results[i].append(
+                TrainingResult(
+                    app_name=app_name,
+                    episodes=episodes_run[i],
+                    agent_steps=agent.steps_for(app_name),
+                    training_time_s=agent.training_time_s(app_name),
+                    converged=agent.has_converged(td_error_threshold),
+                    final_td_error=agent.recent_td_error(),
+                    qtable_states=agent.qtable_size(app_name),
+                )
+            )
+    return results
 
 
 def train_next_governor(
@@ -258,52 +363,16 @@ def train_next_governor(
 ) -> TrainingResult:
     """Train the Next agent on ``app_name`` over several simulated sessions.
 
-    Each episode uses a freshly seeded application model so the agent sees
-    varied user behaviour, mirroring the paper's on-device training across
-    real usage.  Training stops early once the agent's TD error drops below
-    ``td_error_threshold``.  Episodes run unrecorded: the trained agent is
-    their only product.
+    One lane of :func:`train_lanes` on the scalar kernel: each episode
+    uses a freshly seeded application model, and training stops early once
+    the agent's TD error drops below ``td_error_threshold``.  ``config``
+    keeps the caller's knobs; each episode still gets its own seed.
     """
     platform = platform or exynos9810()
-    governor.set_training(True)
-    episodes_run = 0
-    for episode in range(episodes):
-        episodes_run += 1
-        episode_seed = seed + episode * EPISODE_SEED_STRIDE
-        if config is not None:
-            # Keep the caller's knobs but still vary the sensor-noise seed per
-            # episode; reusing one seed would de-randomise "freshly seeded"
-            # episodes and narrow the experience the agent trains on.
-            episode_config = replace(config, seed=episode_seed)
-        else:
-            episode_config = SimulationConfig(
-                refresh_hz=platform.display_refresh_hz,
-                duration_s=episode_duration_s,
-                seed=episode_seed,
-            )
-        simulation = Simulation(
-            platform=platform, governor=governor, config=episode_config, record=False
-        )
-        app = make_app(app_name, seed=episode_seed)
-        with maybe_span("episode", app=app_name, episode=episode, seed=episode_seed):
-            simulation.run(app, duration_s=episode_duration_s)
-        if governor.agent.has_converged(td_error_threshold):
-            break
-    agent = governor.agent
-    return TrainingResult(
-        app_name=app_name,
-        episodes=episodes_run,
-        agent_steps=agent.steps_for(app_name),
-        training_time_s=agent.training_time_s(app_name),
-        converged=agent.has_converged(td_error_threshold),
-        final_td_error=agent.recent_td_error(),
-        qtable_states=agent.qtable_size(app_name),
-    )
-
-
-#: Stride between the base seeds of consecutive apps when one governor is
-#: trained on several applications, so their episode seeds cannot overlap.
-APP_SEED_STRIDE = 1009
+    if config is None:
+        config = training_config(platform, episode_duration_s, seed)
+    lane = (governor, (app_name,), episodes, episode_duration_s, seed, config)
+    return train_lanes([lane], platform, td_error_threshold)[0][0]
 
 
 def train_next_on_apps(
@@ -321,12 +390,12 @@ def train_next_on_apps(
     Each app trains through :func:`train_next_governor` with a base seed of
     ``seed + index * APP_SEED_STRIDE``; afterwards exploration is switched
     off so the governor evaluates the greedy (fully trained) policy.  This
-    is the single train-then-freeze path shared by
-    :func:`pretrained_next_governor`, :func:`select_best_next_governor`,
-    the sweep harness's artifact trainer and the federated pipeline's
-    per-device continuation rounds
-    (:func:`repro.experiments.federated.train_device_round`), so their
-    trained policies cannot drift apart.
+    is the train-then-freeze path shared by :func:`pretrained_next_governor`,
+    :func:`select_best_next_governor` and the sweep harness's artifact
+    trainer; the federated pipeline's device rounds
+    (:func:`repro.experiments.federated.train_device_round`) freeze after
+    the same :func:`train_lanes` schedule, so their trained policies cannot
+    drift apart.
     """
     platform = platform or exynos9810()
     results = [

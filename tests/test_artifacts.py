@@ -327,6 +327,10 @@ class TestArtifactStore:
             failed = sweep.failures
             assert [result.cell for result in failed] == [doomed]
             assert failed[0].error_kind == PERMANENT
+            assert failed[0].error.startswith(
+                f"training failed for artifact {doomed.training_spec().fingerprint()} ("
+            )
+            assert failed[0].error_type == "InjectedTransientError"
             assert "injected transient fault" in failed[0].error
             assert runner.artifacts.trained_count == 1
 

@@ -201,6 +201,61 @@ class TestBatchedFederatedRound:
             train_device_rounds_batched(jobs)
 
 
+#: One training lane: its apps, episode budget, episode duration and seed.
+training_lane_strategy = st.tuples(
+    st.lists(st.sampled_from(("home", "facebook", "spotify")), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from((2.0, 2.5, 3.0)),
+    st.integers(min_value=0, max_value=500),
+)
+
+
+class TestOneTrainingSchedule:
+    """``train_lanes`` trains the same agents on either kernel.
+
+    Lanes differ in app lists and episode budgets, and a short TD-error
+    window lets drawn thresholds converge some lanes early, so lanes leave
+    an app at different episodes on the batch kernel too.
+    """
+
+    @given(
+        lanes=st.lists(training_lane_strategy, min_size=2, max_size=4),
+        threshold=st.sampled_from((0.0, 0.5, 1.0, 2.0, float("inf"))),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_batched_lanes_equal_one_scalar_run_per_lane(self, lanes, threshold):
+        from repro.core.agent import AgentConfig
+        from repro.core.governor import NextGovernor
+        from repro.sim.experiment import train_lanes, training_config
+
+        platform = make_platform("generic-two-cluster")
+
+        def fresh_lanes():
+            agent_config = AgentConfig(td_error_window=10)
+            return [
+                (
+                    NextGovernor(config=agent_config, seed=seed),
+                    apps,
+                    episodes,
+                    duration_s,
+                    seed,
+                    training_config(platform, duration_s, seed),
+                )
+                for apps, episodes, duration_s, seed in lanes
+            ]
+
+        batched = fresh_lanes()
+        batched_results = train_lanes(batched, platform, threshold, batched=True)
+        scalar = fresh_lanes()
+        scalar_results = [
+            train_lanes([lane], platform, threshold)[0] for lane in scalar
+        ]
+        assert batched_results == scalar_results
+        assert [lane[0].agent.to_dict() for lane in batched] == [
+            lane[0].agent.to_dict() for lane in scalar
+        ]
+
+
 class TestBatchedFleetGolden:
     """One batched fleet cell pinned against committed golden hashes.
 

@@ -18,7 +18,7 @@ import os
 
 import pytest
 
-from repro.experiments import cli
+from repro.experiments import cli, distributed
 from repro.experiments.distributed import (
     MANIFEST_FILENAME,
     CostModel,
@@ -785,6 +785,29 @@ class TestShardLiveness:
         os.makedirs(shard_dir, exist_ok=True)
         with open(os.path.join(shard_dir, "shard-status.json"), "w") as handle:
             json.dump(payload, handle)
+
+    def test_watchdog_prices_jobs_from_the_manifest_cost_model(
+        self, tmp_path, monkeypatch
+    ):
+        # A plan made with a bench report must budget its shard's jobs from
+        # that report, not from the committed default numbers.
+        default = CostModel()
+        slow = CostModel(
+            cell_s_per_sim_s=10 * default.cell_s_per_sim_s,
+            train_s_per_sim_s=10 * default.train_s_per_sim_s,
+        )
+        manifest = plan_shards(named_matrix("smoke"), 1, cost_model=slow)
+        watchdogs = []
+
+        class RecordingRunner(SweepRunner):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                watchdogs.append(self.watchdog)
+
+        monkeypatch.setattr(distributed, "SweepRunner", RecordingRunner)
+        run_shard(manifest, 0, shard_directory(str(tmp_path), 0))
+        assert [watchdog.cost_model for watchdog in watchdogs] == [slow]
+        assert watchdogs[0].cell_timeout_s is None
 
     def test_status_file_carries_heartbeat_and_attempt_count(self, tmp_path):
         manifest = plan_shards(small_matrix(), 1)

@@ -394,8 +394,15 @@ class TestFleetStore:
             with injected_faults(plan):
                 sweep = runner.run(_federated_matrix(apps=(APP, "facebook")))
             assert [result.cell.fleet_spec() for result in sweep.failures] == [doomed]
-            assert sweep.failures[0].error_kind == PERMANENT
-            assert "injected transient fault" in sweep.failures[0].error
+            failure = sweep.failures[0]
+            assert failure.error_kind == PERMANENT
+            assert failure.error.startswith(
+                f"training failed for fleet {doomed.fingerprint()} ("
+            )
+            device = doomed.device_training_spec(0).fingerprint()
+            assert f"\ntraining failed for artifact {device} (" in failure.error
+            assert failure.error_type is None
+            assert "injected transient fault" in failure.error
             assert runner.fleets.trained_count == 1
 
 

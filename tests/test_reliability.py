@@ -265,7 +265,7 @@ class _FlatCostModel:
     def cell_cost_s(self, cell):
         return 10.0
 
-    def training_cost_s(self, cell):
+    def spec_training_cost_s(self, spec):
         return 100.0
 
 
@@ -274,14 +274,14 @@ class TestWatchdogPolicy:
         policy = WatchdogPolicy()
         assert policy.cell_budget_s("cell") is None
         assert policy.batch_budget_s(["a", "b"]) is None
-        assert policy.training_budget_s("cell") is None
+        assert policy.spec_budget_s("spec") is None
 
     def test_budgets_scale_the_cost_model_with_a_floor(self):
         policy = WatchdogPolicy(
             cost_model=_FlatCostModel(), multiplier=20.0, floor_s=60.0
         )
         assert policy.cell_budget_s("cell") == 200.0
-        assert policy.training_budget_s("cell") == 2000.0
+        assert policy.spec_budget_s("spec") == 2000.0
         assert policy.batch_budget_s(["a", "b", "c"]) == 600.0
         tight = WatchdogPolicy(
             cost_model=_FlatCostModel(), multiplier=1.0, floor_s=60.0
@@ -293,7 +293,7 @@ class TestWatchdogPolicy:
             cost_model=_FlatCostModel(), cell_timeout_s=5.0
         )
         assert policy.cell_budget_s("cell") == 5.0
-        assert policy.training_budget_s("cell") == 5.0
+        assert policy.spec_budget_s("spec") == 5.0
         assert policy.batch_budget_s(["a", "b"]) == 10.0
 
     def test_invalid_parameters_are_rejected(self):
