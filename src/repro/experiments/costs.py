@@ -85,6 +85,17 @@ class CostModel:
     measured 1.08-1.24x faster batched on both platforms.  Federated
     training rounds cost more per lane-tick on both routes and cross over
     at 10-14 lanes; the named fleets have 2 devices.
+
+    The constants are deliberately not re-fitted to today's kernel.  Since
+    its stages became whole-array calls, the same fit measures a fixed cost
+    of 161-252 us per tick over two sittings (365-523 us before, measured
+    in the same sittings) and 4.8-14.8 us per lane-tick, crossing over at
+    6-13 lanes (README "Batched fleets"); their means cross over at 8-9
+    lanes, which would move no named sweep's route.  A crossover low
+    enough to batch ``smoke``, ``trained-next`` or ``federated`` would
+    import NumPy into them, and importing it alone raises a process's peak
+    RSS by about 10 MB -- a quarter of ``learned-seq``'s peak.  The route
+    must price that import before its crossover moves.
     """
 
     #: ``after.sweep_cell_wall_s`` (0.00762 s) over the bench's 4 sim-s cell.

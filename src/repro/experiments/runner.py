@@ -479,10 +479,11 @@ def batchable_cell_groups(
     :class:`~repro.sim.batch.BatchSimulation`.  Session durations and
     ``record_every_n_ticks`` overrides may differ within a group: mixed
     cells run as masked heterogeneous lanes of the batch kernel.  Each group
-    is split into up to ``workers`` chunks of at least two cells so a
-    process pool still spreads a large homogeneous sweep across its
-    workers; singleton leftovers run scalar.  Whether a chunk then runs on
-    the batch kernel is the cost model's call (:func:`cell_route`).
+    is cut into up to ``workers`` contiguous chunks of near-equal simulated
+    seconds (:func:`split_by_seconds`) so a process pool still spreads a
+    large sweep evenly across its workers; singleton leftovers run scalar.
+    Whether a chunk then runs on the batch kernel is the cost model's call
+    (:func:`cell_route`).
 
     Returns ``(groups, rest)`` preserving the original ``(index, cell)``
     pairs; ``rest`` keeps its input order.
@@ -506,15 +507,40 @@ def batchable_cell_groups(
             rest.extend(bucket)
             continue
         chunk_count = max(1, min(workers, len(bucket) // 2))
-        size = -(-len(bucket) // chunk_count)  # ceil division
-        for start in range(0, len(bucket), size):
-            chunk = bucket[start : start + size]
+        for chunk in split_by_seconds(bucket, chunk_count):
             if len(chunk) >= 2:
                 groups.append(chunk)
             else:
                 rest.extend(chunk)
     rest.sort(key=lambda pair: pair[0])
     return groups, rest
+
+
+def split_by_seconds(
+    bucket: List[Tuple[int, ScenarioCell]], chunk_count: int
+) -> List[List[Tuple[int, ScenarioCell]]]:
+    """Cut ``bucket`` into ``chunk_count`` contiguous runs of near-equal simulated seconds.
+
+    A cell stays in the current run while its midpoint falls at or before
+    that run's share of the bucket's total, so every cut lands on the cell
+    boundary nearest its share: with two runs their seconds differ by at
+    most the longest cell's duration, and equal durations split ``n`` cells
+    as ``ceil(n / 2)`` and the rest.  Runs may come out empty.
+    """
+    durations = [cell.workload.duration_s for _, cell in bucket]
+    total = sum(durations)
+    chunks: List[List[Tuple[int, ScenarioCell]]] = [[] for _ in range(chunk_count)]
+    chunk = 0
+    elapsed = 0.0
+    for pair, duration in zip(bucket, durations):
+        while (
+            chunk < chunk_count - 1
+            and elapsed + duration / 2 > total * (chunk + 1) / chunk_count
+        ):
+            chunk += 1
+        chunks[chunk].append(pair)
+        elapsed += duration
+    return chunks
 
 
 def _training_error(fingerprint: str, spec: ArtifactSpec, details: str) -> str:

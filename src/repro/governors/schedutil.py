@@ -28,6 +28,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.governors.base import Governor, GovernorObservation
 from repro.soc.cluster import Cluster, ClusterKind
+from repro.soc.frequency import flat_table
 
 
 @dataclass
@@ -288,7 +289,7 @@ class SchedutilScaler:
         self, clusters: Mapping[str, Cluster], n_devices: int
     ) -> "BatchScalerState":
         """Precompute the per-cluster records and state arrays for a batch."""
-        return BatchScalerState(self.compile_clusters(clusters), n_devices)
+        return BatchScalerState(self.compile_clusters(clusters), n_devices, self.config)
 
     def select_tick_batch(
         self,
@@ -303,95 +304,115 @@ class SchedutilScaler:
 
         ``utilisation_rows`` / ``current_rows`` / limit rows are
         ``(clusters, devices)`` arrays; ``current_rows`` is updated in place.
-        Per lane the decision sequence is exactly :meth:`select_tick`'s: the
+        Every step is one whole-array call over all clusters and lanes.  Per
+        lane the decision sequence is exactly :meth:`select_tick`'s: the
         utilisation clamp and io-boost floor, ``headroom * f_curr * util``,
-        a left-``searchsorted`` (identical to ``bisect_left`` -- float
-        comparisons are exact), the touch-boost floor with hold window, the
-        up/down rate limits, and the limit-window clamp of
+        the clamped ``bisect_left`` and its ``target_freq > 0`` guard as one
+        search (see :class:`BatchScalerState`), the touch-boost floor with
+        hold window, the up/down rate limits, and the limit-window clamp of
         ``Cluster.set_frequency_index``.
         """
         import numpy as np
 
         cfg = self.config
-        headroom = cfg.headroom
         io_boost = cfg.io_boost
-        up_rate_limit = cfg.up_rate_limit_s
-        down_rate_limit = cfg.down_rate_limit_s
-        boost_threshold = cfg.touch_boost_util_threshold
-        boost_hold = cfg.touch_boost_hold_s
-        for k in range(len(state.frequencies)):
-            frequencies = state.frequencies[k]
-            top_index = state.top_index[k]
-            current = current_rows[k]
-            utilisation = np.minimum(1.0, np.maximum(0.0, utilisation_rows[k]))
-            if io_boost > 0.0:
-                utilisation = np.where(
-                    (utilisation > 0) & (utilisation < io_boost),
-                    io_boost,
-                    utilisation,
-                )
-            target_freq = headroom * frequencies[current] * utilisation
-            target_index = np.searchsorted(frequencies, target_freq, side="left")
-            target_index = np.where(
-                target_freq > 0, np.minimum(target_index, top_index), 0
+        utilisation = np.minimum(1.0, np.maximum(0.0, utilisation_rows))
+        if io_boost > 0.0:
+            utilisation = np.where(
+                (utilisation > 0) & (utilisation < io_boost), io_boost, utilisation
             )
-            if state.boostable[k]:
-                boost_index = state.boost_index[k]
-                last_activity = state.last_activity[k]
-                active = utilisation >= boost_threshold
-                np.copyto(last_activity, now_s, where=active)
-                in_hold = (now_s - last_activity) <= boost_hold
-                target_index = np.where(
-                    in_hold & (boost_index > target_index), boost_index, target_index
-                )
-            applied = np.maximum(
-                min_limit_rows[k], np.minimum(max_limit_rows[k], target_index)
-            )
-            last_up = state.last_up[k]
-            last_down = state.last_down[k]
-            do_up = (target_index > current) & ~((now_s - last_up) < up_rate_limit)
-            do_down = (target_index < current) & ~(
-                (now_s - last_down) < down_rate_limit
-            )
-            changed = applied != current
-            np.copyto(last_up, now_s, where=do_up & changed)
-            np.copyto(last_down, now_s, where=do_down & changed)
-            np.copyto(current, applied, where=do_up | do_down)
+        target_freq = state.headroom_frequencies[current_rows + state.offsets] * utilisation
+        target_index = (state.ceil_table >= target_freq[:, None, :]).argmax(axis=1)
+        if state.any_boostable:
+            last_activity = state.last_activity
+            active = (utilisation >= cfg.touch_boost_util_threshold) & state.boostable
+            np.copyto(last_activity, now_s, where=active)
+            boosted = (
+                active
+                | (state.boostable & ((now_s - last_activity) <= cfg.touch_boost_hold_s))
+            ) & (state.boost_index > target_index)
+            np.copyto(target_index, state.boost_index, where=boosted)
+        applied = np.maximum(min_limit_rows, np.minimum(max_limit_rows, target_index))
+        # Row 0 of ``moves`` is "step up", row 1 "step down", each unless its
+        # rate limit holds it back.
+        moves = state.moves
+        np.greater(target_index, current_rows, out=moves[0])
+        np.less(target_index, current_rows, out=moves[1])
+        moves &= ~((now_s - state.last_moved) < state.rate_limits)
+        np.copyto(state.last_moved, now_s, where=moves & (applied != current_rows))
+        np.copyto(current_rows, applied, where=moves[0] | moves[1])
 
 
 class BatchScalerState:
     """Per-batch state of :meth:`SchedutilScaler.select_tick_batch`.
 
-    Holds the compiled per-cluster constants plus the rate-limit / boost
-    timestamps as ``(clusters, devices)`` float arrays.  A timestamp of
-    ``-inf`` encodes the scalar scaler's "no entry in the dict" state: every
-    ``now - timestamp`` comparison then behaves exactly like the scalar
-    ``None`` checks (``inf < limit`` is false, ``inf <= hold`` is false).
+    Holds the compiled per-cluster constants as ``(clusters, 1)`` columns
+    that broadcast over the device axis, the OPP tables -- flat with
+    per-cluster offsets, as frequencies and as the scalar scaler's
+    ``headroom * f`` products (Python floats, so bit-identical), and as the
+    ``(clusters, opps, 1)`` ``ceil_table`` -- plus the rate-limit and boost
+    timestamps as float arrays: ``last_moved`` is ``(2, clusters,
+    devices)``, row 0 the last step up and row 1 the last step down, with
+    ``rate_limits`` their ``(2, 1, 1)`` limits and ``moves`` a reused mask
+    of the same shape.  A timestamp of ``-inf``
+    encodes the scalar scaler's "no entry in the dict" state: every ``now -
+    timestamp`` comparison then behaves exactly like the scalar ``None``
+    checks (``inf < limit`` is false, ``inf <= hold`` is false).
+
+    ``ceil_table`` row ``k`` is cluster ``k``'s frequencies with the top one
+    replaced by ``+inf`` (and padded with ``+inf``), so the position of its
+    first entry ``>= target`` is :meth:`SchedutilScaler.select_tick`'s
+    ``min(bisect_left(freqs, target), top_index)``.  It is also that
+    method's 0 for a target that is not positive: every OPP frequency is
+    (``FrequencyPoint`` checks it), so such a target -- or a NaN, which
+    compares false everywhere -- finds position 0.  Float comparisons are
+    exact.
     """
 
     __slots__ = (
-        "frequencies",
-        "top_index",
+        "flat_frequencies",
+        "headroom_frequencies",
+        "offsets",
+        "ceil_table",
+        "any_boostable",
         "boostable",
         "boost_index",
-        "last_up",
-        "last_down",
+        "rate_limits",
+        "last_moved",
         "last_activity",
+        "moves",
     )
 
-    def __init__(self, compiled, n_devices: int) -> None:
+    def __init__(self, compiled, n_devices: int, config: SchedutilConfig) -> None:
         import numpy as np
 
-        self.frequencies = [
-            np.array(record[2], dtype=np.float64) for record in compiled
+        tables = [record[2] for record in compiled]
+        width = max(len(frequencies) for frequencies in tables)
+        self.flat_frequencies, self.offsets = flat_table(tables)
+        self.headroom_frequencies, _ = flat_table(
+            [[config.headroom * f for f in frequencies] for frequencies in tables]
+        )
+        self.ceil_table = np.array(
+            [
+                list(frequencies[:-1]) + [np.inf] * (width - len(frequencies) + 1)
+                for frequencies in tables
+            ],
+            dtype=np.float64,
+        )[:, :, None]
+        self.any_boostable = any(record[4] for record in compiled)
+        self.boostable = np.array([record[4] for record in compiled], dtype=bool)[
+            :, None
         ]
-        self.top_index = [record[3] for record in compiled]
-        self.boostable = [record[4] for record in compiled]
-        self.boost_index = [record[5] for record in compiled]
+        self.boost_index = np.array(
+            [record[5] for record in compiled], dtype=np.int64
+        )[:, None]
+        self.rate_limits = np.array(
+            [config.up_rate_limit_s, config.down_rate_limit_s], dtype=np.float64
+        )[:, None, None]
         n_clusters = len(compiled)
-        self.last_up = np.full((n_clusters, n_devices), -np.inf)
-        self.last_down = np.full((n_clusters, n_devices), -np.inf)
+        self.last_moved = np.full((2, n_clusters, n_devices), -np.inf)
         self.last_activity = np.full((n_clusters, n_devices), -np.inf)
+        self.moves = np.zeros((2, n_clusters, n_devices), dtype=bool)
 
 
 class SchedutilGovernor(Governor):

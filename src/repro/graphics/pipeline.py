@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.soc.cluster import Cluster
+from repro.soc.frequency import flat_table
 from repro.graphics.vsync import BufferQueue, VsyncClock
 
 
@@ -508,7 +509,7 @@ class BatchFramePipeline:
         self._gpu_rem: List[Optional[float]] = [None] * n_devices
         self._waiting: List[int] = [0] * n_devices
         self._ready: List[int] = [0] * n_devices
-        self._work_scratch: List[float] = [0.0] * self._n_clusters
+        self._np_tables: Optional[_BatchPipelineTables] = None
 
     def advance_time(self, dt_s: float) -> int:
         """Advance the shared VSync clock by ``dt_s``; return the edge count.
@@ -529,60 +530,40 @@ class BatchFramePipeline:
         self._time_s = end_time
         return count
 
-    def _batch_tables(self):
-        """Lazily compiled NumPy frequency tables for the batched methods."""
-        import numpy as np
-
-        tables = getattr(self, "_np_tables", None)
+    def _batch_tables(self) -> "_BatchPipelineTables":
+        """NumPy tables for the batched methods, compiled on first use."""
+        tables = self._np_tables
         if tables is None:
-            def freq_array(record):
-                if record is None:
-                    return None
-                return np.array(record[1], dtype=np.float64)
-
-            tables = {
-                "big": freq_array(self._rate_big),
-                "little": freq_array(self._rate_little),
-                "gpu": freq_array(self._rate_gpu),
-                "util": [
-                    np.array(freqs, dtype=np.float64)
-                    for _name, freqs, _perf, _cores in self._util_records
-                ],
-            }
-            self._np_tables = tables
+            tables = self._np_tables = _BatchPipelineTables(self)
         return tables
 
     def batch_rates(self, current_rows):
         """Per-device stage rates for the current OPP indices.
 
         ``current_rows`` is the ``(clusters, devices)`` index array; returns
-        ``(big_rate, little_rate, cpu_rate, gpu_rate)`` as ``(devices,)``
-        arrays.  Each lane multiplies in the same order as the scalar
-        pipeline (``freqs[index] * perf_per_mhz * cores``), so the rates --
-        and the budgets derived from them -- are bit-identical per device.
+        ``(rates, cpu_rate, gpu_rate)``: ``rates`` holds one row per present
+        stage record (big, little, gpu, in that order) and the two others
+        are ``(devices,)`` arrays.  Each rate is one gather from a per-OPP
+        table of the scalar pipeline's ``freqs[index] * perf_per_mhz *
+        cores`` products (computed once in Python floats), and ``cpu_rate``
+        adds big and little (an absent record is ``0.0``) as the scalar
+        pipeline does, so the rates -- and the budgets derived from them --
+        are bit-identical per device.
         """
         import numpy as np
 
         tables = self._batch_tables()
-        n = current_rows.shape[1]
-        zero = np.zeros(n, dtype=np.float64)
-        big_rate = zero
-        little_rate = zero
-        gpu_rate = zero
-        rate = self._rate_big
-        if rate is not None:
-            k, _freqs, perf, cores = rate
-            big_rate = tables["big"][current_rows[k]] * perf * cores
-        rate = self._rate_little
-        if rate is not None:
-            k, _freqs, perf, cores = rate
-            little_rate = tables["little"][current_rows[k]] * perf * cores
-        rate = self._rate_gpu
-        if rate is not None:
-            k, _freqs, perf, cores = rate
-            gpu_rate = tables["gpu"][current_rows[k]] * perf * cores
-        cpu_rate = big_rate + little_rate
-        return big_rate, little_rate, cpu_rate, gpu_rate
+        if not tables.one_record_per_cluster:
+            current_rows = current_rows[tables.rate_rows]
+        rates = tables.rate_flat[current_rows + tables.rate_offsets]
+        big, little, gpu = tables.big, tables.little, tables.gpu
+        zero = None
+        if big is None or little is None or gpu is None:
+            zero = np.zeros(current_rows.shape[1], dtype=np.float64)
+        cpu_rate = (zero if big is None else rates[big]) + (
+            zero if little is None else rates[little]
+        )
+        return rates, cpu_rate, (zero if gpu is None else rates[gpu])
 
     def tick_device_work(
         self,
@@ -690,10 +671,8 @@ class BatchFramePipeline:
         current_rows,
         cpu_done,
         gpu_done,
-        big_rate,
-        little_rate,
+        rates,
         cpu_rate,
-        gpu_rate,
         background_rows,
         dt_s: float,
         util_out,
@@ -701,47 +680,112 @@ class BatchFramePipeline:
         """Work attribution and utilisation, vectorised over devices.
 
         ``cpu_done``/``gpu_done`` are ``(devices,)`` arrays of per-stage work
-        completed this tick; ``background_rows`` is the ``(clusters,
+        completed this tick; ``rates`` and ``cpu_rate`` come from
+        :meth:`batch_rates`; ``background_rows`` is the ``(clusters,
         devices)`` background demand.  Writes utilisations into ``util_out``
-        (``(clusters, devices)``).  Per lane the float sequence is exactly
-        the scalar pipeline's: attribution splits CPU work by
-        ``rate / cpu_rate``, then utilisation is
-        ``(done + min(background, spare)) / capacity`` clamped to ``[0, 1]``
-        with the capacity-zero special case.
+        (``(clusters, devices)``).  Every step is one whole-array call.  Per
+        lane the float sequence is exactly the scalar pipeline's: attribution
+        adds ``cpu_done * (rate / cpu_rate)`` for big then little (skipped,
+        i.e. ``0.0``, when ``cpu_rate`` is not positive) and then the GPU
+        work onto ``0.0`` in record order -- one add when every cluster has
+        exactly one record, in cluster order (both registered platforms);
+        otherwise ``np.add.at``, which applies repeated rows in order -- and
+        utilisation is ``(done + min(background, spare)) / capacity``
+        clamped to ``[0, 1]``, with the scalar pipeline's capacity-zero case
+        applied only when some capacity at this ``dt_s`` is not positive
+        (never, unless a product underflows: every OPP, ``perf_per_mhz`` and
+        core count is positive).
         """
         import numpy as np
 
         tables = self._batch_tables()
-        n_clusters = self._n_clusters
-        work = np.zeros((n_clusters, current_rows.shape[1]), dtype=np.float64)
-        cpu_positive = cpu_rate > 0
-        if self._rate_big is not None:
-            share = np.divide(
-                big_rate, cpu_rate, out=np.zeros_like(cpu_rate), where=cpu_positive
-            )
-            work[self._rate_big[0]] += cpu_done * share
-        if self._rate_little is not None:
-            share = np.divide(
-                little_rate, cpu_rate, out=np.zeros_like(cpu_rate), where=cpu_positive
-            )
-            work[self._rate_little[0]] += cpu_done * share
-        if self._rate_gpu is not None:
-            work[self._rate_gpu[0]] += gpu_done
+        shares = np.divide(
+            rates,
+            cpu_rate,
+            out=np.zeros(rates.shape, dtype=np.float64),
+            where=tables.cpu_record & (cpu_rate > 0),
+        )
+        parts = np.where(tables.cpu_record, cpu_done * shares, gpu_done)
+        if tables.one_record_per_cluster:
+            done = 0.0 + parts
+        else:
+            done = np.zeros(util_out.shape, dtype=np.float64)
+            np.add.at(done, tables.rate_rows, parts)
 
-        util_tables = tables["util"]
-        for k in range(n_clusters):
-            _name, _freqs, perf, cores = self._util_records[k]
-            capacity = (util_tables[k][current_rows[k]] * perf * cores) * dt_s
-            background = background_rows[k]
-            done = work[k]
-            positive = capacity > 0
-            spare = capacity - done
-            spare = np.where(spare < 0.0, 0.0, spare)
-            background_done = np.where(background < spare, background, spare)
-            total = done + background_done
-            ratio = np.divide(
-                total, capacity, out=np.zeros_like(capacity), where=positive
+        capacity_dt, all_positive = tables.capacities(dt_s)
+        capacity = capacity_dt[current_rows + tables.capacity_offsets]
+        background_done = capacity - done  # the spare capacity, first
+        np.copyto(background_done, 0.0, where=background_done < 0.0)
+        np.copyto(background_done, background_rows, where=background_rows < background_done)
+        total = done + background_done
+        if all_positive:
+            ratio = total / capacity
+        else:
+            empty = capacity <= 0
+            ratio = np.divide(total, capacity, out=np.zeros(capacity.shape), where=~empty)
+        np.copyto(util_out, np.where(ratio < 1.0, ratio, 1.0))
+        if not all_positive:
+            saturated = np.where((background_rows > 0) | (done > 0), 1.0, 0.0)
+            np.copyto(util_out, saturated, where=empty)
+
+
+class _BatchPipelineTables:
+    """Flat NumPy tables behind :class:`BatchFramePipeline`'s batched methods.
+
+    ``rate_flat`` holds each stage record's per-OPP rate and
+    :meth:`capacities` each cluster's per-OPP capacity, both as the scalar
+    pipeline's Python-float products (``freqs[i] * perf_per_mhz * cores``),
+    concatenated with per-row offset columns so one gather reads every
+    row.  ``rate_rows`` maps each record (big, little, gpu order, the
+    present ones) to its cluster row (``one_record_per_cluster`` when that
+    is every cluster, in order); ``big`` / ``little`` / ``gpu`` are record
+    positions (``None`` when absent) and ``cpu_record`` marks the big and
+    little records' rows.
+    """
+
+    def __init__(self, pipeline: "BatchFramePipeline") -> None:
+        import numpy as np
+
+        records = [
+            (name, record)
+            for name, record in (
+                ("big", pipeline._rate_big),
+                ("little", pipeline._rate_little),
+                ("gpu", pipeline._rate_gpu),
             )
-            clamped = np.where(ratio < 1.0, ratio, 1.0)
-            saturated = np.where((background > 0) | (done > 0), 1.0, 0.0)
-            util_out[k] = np.where(positive, clamped, saturated)
+            if record is not None
+        ]
+        positions = {name: position for position, (name, _) in enumerate(records)}
+        self.big = positions.get("big")
+        self.little = positions.get("little")
+        self.gpu = positions.get("gpu")
+        rows = [record[0] for _, record in records]
+        self.rate_rows = np.array(rows, dtype=np.int64)
+        self.one_record_per_cluster = rows == list(range(pipeline._n_clusters))
+        self.rate_flat, self.rate_offsets = flat_table(
+            [[f * perf * cores for f in freqs] for _, (_k, freqs, perf, cores) in records]
+        )
+        self.cpu_record = np.array(
+            [name != "gpu" for name, _ in records], dtype=bool
+        )[:, None]
+        self._capacity_rates = [
+            [f * perf * cores for f in freqs]
+            for _name, freqs, perf, cores in pipeline._util_records
+        ]
+        _, self.capacity_offsets = flat_table(self._capacity_rates)
+        self._capacities = {}
+
+    def capacities(self, dt_s: float):
+        """``(flat, all_positive)``: each cluster's per-OPP capacity over ``dt_s``.
+
+        The scalar pipeline's ``(freqs[i] * perf_per_mhz * cores) * dt_s``
+        in Python floats, laid out like ``capacity_offsets``; built once
+        per tick length.
+        """
+        entry = self._capacities.get(dt_s)
+        if entry is None:
+            flat, _ = flat_table(
+                [[rate * dt_s for rate in row] for row in self._capacity_rates]
+            )
+            entry = self._capacities[dt_s] = (flat, bool((flat > 0).all()))
+        return entry

@@ -9,7 +9,10 @@ heat ``(nodes, devices)`` arrays.  The numeric backend -- power evaluation,
 thermal Euler integration, the schedutil scaler, the FPS window and the
 recorder rows -- is vectorised across devices, while inherently ragged
 per-device state (workloads, frame queues, governor objects, sensors) stays
-plain Python and is visited once per device per tick.
+plain Python and is visited once per device per tick.  Each numeric stage
+is one NumPy call chain over the whole ``(clusters, devices)`` or ``(nodes,
+devices)`` array, never one chain per cluster or node: per-call overhead,
+not the lane count, is what a small batch pays per tick.
 
 Bit-identity contract
 ---------------------
@@ -124,11 +127,11 @@ class BatchSimulation:
         self._thermal_throttle = soc0.thermal_throttle
         self._thermal = soc0.thermal
         self._power_model = soc0.power_model
-        self._power_tables = soc0.power_model.compile_batch_tables(soc0._cluster_list)
+        self._power_tables = soc0.power_model.compile_batch_tables(
+            soc0._cluster_list, self._cluster_node_index
+        )
+        self._node_rows = self._power_tables.node_rows
         self._freq_tuples = [c._freqs for c in soc0._cluster_list]
-        self._freq_arrays = [
-            np.array(c._freqs, dtype=np.float64) for c in soc0._cluster_list
-        ]
         self._big_name = ref._big_cluster_name()
 
         # -- struct-of-arrays state (device axis last) --------------------------
@@ -167,6 +170,10 @@ class BatchSimulation:
 
         self._scaler = ref.scaler
         self._scaler_state = ref.scaler.compile_batch(soc0.clusters, n)
+        #: Every cluster's OPP frequencies in one flat table (the scaler's),
+        #: with a ``(clusters, 1)`` offset column, for the DVFS row gathers.
+        self._freq_flat = self._scaler_state.flat_frequencies
+        self._freq_offsets = self._scaler_state.offsets
         self._pipeline = BatchFramePipeline(
             ref._pipeline_config(), ref.config.refresh_hz, soc0.clusters, n
         )
@@ -187,8 +194,9 @@ class BatchSimulation:
         self._invocation_period = np.array(
             [g.invocation_period_s for g in self.governors], dtype=np.float64
         )
-        self._dropped_since = np.zeros(n, dtype=np.int64)
-        self._demanded_since = np.zeros(n, dtype=np.int64)
+        #: Frames dropped (row 0) and demanded (row 1) since each lane's
+        #: last governor invocation.
+        self._since = np.zeros((2, n), dtype=np.int64)
         self._observe = [
             g.observe_tick
             if type(g).observe_tick is not Governor.observe_tick
@@ -333,6 +341,9 @@ class BatchSimulation:
         n_clusters = self._n_clusters
         dt = self._dt
         record_every_arr = self._record_every_arr
+        uniform_every = (
+            int(record_every_arr[0]) if self._uniform_cadence else None
+        )
         pipeline = self._pipeline
         tick_work = pipeline.tick_device_work
         batch_rates = pipeline.batch_rates
@@ -345,8 +356,7 @@ class BatchSimulation:
         current_app = self._current_app
         invocation_period = self._invocation_period
         last_invocation = self._last_invocation
-        dropped_since = self._dropped_since
-        demanded_since = self._demanded_since
+        since = self._since
         app_row = self._app_row
         phase_row = self._phase_row
         demanded_row = self._demanded_row
@@ -362,19 +372,14 @@ class BatchSimulation:
         min_limit = self._min_limit
         max_limit = self._max_limit
         temps = self._temps
-        heat = self._heat
         dynamic = self._dynamic
         leakage = self._leakage
-        power_tables = self._power_tables
-        cluster_node_index = self._cluster_node_index
-        device_node_index = self._device_node_index
         rest_w = self._rest_w
-        thermal = self._thermal
-        max_substep = thermal.MAX_SUBSTEP_S
-        evaluate_power = self._power_model.evaluate_flat_batch
+        soc_step = self._soc_step
         scaler_select = self._scaler.select_tick_batch
         scaler_state = self._scaler_state
-        freq_arrays = self._freq_arrays
+        freq_flat = self._freq_flat
+        freq_offsets = self._freq_offsets
         fps_events = self._fps_events
         fps_window_s = self._fps_window_s
         refresh_hz = self._refresh_hz
@@ -393,9 +398,10 @@ class BatchSimulation:
             workload_ticks = [
                 profiler.wrap("workload", fn) for fn in workload_ticks
             ]
+            batch_rates = profiler.wrap("pipeline", batch_rates)
             tick_work = profiler.wrap("pipeline", tick_work)
             batch_finish = profiler.wrap("pipeline", batch_finish)
-            evaluate_power = profiler.wrap("power_thermal", evaluate_power)
+            soc_step = profiler.wrap("power_thermal", soc_step)
             scaler_select = profiler.wrap("scaler", scaler_select)
             invoke_governor = profiler.wrap("governor", invoke_governor)
             fast_update = [
@@ -430,7 +436,7 @@ class BatchSimulation:
 
                     # Per-device stage budgets from the current OPP indices
                     # (vectorised; bit-identical to the scalar rate computation).
-                    big_rate, little_rate, cpu_rate, gpu_rate = batch_rates(cur)
+                    rates, cpu_rate, gpu_rate = batch_rates(cur)
                     cpu_budgets = (cpu_rate * dt).tolist()
                     gpu_budgets = (gpu_rate * dt).tolist()
 
@@ -476,15 +482,16 @@ class BatchSimulation:
                         dropped_row[d] = rejected
                         interaction_row[d] = demand.interaction_activity
 
+                    work_rows = np.array(
+                        (cpu_done_row, gpu_done_row, *background_lists)
+                    )
                     batch_finish(
                         cur,
-                        np.array(cpu_done_row),
-                        np.array(gpu_done_row),
-                        big_rate,
-                        little_rate,
+                        work_rows[0],
+                        work_rows[1],
+                        rates,
                         cpu_rate,
-                        gpu_rate,
-                        np.array(background_lists),
+                        work_rows[2:],
                         dt,
                         util_scratch,
                     )
@@ -492,54 +499,33 @@ class BatchSimulation:
                     # the scalar loop's inlined Cluster.utilisation setter).
                     util = np.minimum(1.0, np.maximum(0.0, util_scratch))
 
-                    # SoC step: power -> heat -> thermal -> throttle (the
-                    # batched mirror of SocSimulator.step_tick).
-                    evaluate_power(
-                        power_tables,
-                        cur,
-                        util,
-                        temps,
-                        cluster_node_index,
-                        dynamic,
-                        leakage,
-                    )
-                    heat[:] = 0.0
-                    for k in range(n_clusters):
-                        heat[cluster_node_index[k]] += dynamic[k] + leakage[k]
-                    if device_node_index is not None:
-                        heat[device_node_index] += 0.5 * rest_w
-                    if 1e-12 < dt <= max_substep:
-                        thermal.euler_substep_batch(temps, heat, dt)
-                    else:
-                        thermal.step_flat_batch(temps, heat, dt)
+                    cluster_power = soc_step(util, dt)
                     soc_time += dt
-                    if self._thermal_throttle:
-                        limit = self._max_chip_temperature_c
-                        for k in range(n_clusters):
-                            hot = temps[cluster_node_index[k]] > limit
-                            if hot.any():
-                                cur[k] = np.where(hot, min_limit[k], cur[k])
 
                     tick_count += 1
                     now = tick_count * dt
-                    # Per-lane recording cadence, gated by the active mask.
-                    record_mask = active_mask & (
-                        tick_count % record_every_arr == 0
-                    )
-                    will_record = bool(record_mask.any())
-                    if will_record:
+                    # Per-lane recording cadence, gated by the active mask:
+                    # the lanes that record this tick, or None.
+                    if uniform_every is not None:
+                        recorded = (
+                            active_list if tick_count % uniform_every == 0 else None
+                        )
+                    else:
+                        recorded = np.flatnonzero(
+                            active_mask & (tick_count % record_every_arr == 0)
+                        ).tolist() or None
+                    if recorded is not None:
                         # DVFS snapshot before the scaler moves frequencies, as
                         # in the scalar engine.
-                        frequency_rows = np.stack(
-                            [freq_arrays[k][cur[k]] for k in range(n_clusters)]
-                        )
-                        max_limit_rows = np.stack(
-                            [freq_arrays[k][max_limit[k]] for k in range(n_clusters)]
-                        )
+                        frequency_rows = freq_flat[cur + freq_offsets]
+                        max_limit_rows = freq_flat[max_limit + freq_offsets]
 
                     # Sliding-window FPS, vectorised over devices (expiry is
                     # time-driven and therefore shared).
-                    displayed_arr = np.array(displayed_row, dtype=np.int64)
+                    counts = np.array(
+                        (displayed_row, dropped_row, demanded_row), dtype=np.int64
+                    )
+                    displayed_arr = counts[0]
                     fps_events.append((now, displayed_arr))
                     total = self._fps_total + displayed_arr
                     cutoff = now - fps_window_s
@@ -558,14 +544,15 @@ class BatchSimulation:
 
                     scaler_select(scaler_state, util, cur, min_limit, max_limit, now)
 
-                    dropped_since += np.array(dropped_row, dtype=np.int64)
-                    demanded_since += np.array(demanded_row, dtype=np.int64)
-                    due = (
-                        np.isnan(last_invocation)
-                        | ((now - last_invocation) >= invocation_period - 1e-9)
-                    ) & active_mask
-                    if due.any():
-                        due_devices = np.nonzero(due)[0].tolist()
+                    since += counts[1:]
+                    due_devices = np.flatnonzero(
+                        (
+                            np.isnan(last_invocation)
+                            | ((now - last_invocation) >= invocation_period - 1e-9)
+                        )
+                        & active_mask
+                    ).tolist()
+                    if due_devices:
                         slow_devices = [
                             d for d in due_devices if fast_update[d] is None
                         ]
@@ -595,8 +582,7 @@ class BatchSimulation:
                             max_limit_cols = max_limit.T.tolist()
                             util_cols = util.T.tolist()
                             last_cols = last_invocation.tolist()
-                            dropped_cols = dropped_since.tolist()
-                            demanded_cols = demanded_since.tolist()
+                            dropped_cols, demanded_cols = since.tolist()
                             for d in slow_devices:
                                 invoke_governor(
                                     d,
@@ -630,20 +616,18 @@ class BatchSimulation:
                                 [c._max_limit_index for c in row] for row in sync
                             ]
                         last_invocation[due_devices] = now
-                        dropped_since[due_devices] = 0
-                        demanded_since[due_devices] = 0
+                        since[:, due_devices] = 0
                         invocation_period[due_devices] = [
                             governors[d].invocation_period_s for d in due_devices
                         ]
 
-                    if will_record:
+                    if recorded is not None:
                         dynamic_total = dynamic[0]
                         leakage_total = leakage[0]
                         for k in range(1, n_clusters):
                             dynamic_total = dynamic_total + dynamic[k]
                             leakage_total = leakage_total + leakage[k]
                         power_total = (dynamic_total + leakage_total) + rest_w
-                        recorded = np.nonzero(record_mask)[0].tolist()
                         recorder_append(
                             now,
                             list(app_row),
@@ -657,7 +641,7 @@ class BatchSimulation:
                             list(displayed_row),
                             list(dropped_row),
                             power_total,
-                            dynamic + leakage,
+                            cluster_power,
                             temps.copy(),
                             frequency_rows,
                             max_limit_rows,
@@ -670,6 +654,40 @@ class BatchSimulation:
         finally:
             self._tick_count = tick_count
             self._soc_time_s = soc_time
+
+    def _soc_step(self, util, dt: float):
+        """Power -> heat -> thermal -> throttle for every lane, in place.
+
+        The batched mirror of :meth:`SocSimulator.step_tick`, one whole-array
+        call per stage.  Returns the ``(clusters, devices)`` cluster power
+        (dynamic + leakage) that also heats the nodes.
+        """
+        temps = self._temps
+        cur = self._cur
+        self._power_model.evaluate_flat_batch(
+            self._power_tables, cur, util, temps, self._dynamic, self._leakage
+        )
+        cluster_power = self._dynamic + self._leakage
+        heat = self._heat
+        heat.fill(0.0)
+        # Every cluster has a node of its own (PlatformSpec enforces it), so
+        # the rows are distinct and this is the scalar's `heat += power` per
+        # cluster.
+        heat[self._node_rows] += cluster_power
+        if self._device_node_index is not None:
+            heat[self._device_node_index] += 0.5 * self._rest_w
+        thermal = self._thermal
+        if 1e-12 < dt <= thermal.MAX_SUBSTEP_S:
+            thermal.euler_substep_batch(temps, heat, dt)
+        else:
+            thermal.step_flat_batch(temps, heat, dt)
+        if self._thermal_throttle:
+            np.copyto(
+                cur,
+                self._min_limit,
+                where=temps[self._node_rows] > self._max_chip_temperature_c,
+            )
+        return cluster_power
 
     def _invoke_governor(
         self,

@@ -221,3 +221,23 @@ class OppTable:
     def normalised_frequency(self, index: int) -> float:
         """Frequency at ``index`` divided by the table maximum (0 < x <= 1)."""
         return self.frequency_at(index) / self.max_frequency_mhz
+
+
+def flat_table(rows: Sequence[Sequence[float]]):
+    """One NumPy gather table for per-cluster rows of per-OPP values.
+
+    Returns ``(flat, offsets)``: ``rows`` concatenated as float64, and a
+    ``(rows, 1)`` column of each row's start, so ``flat[index_rows +
+    offsets]`` reads every cluster's entry of a ``(clusters, lanes)`` OPP
+    index array in one call.  NumPy is imported here, not at module level:
+    only the batch kernel builds these tables.
+    """
+    import numpy as np
+
+    offsets = []
+    position = 0
+    for row in rows:
+        offsets.append(position)
+        position += len(row)
+    flat = np.array([value for row in rows for value in row], dtype=np.float64)
+    return flat, np.array(offsets, dtype=np.int64)[:, None]

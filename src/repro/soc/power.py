@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from repro.soc.cluster import Cluster, ClusterSpec
+from repro.soc.frequency import flat_table
 
 #: Reference junction temperature (Celsius) at which the leakage coefficient
 #: of a cluster spec is defined.
@@ -102,6 +103,33 @@ class ClusterPowerModel:
         return self.total_power_w(freq, volt, 1.0, temperature_c)
 
 
+class BatchPowerTables(NamedTuple):
+    """Flat per-OPP power tables of one platform (see
+    :meth:`SocPowerModel.compile_batch_tables`)."""
+
+    #: ``(cap_nf * f * v ** 2 * 1e-3) * cores`` per OPP, every cluster's in turn.
+    dynamic_coeff: Any
+    #: ``(leak_w_per_v * v) * cores`` per OPP, laid out like ``dynamic_coeff``.
+    leakage_base: Any
+    #: ``(clusters, 1)`` start of each cluster's OPPs in the flat tables.
+    offsets: Any
+    #: ``(clusters, 1)`` leakage temperature coefficients.
+    leak_coeff: Any
+    #: Thermal node row of each cluster: an index array, or a slice when
+    #: the rows are consecutive.
+    node_rows: Any
+
+
+def _row_index(rows: Sequence[int]):
+    """``rows`` as a slice when they are consecutive, else as an index array."""
+    import numpy as np
+
+    first = rows[0]
+    if list(rows) == list(range(first, first + len(rows))):
+        return slice(first, first + len(rows))
+    return np.array(rows, dtype=np.int64)
+
+
 class SocPowerModel:
     """Power model of the full SoC (all clusters plus the platform floor)."""
 
@@ -173,78 +201,82 @@ class SocPowerModel:
             leakage_out[k] = leak_w_per_v * voltage * cores * scale
 
     def compile_batch_tables(
-        self, clusters: Sequence[Cluster]
-    ) -> Tuple[Tuple[tuple, tuple, float], ...]:
-        """Per-cluster OPP-indexed power tables for :meth:`evaluate_flat_batch`.
+        self, clusters: Sequence[Cluster], cluster_node_index: Sequence[int]
+    ) -> "BatchPowerTables":
+        """Flat OPP-indexed power tables for :meth:`evaluate_flat_batch`.
 
-        Each entry is ``(dynamic_coeff_per_opp, leakage_base_per_opp,
-        leakage_temp_coeff)``.  The per-OPP coefficients are precomputed with
-        plain Python floats through exactly the scalar kernel's expressions
-        (``(cap_nf * f * v ** 2 * 1e-3) * cores`` and
-        ``(leak_w_per_v * v) * cores``), so indexing a table reproduces the
-        scalar partial products bit for bit.
+        The per-OPP coefficients are precomputed with plain Python floats
+        through exactly the scalar kernel's expressions (``(cap_nf * f * v **
+        2 * 1e-3) * cores`` and ``(leak_w_per_v * v) * cores``), so indexing
+        a table reproduces the scalar partial products bit for bit.  Every
+        cluster's table is concatenated into one flat array, with a ``(clusters,
+        1)`` offset column, so one gather reads all clusters;
+        ``cluster_node_index`` gives each cluster's thermal node row (kept
+        as a slice when the rows are consecutive, as on both registered
+        platforms, so reading them is a view rather than a gather).
         """
         import numpy as np
 
-        tables = []
-        for cluster in clusters:
-            spec = self._models[cluster.name].spec
-            cap_nf = spec.capacitance_nf
-            cores = spec.core_count
-            leak_w_per_v = spec.leakage_w_per_v
-            dynamic_coeff = np.array(
+        specs = [self._models[cluster.name].spec for cluster in clusters]
+        dynamic_coeff, offsets = flat_table(
+            [
                 [
-                    cap_nf * frequency * voltage ** 2 * 1e-3 * cores
+                    spec.capacitance_nf * frequency * voltage ** 2 * 1e-3 * spec.core_count
                     for frequency, voltage in zip(cluster._freqs, cluster._volts)
-                ],
-                dtype=np.float64,
-            )
-            leakage_base = np.array(
-                [leak_w_per_v * voltage * cores for voltage in cluster._volts],
-                dtype=np.float64,
-            )
-            tables.append((dynamic_coeff, leakage_base, spec.leakage_temp_coeff))
-        return tuple(tables)
+                ]
+                for cluster, spec in zip(clusters, specs)
+            ]
+        )
+        leakage_base, _ = flat_table(
+            [
+                [spec.leakage_w_per_v * voltage * spec.core_count for voltage in cluster._volts]
+                for cluster, spec in zip(clusters, specs)
+            ]
+        )
+        return BatchPowerTables(
+            dynamic_coeff,
+            leakage_base,
+            offsets,
+            np.array([spec.leakage_temp_coeff for spec in specs], dtype=np.float64)[:, None],
+            _row_index(cluster_node_index),
+        )
 
     def evaluate_flat_batch(
         self,
-        tables: Sequence[Tuple[tuple, tuple, float]],
+        tables: "BatchPowerTables",
         current_index_rows,
         utilisation_rows,
         node_temperature_rows,
-        cluster_node_index: Sequence[int],
         dynamic_out,
         leakage_out,
     ) -> None:
         """Batched :meth:`evaluate_flat` over a device axis.
 
         All row arguments are ``(clusters, devices)``-shaped (temperatures are
-        ``(nodes, devices)``); lane ``d`` is one device.  Per lane the float
-        sequence matches :meth:`evaluate_flat` exactly: the dynamic partial
-        product and the leakage base come from the precomputed per-OPP tables
-        (same Python-float products, see :meth:`compile_batch_tables`) and the
-        leakage exponential is evaluated with :func:`math.exp` per lane --
-        ``numpy.exp`` is *not* guaranteed to round identically to libm, so it
-        must not be used here.
+        ``(nodes, devices)``); lane ``d`` is one device.  Every step is one
+        whole-array call over all clusters.  Per lane the float sequence
+        matches :meth:`evaluate_flat` exactly: the dynamic partial product
+        and the leakage base come from the precomputed per-OPP tables (same
+        Python-float products, see :meth:`compile_batch_tables`) and the
+        leakage exponential is evaluated with :func:`math.exp` per element,
+        one ``map`` over the flattened arguments -- ``numpy.exp`` is *not*
+        guaranteed to round identically to libm, so it must not be used
+        here.
         """
         import numpy as np
 
-        exp = math.exp
-        ref_t = LEAKAGE_REFERENCE_TEMPERATURE_C
-        for k in range(len(tables)):
-            dynamic_coeff, leakage_base, leak_coeff = tables[k]
-            index = current_index_rows[k]
-            utilisation = utilisation_rows[k]
-            utilisation = np.minimum(1.0, np.maximum(0.0, utilisation))
-            dynamic_out[k] = dynamic_coeff[index] * utilisation
-            delta_t = node_temperature_rows[cluster_node_index[k]] - ref_t
-            argument = leak_coeff * delta_t
-            scale = np.fromiter(
-                map(exp, argument.tolist()),
-                dtype=np.float64,
-                count=argument.shape[0],
-            )
-            leakage_out[k] = leakage_base[index] * scale
+        index = current_index_rows + tables.offsets
+        utilisation = np.minimum(1.0, np.maximum(0.0, utilisation_rows))
+        np.multiply(tables.dynamic_coeff[index], utilisation, out=dynamic_out)
+        argument = tables.leak_coeff * (
+            node_temperature_rows[tables.node_rows] - LEAKAGE_REFERENCE_TEMPERATURE_C
+        )
+        scale = np.fromiter(
+            map(math.exp, argument.ravel().tolist()),
+            dtype=np.float64,
+            count=argument.size,
+        ).reshape(argument.shape)
+        np.multiply(tables.leakage_base[index], scale, out=leakage_out)
 
     def evaluate(
         self,

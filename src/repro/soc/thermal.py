@@ -140,6 +140,9 @@ class ThermalNetwork:
         # Preallocated scratch buffers for the zero-allocation kernel.
         self._derivs: List[float] = [0.0] * len(self._names)
         self._heat: List[float] = [0.0] * len(self._names)
+        #: NumPy form of the compiled network for the batch kernel, built on
+        #: first use (see :meth:`_batch_rounds`).
+        self._batch_compiled = None
 
     # -- inspection -------------------------------------------------------------
 
@@ -242,30 +245,72 @@ class ThermalNetwork:
     def euler_substep_batch(self, temps_2d, heat_in_2d, dt_s: float) -> None:
         """Batched :meth:`_euler_substep`: one Euler sub-step for every lane.
 
-        Elementwise IEEE-754 arithmetic over the device axis keeps each lane's
-        operation sequence identical to the scalar kernel (ambient loss, then
-        neighbours in coupling registration order, then the division by the
-        capacitance), so results are bit-identical per device.
+        Each step is one whole-array call over all nodes and lanes, and each
+        lane's operation sequence stays the scalar kernel's: ambient loss,
+        then the neighbours in coupling registration order, then the
+        division by the capacitance.  Every coupling term ``g * (t_i -
+        t_j)`` is computed at once; they are then subtracted in neighbour-
+        rank rounds (see :meth:`_batch_rounds`): round ``r`` subtracts every
+        node's ``r``-th term, over only the nodes that have one.  Padding
+        the rounds with zero conductances instead would not be exact:
+        ``-0.0 - 0.0 * x`` is ``+0.0`` for ``x < 0``.
         """
         import numpy as np
 
         ambient = self.ambient_c
-        g_amb = self._g_amb
-        cap = self._cap
-        nbrs = self._nbrs
-        n = len(self._names)
-        derivs = [None] * n
-        for i in range(n):
-            t = temps_2d[i]
-            heat_w = heat_in_2d[i] - g_amb[i] * (t - ambient)
-            for j, g in nbrs[i]:
-                heat_w = heat_w - g * (t - temps_2d[j])
-            derivs[i] = heat_w / cap[i]
-        for i in range(n):
-            value = temps_2d[i] + derivs[i] * dt_s
-            # Same physical floor as the scalar kernel (lanes at exactly the
-            # ambient value are untouched either way).
-            temps_2d[i] = np.where(value < ambient, ambient, value)
+        g_amb, cap, nodes, others, g, rounds = self._batch_rounds()
+        heat_w = heat_in_2d - g_amb * (temps_2d - ambient)
+        terms = g * (temps_2d[nodes] - temps_2d[others])
+        for rows, start, stop in rounds:
+            if rows is None:
+                heat_w = heat_w - terms[start:stop]
+            else:
+                heat_w[rows] = heat_w[rows] - terms[start:stop]
+        value = temps_2d + (heat_w / cap) * dt_s
+        # Same physical floor as the scalar kernel (lanes at exactly the
+        # ambient value are untouched either way).
+        np.copyto(temps_2d, value)
+        np.copyto(temps_2d, ambient, where=value < ambient)
+
+    def _batch_rounds(self):
+        """The network's NumPy form for :meth:`euler_substep_batch`, built once.
+
+        Returns ``(g_amb, cap, nodes, others, g, rounds)``.  ``g_amb`` and
+        ``cap`` are ``(nodes, 1)`` columns.  ``nodes`` / ``others`` / ``g``
+        list every directed coupling ``(i, j, g)`` grouped by rank -- the
+        position of ``j`` in ``i``'s neighbour order -- and by node within a
+        rank (``g`` as a column).  Round ``r`` is ``(rows, start, stop)``:
+        its couplings are ``start:stop`` of those lists and belong to the
+        nodes ``rows`` (``None`` when that is every node, in order).
+        """
+        compiled = self._batch_compiled
+        if compiled is None:
+            import numpy as np
+
+            nbrs = self._nbrs
+            n = len(nbrs)
+            nodes, others, conductances, rounds = [], [], [], []
+            for rank in range(max(len(edges) for edges in nbrs)):
+                rows = [i for i in range(n) if len(nbrs[i]) > rank]
+                rounds.append(
+                    (
+                        None if len(rows) == n else np.array(rows, dtype=np.int64),
+                        len(nodes),
+                        len(nodes) + len(rows),
+                    )
+                )
+                nodes.extend(rows)
+                others.extend(nbrs[i][rank][0] for i in rows)
+                conductances.extend(nbrs[i][rank][1] for i in rows)
+            compiled = self._batch_compiled = (
+                np.array(self._g_amb, dtype=np.float64)[:, None],
+                np.array(self._cap, dtype=np.float64)[:, None],
+                np.array(nodes, dtype=np.int64),
+                np.array(others, dtype=np.int64),
+                np.array(conductances, dtype=np.float64)[:, None],
+                tuple(rounds),
+            )
+        return compiled
 
     def _euler_substep(self, heat_in_w: List[float], dt_s: float) -> None:
         # The compiled kernel: identical float-operation sequence to the

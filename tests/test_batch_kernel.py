@@ -608,3 +608,43 @@ class TestBatchProfiler:
         }
         assert called == set(STAGES)
         assert hot == bare
+
+    def test_stages_cover_the_thermal_step_and_the_rates(self, monkeypatch):
+        """As on the scalar route, power_thermal holds the whole SoC step
+        (power, heat, Euler step, throttle) and pipeline holds the rates."""
+        import repro.sim.batch as batch_module
+        from repro.graphics.pipeline import BatchFramePipeline
+        from repro.obs.profile import HotLoopProfiler
+        from repro.soc.thermal import ThermalNetwork
+
+        active = []
+
+        class StageRecorder(HotLoopProfiler):
+            def wrap(self, stage, fn):
+                def staged(*args, **kwargs):
+                    active.append(stage)
+                    try:
+                        return fn(*args, **kwargs)
+                    finally:
+                        active.pop()
+
+                return staged
+
+        seen = {"euler": [], "rates": []}
+        euler = ThermalNetwork.euler_substep_batch
+        rates = BatchFramePipeline.batch_rates
+
+        def spy_euler(network, *args):
+            seen["euler"].append(tuple(active))
+            return euler(network, *args)
+
+        def spy_rates(pipeline, *args):
+            seen["rates"].append(tuple(active))
+            return rates(pipeline, *args)
+
+        monkeypatch.setattr(ThermalNetwork, "euler_substep_batch", spy_euler)
+        monkeypatch.setattr(BatchFramePipeline, "batch_rates", spy_rates)
+        monkeypatch.setattr(batch_module, "active_profiler", StageRecorder)
+        self.lane_hashes(("conservative", "schedutil"), duration_s=0.5)
+        assert seen["euler"] and set(seen["euler"]) == {("power_thermal",)}
+        assert seen["rates"] and set(seen["rates"]) == {("pipeline",)}

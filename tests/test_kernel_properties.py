@@ -7,17 +7,36 @@ replaced.  These properties generate random networks, coefficients and
 operating points and require bit-identical results -- not approximate
 equality -- because the golden-trace guarantee (cached sweeps stay valid
 across the refactor) rests on it.
+
+The batch kernel's whole-array stages carry the same promise lane by lane:
+the last three properties run one batched stage on 1-5 lanes and compare
+every lane, through ``float.hex`` so signed zeros count, with the scalar
+code the engine runs for that lane.  They draw what the registered
+platforms never produce: sparse thermal networks, OPP tables of unequal
+lengths, out-of-range and signed-zero utilisations, every boost and
+rate-limit setting, and pipeline roles that share or lack a cluster.
 """
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.governors.schedutil import SchedutilConfig, SchedutilScaler
+from repro.graphics.pipeline import BatchFramePipeline, PipelineConfig
 from repro.soc.cluster import Cluster, ClusterKind, ClusterSpec
 from repro.soc.frequency import OppTable
+from repro.soc.platform import PlatformSpec
 from repro.soc.power import LEAKAGE_REFERENCE_TEMPERATURE_C, SocPowerModel
 from repro.soc.thermal import ThermalNetwork, ThermalNodeSpec
+
+try:
+    import numpy as np
+except ImportError:  # the batch-stage properties need the batch kernel
+    np = None
+
+needs_numpy = pytest.mark.skipif(np is None, reason="the batch kernel is NumPy-backed")
 
 # ---------------------------------------------------------------------------
 # Naive reference implementations (verbatim pre-refactor algorithms)
@@ -137,6 +156,50 @@ def power_cases(draw):
     return spec, index, utilisation, temperature
 
 
+@st.composite
+def cluster_specs(draw, name):
+    """One cluster of any kind with its own OPP count (1-6) and coefficients."""
+    first = draw(st.floats(min_value=100.0, max_value=1000.0))
+    steps = draw(
+        st.lists(st.floats(min_value=1.0, max_value=400.0), max_size=5)
+    )
+    freqs = [first]
+    for step in steps:
+        freqs.append(freqs[-1] + step)
+    return ClusterSpec(
+        name=name,
+        kind=draw(st.sampled_from(list(ClusterKind))),
+        opp_table=OppTable.from_frequencies(
+            tuple(freqs), v_min=0.6, v_max=1.2, curvature=1.3
+        ),
+        core_count=draw(st.integers(min_value=1, max_value=8)),
+        capacitance_nf=draw(st.floats(min_value=0.01, max_value=2.0)),
+        leakage_w_per_v=draw(st.floats(min_value=0.0, max_value=0.5)),
+        leakage_temp_coeff=draw(st.floats(min_value=0.0, max_value=0.05)),
+        # A vanishing rate lets a tiny tick underflow a capacity to zero.
+        perf_per_mhz=draw(st.one_of(st.floats(min_value=0.1, max_value=2.0), st.just(5e-324))),
+    )
+
+
+#: Utilisations inside and outside [0, 1], both signed zeros included.
+utilisations = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0]),
+    st.floats(min_value=-0.5, max_value=1.5, allow_nan=False),
+)
+
+
+def lane_indices(draw, spec):
+    """``(current, min_limit, max_limit)`` for one lane of one cluster."""
+    top = len(spec.opp_table) - 1
+    low = draw(st.integers(min_value=0, max_value=top))
+    high = draw(st.integers(min_value=low, max_value=top))
+    return draw(st.integers(min_value=0, max_value=top)), low, high
+
+
+def hexes(values):
+    return [float(value).hex() for value in values]
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
@@ -237,3 +300,358 @@ def test_soc_step_tick_power_buffers_match_evaluate(case, dt):
     assert telemetry.power.dynamic_w == dict(expected.dynamic_w)
     assert telemetry.power.leakage_w == dict(expected.leakage_w)
     assert telemetry.total_power_w == expected.total_w
+
+
+# ---------------------------------------------------------------------------
+# Batched stages, lane by lane against the scalar engine's code
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def scaler_cases(draw):
+    specs = [
+        draw(cluster_specs(f"c{k}"))
+        for k in range(draw(st.integers(min_value=1, max_value=4)))
+    ]
+    config = SchedutilConfig(
+        headroom=draw(st.floats(min_value=1.0, max_value=2.0)),
+        up_rate_limit_s=draw(st.sampled_from([0.0, 0.05, 0.5])),
+        down_rate_limit_s=draw(st.sampled_from([0.0, 0.1, 0.5])),
+        io_boost=draw(st.sampled_from([0.0, 0.1, 0.3])),
+        touch_boost_fraction=draw(st.sampled_from([0.0, 0.5, 0.95])),
+        touch_boost_hold_s=draw(st.sampled_from([0.0, 0.2, 1.0])),
+        touch_boost_util_threshold=draw(st.sampled_from([0.0, 0.04, 0.5])),
+        boost_gpu=draw(st.booleans()),
+    )
+    n_lanes = draw(st.integers(min_value=1, max_value=5))
+    start = draw(st.floats(min_value=0.0, max_value=100.0))
+    # Rate-limit and boost timestamps: absent, or either side of now.
+    stamps = st.one_of(st.none(), st.floats(min_value=start - 2.0, max_value=start + 2.0))
+    lanes = [
+        [(lane_indices(draw, spec), [draw(stamps) for _ in range(3)]) for spec in specs]
+        for _ in range(n_lanes)
+    ]
+    ticks = draw(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=start - 1.0, max_value=start + 1.0),
+                st.lists(
+                    st.lists(utilisations, min_size=len(specs), max_size=len(specs)),
+                    min_size=n_lanes,
+                    max_size=n_lanes,
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return specs, config, lanes, ticks
+
+
+@needs_numpy
+@settings(max_examples=50, deadline=None)
+@given(case=scaler_cases())
+def test_select_tick_batch_matches_select_tick_per_lane(case):
+    specs, config, lanes, ticks = case
+    names = [spec.name for spec in specs]
+    n = len(lanes)
+    scalers, lane_clusters = [], []
+    for lane in lanes:
+        scaler = SchedutilScaler(config)
+        clusters = {}
+        for spec, ((current, low, high), stamps) in zip(specs, lane):
+            cluster = Cluster(spec, initial_index=current)
+            cluster._min_limit_index, cluster._max_limit_index = low, high
+            clusters[spec.name] = cluster
+            for table, stamp in zip(
+                (
+                    scaler._last_up_time_s,
+                    scaler._last_down_time_s,
+                    scaler._last_activity_time_s,
+                ),
+                stamps,
+            ):
+                if stamp is not None:
+                    table[spec.name] = stamp
+        scalers.append(scaler)
+        lane_clusters.append(clusters)
+
+    batch_scaler = SchedutilScaler(config)
+    state = batch_scaler.compile_batch(lane_clusters[0], n)
+
+    def column(position):
+        return [[lane[k][0][position] for lane in lanes] for k in range(len(specs))]
+
+    def stamp_rows(which):
+        return [
+            [
+                -math.inf if lane[k][1][which] is None else lane[k][1][which]
+                for lane in lanes
+            ]
+            for k in range(len(specs))
+        ]
+
+    current = np.array(column(0), dtype=np.int64)
+    min_limit = np.array(column(1), dtype=np.int64)
+    max_limit = np.array(column(2), dtype=np.int64)
+    state.last_moved[0] = stamp_rows(0)
+    state.last_moved[1] = stamp_rows(1)
+    state.last_activity[:] = stamp_rows(2)
+
+    for now, lane_utils in ticks:
+        for scaler, clusters, utils in zip(scalers, lane_clusters, lane_utils):
+            scaler.select_tick(
+                scaler.compile_clusters(clusters), dict(zip(names, utils)), now
+            )
+        batch_scaler.select_tick_batch(
+            state,
+            np.array(lane_utils, dtype=np.float64).T.copy(),
+            current,
+            min_limit,
+            max_limit,
+            now,
+        )
+        for d, (scaler, clusters) in enumerate(zip(scalers, lane_clusters)):
+            for k, name in enumerate(names):
+                assert current[k, d] == clusters[name].current_index
+                for row, table in (
+                    (state.last_moved[0], scaler._last_up_time_s),
+                    (state.last_moved[1], scaler._last_down_time_s),
+                    (state.last_activity, scaler._last_activity_time_s),
+                ):
+                    assert float(row[k, d]).hex() == float(
+                        table.get(name, -math.inf)
+                    ).hex()
+
+
+@st.composite
+def soc_step_cases(draw):
+    nodes, couplings, ambient, steps = draw(thermal_cases())
+    order = draw(st.permutations(list(nodes)))
+    n_clusters = draw(st.integers(min_value=1, max_value=min(3, len(order))))
+    # Clusters take any nodes (so their rows need not be consecutive); a
+    # spare node may become the device node that the platform floor heats.
+    renamed = {}
+    if len(order) > n_clusters and draw(st.booleans()):
+        renamed[order[n_clusters]] = "device"
+    name = lambda node: renamed.get(node, node)  # noqa: E731
+    platform = PlatformSpec(
+        name="prop",
+        cluster_specs={
+            node: draw(cluster_specs(node)) for node in order[:n_clusters]
+        },
+        thermal_nodes={
+            name(node): ThermalNodeSpec(
+                name(node), spec.capacitance_j_per_k, spec.conductance_to_ambient_w_per_k
+            )
+            for node, spec in nodes.items()
+        },
+        thermal_couplings={
+            (name(a), name(b)): g for (a, b), g in couplings.items()
+        },
+        ambient_c=ambient,
+        rest_of_platform_power_w=draw(st.floats(min_value=0.0, max_value=2.0)),
+        max_chip_temperature_c=draw(
+            st.floats(min_value=ambient, max_value=ambient + 60.0)
+        ),
+    )
+    n_lanes = draw(st.integers(min_value=1, max_value=5))
+    temperature = st.floats(min_value=ambient - 5.0, max_value=ambient + 80.0)
+    lanes = [
+        (
+            [draw(temperature) for _ in nodes],
+            [lane_indices(draw, spec) for spec in platform.cluster_specs.values()],
+        )
+        for _ in range(n_lanes)
+    ]
+    step_utils = [
+        [
+            [draw(utilisations) for _ in range(n_clusters)]
+            for _ in range(n_lanes)
+        ]
+        for _ in steps[:3]
+    ]
+    dts = [dt for _, dt in steps[:3]]
+    return platform, lanes, dts, step_utils, draw(st.booleans())
+
+
+@needs_numpy
+@settings(max_examples=50, deadline=None)
+@given(case=soc_step_cases())
+def test_batched_soc_step_matches_step_tick_per_lane(case):
+    """Power, heat, Euler step and throttle: ``_soc_step`` vs ``step_tick``."""
+    from repro.governors.schedutil import SchedutilGovernor
+    from repro.sim.batch import BatchSimulation
+    from repro.sim.config import SimulationConfig
+
+    platform, lanes, dts, step_utils, throttle = case
+    n = len(lanes)
+    batch = BatchSimulation(
+        platform,
+        [SchedutilGovernor() for _ in range(n)],
+        [SimulationConfig(refresh_hz=60.0, duration_s=1.0, seed=d) for d in range(n)],
+    )
+    batch._thermal_throttle = throttle
+    for d, (temps, indices) in enumerate(lanes):
+        soc = batch.devices[d].soc
+        soc.thermal_throttle = throttle
+        soc.thermal._temps[:] = temps
+        batch._temps[:, d] = temps
+        for k, (cluster, (current, low, high)) in enumerate(
+            zip(soc._cluster_list, indices)
+        ):
+            cluster._current_index = current
+            cluster._min_limit_index, cluster._max_limit_index = low, high
+            batch._cur[k, d] = current
+            batch._min_limit[k, d] = low
+            batch._max_limit[k, d] = high
+
+    for dt, lane_utils in zip(dts, step_utils):
+        for d, utils in enumerate(lane_utils):
+            soc = batch.devices[d].soc
+            for cluster, value in zip(soc._cluster_list, utils):
+                cluster._utilisation = value
+            soc.step_tick(dt)
+        cluster_power = batch._soc_step(
+            np.array(lane_utils, dtype=np.float64).T.copy(), dt
+        )
+        for d in range(n):
+            soc = batch.devices[d].soc
+            assert hexes(batch._dynamic[:, d]) == hexes(soc._dynamic_w)
+            assert hexes(batch._leakage[:, d]) == hexes(soc._leakage_w)
+            assert hexes(cluster_power[:, d]) == hexes(soc.record_values()[1])
+            assert hexes(batch._heat[:, d]) == hexes(soc._heat_in)
+            assert hexes(batch._temps[:, d]) == hexes(soc.thermal._temps)
+            assert batch._cur[:, d].tolist() == [
+                cluster._current_index for cluster in soc._cluster_list
+            ]
+
+
+def transcribed_pipeline_lines(config, clusters, cpu_done, gpu_done, background, dt_s):
+    """``FramePipeline.tick``'s rate, attribution and utilisation lines, verbatim."""
+    cfg = config
+    big_rate = 0.0
+    little_rate = 0.0
+    if cfg.big_cluster in clusters:
+        big = clusters[cfg.big_cluster]
+        cores = min(cfg.ui_big_cores, big.spec.core_count)
+        big_rate = big._freqs[big._current_index] * big.spec.perf_per_mhz * cores
+    if cfg.little_cluster in clusters:
+        little = clusters[cfg.little_cluster]
+        cores = min(cfg.ui_little_cores, little.spec.core_count)
+        little_rate = little._freqs[little._current_index] * little.spec.perf_per_mhz * cores
+    cpu_rate = big_rate + little_rate
+    if cfg.gpu_cluster in clusters:
+        gpu = clusters[cfg.gpu_cluster]
+        cores = gpu.spec.core_count * cfg.gpu_core_fraction
+        gpu_rate = gpu._freqs[gpu._current_index] * gpu.spec.perf_per_mhz * cores
+    else:
+        gpu_rate = 0.0
+    work_done = {name: 0.0 for name in clusters}
+    if cpu_rate > 0:
+        if cfg.big_cluster in work_done:
+            work_done[cfg.big_cluster] += cpu_done * (big_rate / cpu_rate)
+        if cfg.little_cluster in work_done:
+            work_done[cfg.little_cluster] += cpu_done * (little_rate / cpu_rate)
+    if cfg.gpu_cluster in work_done:
+        work_done[cfg.gpu_cluster] += gpu_done
+    utilisations = {}
+    for name, cluster in clusters.items():
+        capacity = (
+            cluster._freqs[cluster._current_index]
+            * cluster.spec.perf_per_mhz
+            * cluster.spec.core_count
+        ) * dt_s
+        background_w = background[name]
+        done = work_done[name]
+        if capacity <= 0:
+            utilisations[name] = 1.0 if (background_w > 0 or done > 0) else 0.0
+            continue
+        spare = capacity - done
+        if spare < 0.0:
+            spare = 0.0
+        background_done = background_w if background_w < spare else spare
+        done += background_done
+        ratio = done / capacity
+        utilisations[name] = ratio if ratio < 1.0 else 1.0
+    return (big_rate, little_rate, cpu_rate, gpu_rate), utilisations
+
+
+@st.composite
+def pipeline_cases(draw):
+    n_clusters = draw(st.integers(min_value=1, max_value=4))
+    specs = [draw(cluster_specs(f"c{k}")) for k in range(n_clusters)]
+    # A stage role may name any cluster -- two roles may share one -- or
+    # none at all.
+    role = st.sampled_from([spec.name for spec in specs] + ["__none__"])
+    ui_big = draw(st.sampled_from([0.0, 1.0, 1.6, 3.0]))
+    ui_little = draw(st.sampled_from([0.0, 1.0, 2.5]))
+    config = PipelineConfig(
+        big_cluster=draw(role),
+        little_cluster=draw(role),
+        gpu_cluster=draw(role),
+        ui_big_cores=ui_big,
+        ui_little_cores=ui_little if ui_big or ui_little else 1.0,
+        gpu_core_fraction=draw(st.floats(min_value=0.1, max_value=1.0)),
+    )
+    work = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=0.0, max_value=5.0))
+    lanes = [
+        (
+            [lane_indices(draw, spec)[0] for spec in specs],
+            draw(work),
+            draw(work),
+            [draw(work) for _ in specs],
+        )
+        for _ in range(draw(st.integers(min_value=1, max_value=5)))
+    ]
+    # With a vanishing perf_per_mhz, a subnormal tick underflows that
+    # cluster's capacity to zero: the saturated-utilisation branch.
+    dt = draw(
+        st.one_of(
+            st.floats(min_value=1e-4, max_value=0.1),
+            st.floats(min_value=5e-324, max_value=1e-300),
+        )
+    )
+    return specs, config, lanes, dt
+
+
+@needs_numpy
+@settings(max_examples=50, deadline=None)
+@given(case=pipeline_cases())
+def test_batch_rates_and_finish_match_the_scalar_pipeline_per_lane(case):
+    specs, config, lanes, dt = case
+    n = len(lanes)
+    lane_clusters = [
+        {spec.name: Cluster(spec, initial_index=index) for spec, index in zip(specs, lane[0])}
+        for lane in lanes
+    ]
+    pipeline = BatchFramePipeline(config, 60.0, lane_clusters[0], n)
+    current = np.array([lane[0] for lane in lanes], dtype=np.int64).T.copy()
+    rates, cpu_rate, gpu_rate = pipeline.batch_rates(current)
+    util = np.zeros((len(specs), n))
+    with np.errstate(over="ignore"):  # subnormal capacities: ratio inf, as in Python
+        pipeline.batch_finish(
+            current,
+            np.array([lane[1] for lane in lanes]),
+            np.array([lane[2] for lane in lanes]),
+            rates,
+            cpu_rate,
+            np.array([lane[3] for lane in lanes]).T.copy(),
+            dt,
+            util,
+        )
+    tables = pipeline._batch_tables()
+    for d, (lane, clusters) in enumerate(zip(lanes, lane_clusters)):
+        (big, little, cpu, gpu), expected = transcribed_pipeline_lines(
+            config,
+            clusters,
+            lane[1],
+            lane[2],
+            dict(zip(clusters, lane[3])),
+            dt,
+        )
+        for position, rate in ((tables.big, big), (tables.little, little)):
+            if position is not None:
+                assert float(rates[position, d]).hex() == rate.hex()
+        assert hexes([cpu_rate[d], gpu_rate[d]]) == hexes([cpu, gpu])
+        assert hexes(util[:, d]) == hexes(expected.values())

@@ -643,6 +643,10 @@ class TestConfig:
         assert table["REP005"]["include"] == [
             "src/repro/sim/batch.py",
             "src/repro/sim/recorder.py",
+            "src/repro/governors/schedutil.py",
+            "src/repro/graphics/pipeline.py",
+            "src/repro/soc/power.py",
+            "src/repro/soc/thermal.py",
         ]
         assert table["REP002"]["allow_sites"] == [
             "src/repro/experiments/runner.py::execute_cell",

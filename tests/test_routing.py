@@ -169,6 +169,19 @@ class TestCostRule:
         assert not round_route(jobs).batch
 
 
+    def test_pool_chunks_split_by_simulated_seconds(self):
+        # baselines mixes 90 s and 120 s sessions: a count split gave one
+        # worker 3,960 of the 7,200 lane-seconds.
+        cells = named_matrix("baselines").cells()
+        groups, rest = batchable_cell_groups(list(enumerate(cells)), workers=2)
+        assert rest == [] and len(groups) == 2
+        seconds = [sum(cell.workload.duration_s for _, cell in group) for group in groups]
+        longest = max(cell.workload.duration_s for cell in cells)
+        assert abs(seconds[0] - seconds[1]) <= longest
+        # Contiguous chunks that keep every cell once, in order.
+        assert [index for group in groups for index, _ in group] == list(range(len(cells)))
+
+
 class TestRunnerRoutes:
     def test_pool_dispatches_chunks_below_the_crossover_per_cell(self, tmp_path):
         matrix = named_matrix("smoke")
