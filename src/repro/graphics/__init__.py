@@ -8,20 +8,27 @@ that misses its VSync is a dropped frame the user perceives as stutter.
 This package models that pipeline at frame granularity:
 
 * :class:`~repro.graphics.vsync.VsyncClock` produces VSync edges,
-* :class:`~repro.graphics.vsync.BufferQueue` tracks the front/back buffers,
+* :class:`~repro.graphics.pipeline.FrameQueue` steps one device's frames
+  through the CPU and GPU stages, the back buffers and the VSync latch,
 * :class:`~repro.graphics.pipeline.FramePipeline` renders frames through a
   CPU stage and a GPU stage whose speed follows the cluster frequencies, and
 * :class:`~repro.graphics.display.Display` accounts displayed frames into the
   per-second FPS numbers the agent observes.
 """
 
-from repro.graphics.vsync import BufferQueue, VsyncClock
-from repro.graphics.pipeline import FramePipeline, FrameSpec, PipelineConfig, TickResult
+from repro.graphics.vsync import VsyncClock
+from repro.graphics.pipeline import (
+    FramePipeline,
+    FrameQueue,
+    FrameSpec,
+    PipelineConfig,
+    TickResult,
+)
 from repro.graphics.display import Display, FpsCounter
 
 __all__ = [
     "VsyncClock",
-    "BufferQueue",
+    "FrameQueue",
     "FrameSpec",
     "PipelineConfig",
     "FramePipeline",

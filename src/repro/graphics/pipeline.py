@@ -15,12 +15,12 @@ seconds is therefore ``work / (frequency_mhz * perf_per_mhz * cores)``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.soc.cluster import Cluster
 from repro.soc.frequency import flat_table
-from repro.graphics.vsync import BufferQueue, VsyncClock
+from repro.graphics.vsync import VsyncClock
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,10 @@ class TickResult:
         Frames that finished rendering (entered a back buffer) this tick.
     vsync_misses:
         VSync edges during this tick at which the panel had to repeat the
-        previous front buffer although frames were in flight.  This is
-        informational: at demand rates below the refresh rate repeats are
-        normal and do not indicate a QoS problem.
+        previous front buffer although frames were demanded this tick or
+        were still in flight.  This is informational: at demand rates below
+        the refresh rate repeats are normal and do not indicate a QoS
+        problem.
     utilisations:
         Resulting utilisation per cluster (work processed / capacity).
     work_done_mwu:
@@ -118,10 +119,172 @@ class TickResult:
     utilisations: Mapping[str, float]
     work_done_mwu: Mapping[str, float]
 
+
+class FrameQueue:
+    """One device's frames, from demand to the panel.
+
+    Demanded frames wait in a bounded pending queue, pass through the CPU
+    stage and then the GPU stage, enter a back buffer (or wait for one while
+    all are full) and are latched to the panel one per VSync edge.
+    :meth:`step` advances all of it by one tick; :class:`FramePipeline` and
+    every lane of :class:`BatchFramePipeline` step their frames through it.
+    """
+
+    def __init__(self, max_pending_frames: int, back_buffer_count: int) -> None:
+        if back_buffer_count < 1:
+            raise ValueError("at least one back buffer is required")
+        self.max_pending = max_pending_frames
+        self.back_buffers = back_buffer_count
+        self.reset()
+
+    def reset(self) -> None:
+        """Drop every frame: pending, in a stage or in a buffer."""
+        self.pending: Deque[FrameSpec] = deque()
+        #: The frame in the CPU stage (``None``: empty) and its remaining work.
+        self.cpu_frame: Optional[FrameSpec] = None
+        self.cpu_remaining = 0.0
+        #: Remaining work of the frame in the GPU stage (``None``: empty).
+        self.gpu_remaining: Optional[float] = None
+        #: Rendered frames waiting for a free back buffer.
+        self.waiting = 0
+        #: Rendered frames in back buffers, ready to be latched.
+        self.ready = 0
+
     @property
-    def frames_rejected(self) -> int:
-        """Alias of :attr:`frames_dropped` (kept for clarity at call sites)."""
-        return self.frames_dropped
+    def in_flight(self) -> int:
+        """Frames demanded or being rendered but not yet displayed."""
+        return (
+            len(self.pending)
+            + (self.cpu_frame is not None)
+            + (self.gpu_remaining is not None)
+            + self.waiting
+            + self.ready
+        )
+
+    def step(
+        self,
+        frames: List[FrameSpec],
+        cpu_budget: float,
+        gpu_budget: float,
+        edge_count: int,
+    ) -> Tuple[int, int, float, float, int]:
+        """Advance one tick: ``(displayed, rejected, cpu_done, gpu_done, completed)``.
+
+        ``frames`` are this tick's demands, in order; each one that finds
+        ``max_pending`` frames already waiting is rejected.  ``cpu_budget``
+        and ``gpu_budget`` are the work each stage can process this tick
+        (``rate * dt_s``); ``cpu_done`` and ``gpu_done`` are the work it
+        did.  ``completed`` frames finished both stages, and each of the
+        tick's ``edge_count`` VSync edges latches one ready frame.
+        """
+        pending = self.pending
+        cpu_frame = self.cpu_frame
+        gpu_remaining = self.gpu_remaining
+        waiting = self.waiting
+        ready = self.ready
+        if (
+            not frames
+            and cpu_frame is None
+            and gpu_remaining is None
+            and not pending
+            and not waiting
+            and not ready
+        ):
+            # Idle: nothing demanded, queued, rendering or buffered.
+            return 0, 0, 0.0, 0.0, 0
+
+        rejected = 0
+        if frames:
+            max_pending = self.max_pending
+            for frame in frames:
+                if len(pending) >= max_pending:
+                    rejected += 1
+                    continue
+                pending.append(frame)
+
+        # Frames that found every back buffer full take the freed ones.
+        back_buffers = self.back_buffers
+        while waiting > 0 and ready < back_buffers:
+            ready += 1
+            waiting -= 1
+
+        cpu_remaining = self.cpu_remaining
+        cpu_done = 0.0
+        gpu_done = 0.0
+        completed = 0
+        # Drain the two stages; they pipeline (CPU of frame N+1 overlaps GPU of
+        # frame N) because both budgets refer to the same wall-clock interval.
+        progress = True
+        while progress:
+            progress = False
+
+            # GPU stage.
+            if gpu_remaining is not None and gpu_budget > 1e-12:
+                done = gpu_remaining if gpu_remaining < gpu_budget else gpu_budget
+                gpu_remaining -= done
+                gpu_budget -= done
+                gpu_done += done
+                if gpu_remaining <= 1e-9:
+                    gpu_remaining = None
+                    completed += 1
+                    if ready < back_buffers:
+                        ready += 1
+                    else:
+                        waiting += 1
+                    progress = True
+
+            # CPU stage.
+            if cpu_frame is None and pending:
+                cpu_frame = pending.popleft()
+                cpu_remaining = cpu_frame.cpu_work_mwu
+                progress = True
+            if cpu_frame is not None and cpu_budget > 1e-12:
+                done = cpu_remaining if cpu_remaining < cpu_budget else cpu_budget
+                cpu_remaining -= done
+                cpu_budget -= done
+                cpu_done += done
+                if cpu_remaining <= 1e-9 and gpu_remaining is None:
+                    gpu_remaining = cpu_frame.gpu_work_mwu
+                    if gpu_remaining <= 1e-9:
+                        gpu_remaining = None
+                        completed += 1
+                        if ready < back_buffers:
+                            ready += 1
+                        else:
+                            waiting += 1
+                    cpu_frame = None
+                    progress = True
+
+        displayed = ready if ready < edge_count else edge_count
+        self.ready = ready - displayed
+        self.waiting = waiting
+        self.cpu_frame = cpu_frame
+        self.cpu_remaining = cpu_remaining
+        self.gpu_remaining = gpu_remaining
+        return displayed, rejected, cpu_done, gpu_done, completed
+
+
+def _stage_records(config: PipelineConfig, clusters: Mapping[str, Cluster]):
+    """``(cluster_name, cluster, perf_per_mhz, core_share)`` of each stage.
+
+    In big, little, GPU order, ``None`` for a stage whose cluster is absent.
+    The two CPU stages' core shares are clamped to their cluster's core
+    count; the GPU stage gets a fraction of all its cores.
+    """
+    records = []
+    for name, ui_cores in (
+        (config.big_cluster, config.ui_big_cores),
+        (config.little_cluster, config.ui_little_cores),
+        (config.gpu_cluster, None),
+    ):
+        if name not in clusters:
+            records.append(None)
+            continue
+        cluster = clusters[name]
+        count = cluster.spec.core_count
+        cores = count * config.gpu_core_fraction if ui_cores is None else min(ui_cores, count)
+        records.append((name, cluster, cluster.spec.perf_per_mhz, cores))
+    return records
 
 
 #: Shared empty mapping for ticks without background work (read-only use).
@@ -139,12 +302,7 @@ class FramePipeline:
     ) -> None:
         self.config = config or PipelineConfig()
         self.vsync = VsyncClock(refresh_hz=refresh_hz)
-        self.buffers = BufferQueue(back_buffer_count=back_buffer_count)
-        self._pending: Deque[FrameSpec] = deque()
-        self._cpu_stage: Optional[List[float]] = None  # [remaining cpu work]
-        self._cpu_stage_frame: Optional[FrameSpec] = None
-        self._gpu_stage_remaining: Optional[float] = None
-        self._completed_waiting_buffer = 0
+        self.queue = FrameQueue(self.config.max_pending_frames, back_buffer_count)
         self._time_s = 0.0
         # Compiled rate helpers: the cluster mapping handed to tick() is the
         # same object every tick, so the big/little/gpu lookups and core-share
@@ -153,7 +311,7 @@ class FramePipeline:
         self._rate_big: Optional[Tuple[Cluster, float, float]] = None
         self._rate_little: Optional[Tuple[Cluster, float, float]] = None
         self._rate_gpu: Optional[Tuple[Cluster, float, float]] = None
-        self._cluster_items: List[Tuple[str, Cluster]] = []
+        self._cluster_names: Tuple[str, ...] = ()
         self._util_items: List[Tuple[str, Cluster, Tuple[float, ...], float, int]] = []
 
     # -- configuration helpers ----------------------------------------------------
@@ -171,48 +329,23 @@ class FramePipeline:
     @property
     def frames_in_flight(self) -> int:
         """Frames demanded or being rendered but not yet displayed."""
-        in_stages = int(self._cpu_stage_frame is not None) + int(
-            self._gpu_stage_remaining is not None
-        )
-        return (
-            len(self._pending)
-            + in_stages
-            + self._completed_waiting_buffer
-            + self.buffers.ready_frames
-        )
+        return self.queue.in_flight
 
     def reset(self) -> None:
         """Reset all pipeline state (buffers, stages, VSync phase)."""
         self.vsync.reset()
-        self.buffers.reset()
-        self._pending.clear()
-        self._cpu_stage = None
-        self._cpu_stage_frame = None
-        self._gpu_stage_remaining = None
-        self._completed_waiting_buffer = 0
+        self.queue.reset()
         self._time_s = 0.0
 
     # -- rates ----------------------------------------------------------------------
 
     def _compile_rates(self, clusters: Mapping[str, Cluster]) -> None:
         """Resolve cluster references and core shares for this cluster mapping."""
-        cfg = self.config
-        self._rate_big = None
-        self._rate_little = None
-        self._rate_gpu = None
-        if cfg.big_cluster in clusters:
-            big = clusters[cfg.big_cluster]
-            cores = min(cfg.ui_big_cores, big.spec.core_count)
-            self._rate_big = (big, big.spec.perf_per_mhz, cores)
-        if cfg.little_cluster in clusters:
-            little = clusters[cfg.little_cluster]
-            cores = min(cfg.ui_little_cores, little.spec.core_count)
-            self._rate_little = (little, little.spec.perf_per_mhz, cores)
-        if cfg.gpu_cluster in clusters:
-            gpu = clusters[cfg.gpu_cluster]
-            cores = gpu.spec.core_count * cfg.gpu_core_fraction
-            self._rate_gpu = (gpu, gpu.spec.perf_per_mhz, cores)
-        self._cluster_items = list(clusters.items())
+        self._rate_big, self._rate_little, self._rate_gpu = [
+            None if record is None else record[1:]
+            for record in _stage_records(self.config, clusters)
+        ]
+        self._cluster_names = tuple(clusters)
         #: Per-cluster records for the utilisation loop:
         #: ``(name, cluster, frequencies, perf_per_mhz, core_count)``.
         self._util_items = [
@@ -220,29 +353,6 @@ class FramePipeline:
             for name, c in clusters.items()
         ]
         self._compiled_for = clusters
-
-    def _cpu_rate_mwu_per_s(self, clusters: Mapping[str, Cluster]) -> Tuple[float, float, float]:
-        """CPU-stage processing rate and the big/little split of that rate."""
-        if clusters is not self._compiled_for:
-            self._compile_rates(clusters)
-        big_rate = 0.0
-        little_rate = 0.0
-        if self._rate_big is not None:
-            big, perf, cores = self._rate_big
-            big_rate = big._freqs[big._current_index] * perf * cores
-        if self._rate_little is not None:
-            little, perf, cores = self._rate_little
-            little_rate = little._freqs[little._current_index] * perf * cores
-        return big_rate + little_rate, big_rate, little_rate
-
-    def _gpu_rate_mwu_per_s(self, clusters: Mapping[str, Cluster]) -> float:
-        """GPU-stage processing rate."""
-        if clusters is not self._compiled_for:
-            self._compile_rates(clusters)
-        if self._rate_gpu is None:
-            return 0.0
-        gpu, perf, cores = self._rate_gpu
-        return gpu._freqs[gpu._current_index] * perf * cores
 
     # -- main step --------------------------------------------------------------------
 
@@ -278,18 +388,8 @@ class FramePipeline:
         if background_work_mwu is None:
             background_work_mwu = _NO_BACKGROUND
         cfg = self.config
-        pending = self._pending
 
-        rejected = 0
-        if frame_demands:
-            max_pending = cfg.max_pending_frames
-            for frame in frame_demands:
-                if len(pending) >= max_pending:
-                    rejected += 1
-                    continue
-                pending.append(frame)
-
-        # Inlined _cpu_rate_mwu_per_s / _gpu_rate_mwu_per_s (hot loop).
+        # Stage rates at the current frequencies (hot loop: three slots).
         if clusters is not self._compiled_for:
             self._compile_rates(clusters)
         big_rate = 0.0
@@ -310,69 +410,21 @@ class FramePipeline:
         else:
             gpu_rate = 0.0
 
-        cpu_budget = cpu_rate * dt_s
-        gpu_budget = gpu_rate * dt_s
-        cpu_frame_work_done = 0.0
-        gpu_frame_work_done = 0.0
-        completed = 0
-
-        # Try to push any frame that already finished both stages but found the
-        # buffer queue full on a previous tick.
-        while self._completed_waiting_buffer > 0 and self.buffers.can_queue:
-            self.buffers.queue_frame()
-            self._completed_waiting_buffer -= 1
-
-        # Drain the two stages; they pipeline (CPU of frame N+1 overlaps GPU of
-        # frame N) because both budgets refer to the same wall-clock interval.
-        progress = True
-        while progress:
-            progress = False
-
-            # GPU stage.
-            if self._gpu_stage_remaining is not None and gpu_budget > 1e-12:
-                done = min(self._gpu_stage_remaining, gpu_budget)
-                self._gpu_stage_remaining -= done
-                gpu_budget -= done
-                gpu_frame_work_done += done
-                if self._gpu_stage_remaining <= 1e-9:
-                    self._gpu_stage_remaining = None
-                    completed += 1
-                    if self.buffers.can_queue:
-                        self.buffers.queue_frame()
-                    else:
-                        self._completed_waiting_buffer += 1
-                    progress = True
-
-            # CPU stage.
-            if self._cpu_stage_frame is None and self._pending:
-                self._cpu_stage_frame = self._pending.popleft()
-                self._cpu_stage = [self._cpu_stage_frame.cpu_work_mwu]
-                progress = True
-            if (
-                self._cpu_stage_frame is not None
-                and self._cpu_stage is not None
-                and cpu_budget > 1e-12
-            ):
-                done = min(self._cpu_stage[0], cpu_budget)
-                self._cpu_stage[0] -= done
-                cpu_budget -= done
-                cpu_frame_work_done += done
-                if self._cpu_stage[0] <= 1e-9 and self._gpu_stage_remaining is None:
-                    self._gpu_stage_remaining = self._cpu_stage_frame.gpu_work_mwu
-                    if self._gpu_stage_remaining <= 1e-9:
-                        self._gpu_stage_remaining = None
-                        completed += 1
-                        if self.buffers.can_queue:
-                            self.buffers.queue_frame()
-                        else:
-                            self._completed_waiting_buffer += 1
-                    self._cpu_stage_frame = None
-                    self._cpu_stage = None
-                    progress = True
+        self._time_s = end_time = self._time_s + dt_s
+        edge_count = len(self.vsync.edges_until(end_time))
+        queue = self.queue
+        displayed, rejected, cpu_frame_work_done, gpu_frame_work_done, completed = (
+            queue.step(frame_demands, cpu_rate * dt_s, gpu_rate * dt_s, edge_count)
+        )
+        # An edge with no ready frame repeats the front buffer: a miss while
+        # frames were demanded or are still being rendered.
+        misses = edge_count - displayed
+        if misses and not frame_demands and not queue.in_flight:
+            misses = 0
 
         # Attribute frame CPU work to the two CPU clusters in proportion to the
         # rate they contributed, then add background work up to spare capacity.
-        work_done: Dict[str, float] = {name: 0.0 for name, _ in self._cluster_items}
+        work_done: Dict[str, float] = dict.fromkeys(self._cluster_names, 0.0)
         if cpu_rate > 0:
             if cfg.big_cluster in work_done:
                 work_done[cfg.big_cluster] += cpu_frame_work_done * (big_rate / cpu_rate)
@@ -401,36 +453,6 @@ class FramePipeline:
             ratio = done / capacity
             utilisations[name] = ratio if ratio < 1.0 else 1.0
 
-        # VSync edges that fall inside this tick latch frames to the panel.
-        # (Inlined VsyncClock.edges_until / BufferQueue.latch: one VSync edge
-        # per tick at the standard dt, every tick of the simulation.)
-        displayed = 0
-        misses = 0
-        end_time = self._time_s + dt_s
-        vsync = self.vsync
-        buffers = self.buffers
-        next_edge = vsync._next_edge_s
-        period = vsync.period_s
-        deadline = end_time + 1e-12
-        while next_edge <= deadline:
-            if buffers._ready_frames > 0:
-                buffers._ready_frames -= 1
-                buffers._front_valid = True
-                displayed += 1
-            else:
-                # Inlined frames_in_flight (ready_frames is 0 in this branch).
-                in_flight = (
-                    len(pending)
-                    + (self._cpu_stage_frame is not None)
-                    + (self._gpu_stage_remaining is not None)
-                    + self._completed_waiting_buffer
-                )
-                if in_flight > 0 or frame_demands:
-                    misses += 1
-            next_edge += period
-        vsync._next_edge_s = next_edge
-        self._time_s = end_time
-
         return TickResult(
             frames_displayed=displayed,
             frames_dropped=rejected,
@@ -446,16 +468,14 @@ class BatchFramePipeline:
 
     One instance steps the render pipelines of N independent devices that
     share a platform (same cluster layout, refresh rate and tick length).
-    Frame queues and stage state are inherently ragged per device, so they
-    stay per-device Python objects; the VSync clock is purely time-driven and
+    Each device's frames go through a :class:`FrameQueue` of its own
+    (:attr:`queues`), which the batch kernel steps once per lane per tick
+    with that lane's budgets; the VSync clock is purely time-driven and
     therefore shared -- every device sees the same edge times, so the edge
-    count per tick is computed once (:meth:`advance_time`).
-
-    :meth:`tick_device_work` replicates :meth:`FramePipeline.tick` operation
-    for operation (intake, stage drain, work attribution, utilisation, VSync
-    latch) so each lane's utilisations and frame counts are bit-identical to
-    a scalar pipeline run; it skips only outputs the simulation engine never
-    records (``vsync_misses``, ``work_done_mwu``, ``frames_completed``).
+    count per tick is computed once (:meth:`advance_time`).  Stage rates
+    (:meth:`batch_rates`), work attribution and utilisation
+    (:meth:`batch_finish`) are vectorised across devices and bit-identical
+    per lane to :meth:`FramePipeline.tick`.
     """
 
     def __init__(
@@ -467,68 +487,27 @@ class BatchFramePipeline:
         back_buffer_count: int = 2,
     ) -> None:
         self.config = config
-        cfg = config
-        names = list(clusters)
-        index = {name: k for k, name in enumerate(names)}
-        self._n_clusters = len(names)
-        #: ``(cluster_index, frequencies, perf_per_mhz, core_share)`` for the
-        #: big / little / gpu stage rates (same clamping as _compile_rates).
-        self._rate_big = None
-        self._rate_little = None
-        self._rate_gpu = None
-        if cfg.big_cluster in clusters:
-            big = clusters[cfg.big_cluster]
-            cores = min(cfg.ui_big_cores, big.spec.core_count)
-            self._rate_big = (index[cfg.big_cluster], big._freqs, big.spec.perf_per_mhz, cores)
-        if cfg.little_cluster in clusters:
-            little = clusters[cfg.little_cluster]
-            cores = min(cfg.ui_little_cores, little.spec.core_count)
-            self._rate_little = (
-                index[cfg.little_cluster], little._freqs, little.spec.perf_per_mhz, cores
-            )
-        if cfg.gpu_cluster in clusters:
-            gpu = clusters[cfg.gpu_cluster]
-            cores = gpu.spec.core_count * cfg.gpu_core_fraction
-            self._rate_gpu = (index[cfg.gpu_cluster], gpu._freqs, gpu.spec.perf_per_mhz, cores)
+        #: The big / little / gpu stage records (see :func:`_stage_records`).
+        self._stages = _stage_records(config, clusters)
         #: Per-cluster ``(name, frequencies, perf_per_mhz, core_count)`` for
         #: the utilisation loop, in compiled cluster order.
         self._util_records = [
             (name, c._freqs, c.spec.perf_per_mhz, c.spec.core_count)
             for name, c in clusters.items()
         ]
-        self._max_pending = cfg.max_pending_frames
-        self._back_buffer_count = back_buffer_count
-        # Shared VSync clock (first edge one period in, as VsyncClock does).
-        self._period_s = 1.0 / refresh_hz
-        self._next_edge_s = self._period_s
+        self.vsync = VsyncClock(refresh_hz=refresh_hz)
         self._time_s = 0.0
-        # Per-device ragged state, parallel lists indexed by device.
-        self._pending: List[Deque[FrameSpec]] = [deque() for _ in range(n_devices)]
-        self._cpu_frame: List[Optional[FrameSpec]] = [None] * n_devices
-        self._cpu_rem: List[float] = [0.0] * n_devices
-        self._gpu_rem: List[Optional[float]] = [None] * n_devices
-        self._waiting: List[int] = [0] * n_devices
-        self._ready: List[int] = [0] * n_devices
+        #: One frame queue per device.
+        self.queues = [
+            FrameQueue(config.max_pending_frames, back_buffer_count)
+            for _ in range(n_devices)
+        ]
         self._np_tables: Optional[_BatchPipelineTables] = None
 
     def advance_time(self, dt_s: float) -> int:
-        """Advance the shared VSync clock by ``dt_s``; return the edge count.
-
-        Call once per tick after every :meth:`tick_device_work` call; the
-        loop is the same edge accumulation :meth:`FramePipeline.tick` runs
-        inline.
-        """
-        end_time = self._time_s + dt_s
-        deadline = end_time + 1e-12
-        next_edge = self._next_edge_s
-        period = self._period_s
-        count = 0
-        while next_edge <= deadline:
-            count += 1
-            next_edge += period
-        self._next_edge_s = next_edge
-        self._time_s = end_time
-        return count
+        """Advance the shared VSync clock by ``dt_s``; return the edge count."""
+        self._time_s += dt_s
+        return len(self.vsync.edges_until(self._time_s))
 
     def _batch_tables(self) -> "_BatchPipelineTables":
         """NumPy tables for the batched methods, compiled on first use."""
@@ -564,107 +543,6 @@ class BatchFramePipeline:
             zero if little is None else rates[little]
         )
         return rates, cpu_rate, (zero if gpu is None else rates[gpu])
-
-    def tick_device_work(
-        self,
-        device: int,
-        frame_demands: List[FrameSpec],
-        cpu_budget: float,
-        gpu_budget: float,
-        edge_count: int,
-    ) -> Tuple[int, int, float, float]:
-        """Advance one device's frame queues by one tick.
-
-        ``cpu_budget``/``gpu_budget`` are this device's per-tick work budgets
-        (``rate * dt_s``, from :meth:`batch_rates`); ``edge_count`` is the
-        shared VSync edge count from :meth:`advance_time`.  Runs the scalar
-        pipeline's intake, stage-drain and latch logic operation for
-        operation and returns ``(frames_displayed, frames_rejected,
-        cpu_work_done, gpu_work_done)``; work attribution and utilisation are
-        computed across all devices afterwards by :meth:`batch_finish`.
-        """
-        pending = self._pending[device]
-        cpu_frame = self._cpu_frame[device]
-        gpu_rem = self._gpu_rem[device]
-        waiting = self._waiting[device]
-        ready = self._ready[device]
-        if (
-            not frame_demands
-            and cpu_frame is None
-            and gpu_rem is None
-            and not pending
-            and not waiting
-            and not ready
-        ):
-            # Idle lane: no queued, in-flight or demanded work anywhere.
-            return 0, 0, 0.0, 0.0
-
-        rejected = 0
-        if frame_demands:
-            max_pending = self._max_pending
-            for frame in frame_demands:
-                if len(pending) >= max_pending:
-                    rejected += 1
-                    continue
-                pending.append(frame)
-
-        back_buffers = self._back_buffer_count
-        while waiting > 0 and ready < back_buffers:
-            ready += 1
-            waiting -= 1
-
-        cpu_rem = self._cpu_rem[device]
-        cpu_frame_work_done = 0.0
-        gpu_frame_work_done = 0.0
-
-        progress = True
-        while progress:
-            progress = False
-
-            # GPU stage.
-            if gpu_rem is not None and gpu_budget > 1e-12:
-                done = gpu_rem if gpu_rem < gpu_budget else gpu_budget
-                gpu_rem -= done
-                gpu_budget -= done
-                gpu_frame_work_done += done
-                if gpu_rem <= 1e-9:
-                    gpu_rem = None
-                    if ready < back_buffers:
-                        ready += 1
-                    else:
-                        waiting += 1
-                    progress = True
-
-            # CPU stage.
-            if cpu_frame is None and pending:
-                cpu_frame = pending.popleft()
-                cpu_rem = cpu_frame.cpu_work_mwu
-                progress = True
-            if cpu_frame is not None and cpu_budget > 1e-12:
-                done = cpu_rem if cpu_rem < cpu_budget else cpu_budget
-                cpu_rem -= done
-                cpu_budget -= done
-                cpu_frame_work_done += done
-                if cpu_rem <= 1e-9 and gpu_rem is None:
-                    gpu_rem = cpu_frame.gpu_work_mwu
-                    if gpu_rem <= 1e-9:
-                        gpu_rem = None
-                        if ready < back_buffers:
-                            ready += 1
-                        else:
-                            waiting += 1
-                    cpu_frame = None
-                    progress = True
-
-        displayed = ready if ready < edge_count else edge_count
-        ready -= displayed
-
-        self._ready[device] = ready
-        self._waiting[device] = waiting
-        self._cpu_frame[device] = cpu_frame
-        self._cpu_rem[device] = cpu_rem
-        self._gpu_rem[device] = gpu_rem
-        return displayed, rejected, cpu_frame_work_done, gpu_frame_work_done
 
     def batch_finish(
         self,
@@ -747,23 +625,23 @@ class _BatchPipelineTables:
         import numpy as np
 
         records = [
-            (name, record)
-            for name, record in (
-                ("big", pipeline._rate_big),
-                ("little", pipeline._rate_little),
-                ("gpu", pipeline._rate_gpu),
-            )
+            (role, record)
+            for role, record in zip(("big", "little", "gpu"), pipeline._stages)
             if record is not None
         ]
-        positions = {name: position for position, (name, _) in enumerate(records)}
+        positions = {role: position for position, (role, _) in enumerate(records)}
         self.big = positions.get("big")
         self.little = positions.get("little")
         self.gpu = positions.get("gpu")
-        rows = [record[0] for _, record in records]
+        names = [name for name, *_ in pipeline._util_records]
+        rows = [names.index(record[0]) for _, record in records]
         self.rate_rows = np.array(rows, dtype=np.int64)
-        self.one_record_per_cluster = rows == list(range(pipeline._n_clusters))
+        self.one_record_per_cluster = rows == list(range(len(names)))
         self.rate_flat, self.rate_offsets = flat_table(
-            [[f * perf * cores for f in freqs] for _, (_k, freqs, perf, cores) in records]
+            [
+                [f * perf * cores for f in cluster._freqs]
+                for _, (_name, cluster, perf, cores) in records
+            ]
         )
         self.cpu_record = np.array(
             [name != "gpu" for name, _ in records], dtype=bool

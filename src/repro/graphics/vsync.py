@@ -1,4 +1,4 @@
-"""VSync generation and triple-buffer bookkeeping.
+"""VSync edge generation.
 
 Android synchronises rendering and scan-out through VSync.  With a 60 Hz
 panel a VSync pulse arrives every 16.67 ms; the compositor latches whichever
@@ -7,15 +7,14 @@ no back buffer completed since the previous edge the panel re-scans the old
 front buffer and the frame is counted as dropped (the "lag or stutter" the
 paper describes).
 
-The classes here are deliberately small: the heavy lifting (how long a frame
-takes to render, given cluster frequencies) lives in
-:mod:`repro.graphics.pipeline`.
+The clock here only produces edge times: the frames, their back buffers
+and the latch live in :class:`repro.graphics.pipeline.FrameQueue`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 
 @dataclass
@@ -56,67 +55,3 @@ class VsyncClock:
     def reset(self) -> None:
         """Restart the edge generator from time zero."""
         self._next_edge_s = self.period_s
-
-
-@dataclass
-class BufferQueue:
-    """Triple-buffer model: one front buffer plus ``back_buffer_count`` back buffers.
-
-    The queue only tracks *counts*: how many completed frames wait in back
-    buffers and how many frames the application may still enqueue before the
-    producer blocks (which is what throttles a renderer that outruns the
-    panel).
-    """
-
-    back_buffer_count: int = 2
-
-    def __post_init__(self) -> None:
-        if self.back_buffer_count < 1:
-            raise ValueError("at least one back buffer is required")
-        self._ready_frames = 0
-        self._front_valid = False
-
-    @property
-    def ready_frames(self) -> int:
-        """Completed frames waiting in back buffers."""
-        return self._ready_frames
-
-    @property
-    def front_valid(self) -> bool:
-        """Whether the front buffer has ever been filled."""
-        return self._front_valid
-
-    @property
-    def can_queue(self) -> bool:
-        """Whether the renderer may start another frame without blocking."""
-        return self._ready_frames < self.back_buffer_count
-
-    def queue_frame(self) -> bool:
-        """Add a completed frame to a back buffer.
-
-        Returns ``True`` on success, ``False`` when all back buffers are full
-        (the frame is then considered stalled and retried at the next edge by
-        the caller).
-        """
-        if not self.can_queue:
-            return False
-        self._ready_frames += 1
-        return True
-
-    def latch(self) -> bool:
-        """Consume one ready frame on a VSync edge.
-
-        Returns ``True`` if a new frame was latched into the front buffer and
-        ``False`` if the panel had to re-display the previous front buffer
-        (i.e. a dropped/repeated frame).
-        """
-        if self._ready_frames > 0:
-            self._ready_frames -= 1
-            self._front_valid = True
-            return True
-        return False
-
-    def reset(self) -> None:
-        """Clear all buffers."""
-        self._ready_frames = 0
-        self._front_valid = False

@@ -8,11 +8,14 @@ and leakage power are ``(clusters, devices)`` NumPy arrays, temperatures and
 heat ``(nodes, devices)`` arrays.  The numeric backend -- power evaluation,
 thermal Euler integration, the schedutil scaler, the FPS window and the
 recorder rows -- is vectorised across devices, while inherently ragged
-per-device state (workloads, frame queues, governor objects, sensors) stays
-plain Python and is visited once per device per tick.  Each numeric stage
-is one NumPy call chain over the whole ``(clusters, devices)`` or ``(nodes,
-devices)`` array, never one chain per cluster or node: per-call overhead,
-not the lane count, is what a small batch pays per tick.
+per-device state (workloads, governor objects, sensors) stays plain Python
+and is visited once per device per tick.  Each lane's frames go through the
+scalar pipeline's :class:`~repro.graphics.pipeline.FrameQueue`, the code
+that :meth:`~repro.graphics.pipeline.FramePipeline.tick` steps too.  Each
+numeric stage is one NumPy call chain over the whole ``(clusters,
+devices)`` or ``(nodes, devices)`` array, never one chain per cluster or
+node: per-call overhead, not the lane count, is what a small batch pays per
+tick.
 
 Bit-identity contract
 ---------------------
@@ -345,7 +348,7 @@ class BatchSimulation:
             int(record_every_arr[0]) if self._uniform_cadence else None
         )
         pipeline = self._pipeline
-        tick_work = pipeline.tick_device_work
+        queue_steps = [queue.step for queue in pipeline.queues]
         batch_rates = pipeline.batch_rates
         batch_finish = pipeline.batch_finish
         workload_ticks = [w.tick for w in workloads]
@@ -399,7 +402,7 @@ class BatchSimulation:
                 profiler.wrap("workload", fn) for fn in workload_ticks
             ]
             batch_rates = profiler.wrap("pipeline", batch_rates)
-            tick_work = profiler.wrap("pipeline", tick_work)
+            queue_steps = [profiler.wrap("pipeline", fn) for fn in queue_steps]
             batch_finish = profiler.wrap("pipeline", batch_finish)
             soc_step = profiler.wrap("power_thermal", soc_step)
             scaler_select = profiler.wrap("scaler", scaler_select)
@@ -455,8 +458,8 @@ class BatchSimulation:
                             governor.on_session_start(app_name)
                             invocation_period[d] = governor.invocation_period_s
                         frames = demand.frames
-                        displayed, rejected, cpu_done, gpu_done = tick_work(
-                            d, frames, cpu_budgets[d], gpu_budgets[d], edge_count
+                        displayed, rejected, cpu_done, gpu_done, _ = queue_steps[d](
+                            frames, cpu_budgets[d], gpu_budgets[d], edge_count
                         )
                         cpu_done_row[d] = cpu_done
                         gpu_done_row[d] = gpu_done

@@ -210,16 +210,8 @@ class Simulation:
         self._run_ticks(workload, self.clock.ticks_for(duration))
         return self.recorder
 
-    def _step_once(self, workload) -> None:
-        """Advance the simulation by exactly one tick."""
-        self._run_ticks(workload, 1)
-
     def _run_ticks(self, workload, ticks: int) -> None:
-        """The compiled tick loop: everything hot is bound to locals once.
-
-        One implementation serves both :meth:`run` and :meth:`_step_once`, so
-        the fast path cannot drift from single-stepped behaviour.
-        """
+        """The compiled tick loop: everything hot is bound to locals once."""
         config = self.config
         dt = config.dt_s
         record = self.record

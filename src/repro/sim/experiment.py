@@ -31,7 +31,7 @@ from repro.governors.simple import (
 )
 from repro.obs.trace import maybe_span
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import SessionWorkload, Simulation
+from repro.sim.engine import Simulation
 from repro.sim.recorder import Recorder, SummaryStatistics
 from repro.soc.platform import PlatformSpec, exynos9810
 from repro.workloads.apps import make_app

@@ -23,9 +23,9 @@ with zero per-tick dict or dataclass allocation.  Full
 :class:`SocTelemetry`/:class:`~repro.soc.power.PowerBreakdown` snapshots are
 *lazy*: they are materialised only when :meth:`telemetry` is called (the
 engine does so at recorder ticks and governor-invocation boundaries), while
-scalar totals (:attr:`total_power_w`, :meth:`hot_temperature_c`) stay cheap
-every tick.  The kernel keeps every float operation in the same sequence as
-the original dict-based path, so recorded outputs are bit-identical.
+the scalar total :attr:`total_power_w` stays cheap every tick.  The kernel
+keeps every float operation in the same sequence as the original dict-based
+path, so recorded outputs are bit-identical.
 """
 
 from __future__ import annotations
@@ -260,10 +260,6 @@ class SocSimulator:
         return (
             sum(self._dynamic_w) + sum(self._leakage_w)
         ) + self.power_model.rest_of_platform_power_w
-
-    def hot_temperature_c(self) -> float:
-        """Hottest thermal node temperature (cheap scalar, no snapshot)."""
-        return max(self.thermal._temps)
 
     def dvfs_values(self) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
         """Current (frequencies, maxfreq limits) tuples in platform order.

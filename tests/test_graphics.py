@@ -4,7 +4,7 @@ import pytest
 
 from repro.graphics.display import Display, FpsCounter
 from repro.graphics.pipeline import FramePipeline, FrameSpec, PipelineConfig
-from repro.graphics.vsync import BufferQueue, VsyncClock
+from repro.graphics.vsync import VsyncClock
 from repro.soc.platform import exynos9810
 
 
@@ -40,45 +40,6 @@ class TestVsyncClock:
     def test_rejects_bad_refresh(self):
         with pytest.raises(ValueError):
             VsyncClock(refresh_hz=0.0)
-
-
-# ---------------------------------------------------------------------------
-# Buffer queue
-# ---------------------------------------------------------------------------
-
-class TestBufferQueue:
-    def test_triple_buffering_default(self):
-        buffers = BufferQueue()
-        assert buffers.back_buffer_count == 2
-
-    def test_queue_and_latch(self):
-        buffers = BufferQueue(back_buffer_count=2)
-        assert buffers.queue_frame()
-        assert buffers.queue_frame()
-        assert not buffers.queue_frame()  # full
-        assert buffers.latch()
-        assert buffers.queue_frame()  # space freed
-        assert buffers.latch()
-        assert buffers.latch()
-        assert not buffers.latch()  # nothing left -> repeated frame
-
-    def test_front_valid_after_first_latch(self):
-        buffers = BufferQueue()
-        assert not buffers.front_valid
-        buffers.queue_frame()
-        buffers.latch()
-        assert buffers.front_valid
-
-    def test_reset(self):
-        buffers = BufferQueue()
-        buffers.queue_frame()
-        buffers.reset()
-        assert buffers.ready_frames == 0
-        assert not buffers.front_valid
-
-    def test_rejects_zero_back_buffers(self):
-        with pytest.raises(ValueError):
-            BufferQueue(back_buffer_count=0)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +204,8 @@ class TestFramePipeline:
             PipelineConfig(gpu_core_fraction=0.0)
         with pytest.raises(ValueError):
             PipelineConfig(max_pending_frames=0)
+        with pytest.raises(ValueError):
+            FramePipeline(back_buffer_count=0)
 
     def test_vsync_misses_reported_separately(self, clusters):
         pipeline = FramePipeline()

@@ -9,22 +9,33 @@ equality -- because the golden-trace guarantee (cached sweeps stay valid
 across the refactor) rests on it.
 
 The batch kernel's whole-array stages carry the same promise lane by lane:
-the last three properties run one batched stage on 1-5 lanes and compare
+three properties run one batched stage on 1-5 lanes and compare
 every lane, through ``float.hex`` so signed zeros count, with the scalar
 code the engine runs for that lane.  They draw what the registered
 platforms never produce: sparse thermal networks, OPP tables of unequal
 lengths, out-of-range and signed-zero utilisations, every boost and
 rate-limit setting, and pipeline roles that share or lack a cluster.
+
+The last property steps one device's frame queue -- intake, stage drain,
+back buffers and VSync latch -- through ``FramePipeline`` and through a
+``BatchFramePipeline`` lane, tick by tick, against a verbatim copy of the
+scalar tick it was factored out of.
 """
 
 import math
+from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.governors.schedutil import SchedutilConfig, SchedutilScaler
-from repro.graphics.pipeline import BatchFramePipeline, PipelineConfig
+from repro.graphics.pipeline import (
+    BatchFramePipeline,
+    FramePipeline,
+    FrameSpec,
+    PipelineConfig,
+)
 from repro.soc.cluster import Cluster, ClusterKind, ClusterSpec
 from repro.soc.frequency import OppTable
 from repro.soc.platform import PlatformSpec
@@ -94,6 +105,147 @@ def naive_cluster_power(spec, frequency_mhz, voltage_v, utilisation, temperature
     scale = math.exp(spec.leakage_temp_coeff * delta_t)
     leakage = spec.leakage_w_per_v * voltage_v * spec.core_count * scale
     return dynamic, leakage
+
+
+class NaiveFrameQueueReference:
+    """``FramePipeline.tick``'s intake, stage drain and VSync latch, verbatim.
+
+    Copied from the scalar tick that wrote the frame state machine inline,
+    with the ``BufferQueue`` it drove (the ready count, ``can_queue`` and the
+    latch) and its VSync edge loop.  The stage budgets are passed in.
+    """
+
+    def __init__(self, max_pending_frames, back_buffer_count, refresh_hz):
+        self.max_pending_frames = max_pending_frames
+        self.back_buffer_count = back_buffer_count
+        self.ready_frames = 0
+        self.pending = deque()
+        self.cpu_stage = None  # [remaining cpu work]
+        self.cpu_stage_frame = None
+        self.gpu_stage_remaining = None
+        self.completed_waiting_buffer = 0
+        self.period_s = 1.0 / refresh_hz
+        self.next_edge_s = self.period_s
+        self.time_s = 0.0
+
+    @property
+    def can_queue(self):
+        return self.ready_frames < self.back_buffer_count
+
+    def queue_frame(self):
+        if not self.can_queue:
+            return False
+        self.ready_frames += 1
+        return True
+
+    @property
+    def frames_in_flight(self):
+        in_stages = int(self.cpu_stage_frame is not None) + int(
+            self.gpu_stage_remaining is not None
+        )
+        return (
+            len(self.pending)
+            + in_stages
+            + self.completed_waiting_buffer
+            + self.ready_frames
+        )
+
+    def tick(self, dt_s, frame_demands, cpu_budget, gpu_budget):
+        """``(displayed, rejected, completed, misses, cpu_done, gpu_done)``."""
+        pending = self.pending
+        rejected = 0
+        if frame_demands:
+            max_pending = self.max_pending_frames
+            for frame in frame_demands:
+                if len(pending) >= max_pending:
+                    rejected += 1
+                    continue
+                pending.append(frame)
+
+        cpu_frame_work_done = 0.0
+        gpu_frame_work_done = 0.0
+        completed = 0
+
+        while self.completed_waiting_buffer > 0 and self.can_queue:
+            self.queue_frame()
+            self.completed_waiting_buffer -= 1
+
+        progress = True
+        while progress:
+            progress = False
+
+            # GPU stage.
+            if self.gpu_stage_remaining is not None and gpu_budget > 1e-12:
+                done = min(self.gpu_stage_remaining, gpu_budget)
+                self.gpu_stage_remaining -= done
+                gpu_budget -= done
+                gpu_frame_work_done += done
+                if self.gpu_stage_remaining <= 1e-9:
+                    self.gpu_stage_remaining = None
+                    completed += 1
+                    if self.can_queue:
+                        self.queue_frame()
+                    else:
+                        self.completed_waiting_buffer += 1
+                    progress = True
+
+            # CPU stage.
+            if self.cpu_stage_frame is None and self.pending:
+                self.cpu_stage_frame = self.pending.popleft()
+                self.cpu_stage = [self.cpu_stage_frame.cpu_work_mwu]
+                progress = True
+            if (
+                self.cpu_stage_frame is not None
+                and self.cpu_stage is not None
+                and cpu_budget > 1e-12
+            ):
+                done = min(self.cpu_stage[0], cpu_budget)
+                self.cpu_stage[0] -= done
+                cpu_budget -= done
+                cpu_frame_work_done += done
+                if self.cpu_stage[0] <= 1e-9 and self.gpu_stage_remaining is None:
+                    self.gpu_stage_remaining = self.cpu_stage_frame.gpu_work_mwu
+                    if self.gpu_stage_remaining <= 1e-9:
+                        self.gpu_stage_remaining = None
+                        completed += 1
+                        if self.can_queue:
+                            self.queue_frame()
+                        else:
+                            self.completed_waiting_buffer += 1
+                    self.cpu_stage_frame = None
+                    self.cpu_stage = None
+                    progress = True
+
+        displayed = 0
+        misses = 0
+        end_time = self.time_s + dt_s
+        next_edge = self.next_edge_s
+        period = self.period_s
+        deadline = end_time + 1e-12
+        while next_edge <= deadline:
+            if self.ready_frames > 0:
+                self.ready_frames -= 1
+                displayed += 1
+            else:
+                in_flight = (
+                    len(pending)
+                    + (self.cpu_stage_frame is not None)
+                    + (self.gpu_stage_remaining is not None)
+                    + self.completed_waiting_buffer
+                )
+                if in_flight > 0 or frame_demands:
+                    misses += 1
+            next_edge += period
+        self.next_edge_s = next_edge
+        self.time_s = end_time
+        return (
+            displayed,
+            rejected,
+            completed,
+            misses,
+            cpu_frame_work_done,
+            gpu_frame_work_done,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -655,3 +807,120 @@ def test_batch_rates_and_finish_match_the_scalar_pipeline_per_lane(case):
                 assert float(rates[position, d]).hex() == rate.hex()
         assert hexes([cpu_rate[d], gpu_rate[d]]) == hexes([cpu, gpu])
         assert hexes(util[:, d]) == hexes(expected.values())
+
+
+#: OPP frequencies of the two stage clusters.  At ``perf_per_mhz`` 0.1 they
+#: give stage rates of 0.0 (the product underflows), 1e-13, 1e-8, 10 and
+#: 1e6 Mwu/s: budgets of exactly zero, below the drain's 1e-12 floor, just
+#: above it, a fraction of a frame, and enough for every frame at once.
+STAGE_FREQUENCIES = (5e-324, 1e-12, 1e-7, 100.0, 1e7)
+PERIOD_S = 1.0 / 60.0
+
+
+def stage_cluster(name, kind):
+    """A one-core cluster whose OPPs give the :data:`STAGE_FREQUENCIES` rates."""
+    return Cluster(
+        ClusterSpec(
+            name=name,
+            kind=kind,
+            opp_table=OppTable.from_frequencies(STAGE_FREQUENCIES, v_min=0.6, v_max=1.2),
+            core_count=1,
+            capacitance_nf=1.0,
+            leakage_w_per_v=0.0,
+            leakage_temp_coeff=0.0,
+            perf_per_mhz=0.1,
+        )
+    )
+
+
+frame_work = st.one_of(
+    st.sampled_from([0.0, 5e-10, 0.05]), st.floats(min_value=0.0, max_value=3.0)
+)
+
+
+@st.composite
+def frame_queue_runs(draw):
+    # The fastest OPP half the time, so that whole frames render within a
+    # tick and ticks with more edges than ready frames occur.
+    fastest = len(STAGE_FREQUENCIES) - 1
+    opp = st.one_of(st.just(fastest), st.integers(min_value=0, max_value=fastest))
+    # A tick of 1e-15 s crosses no VSync edge; one of 0.1-1.9 periods
+    # crosses zero, one or two.
+    dt = st.one_of(
+        st.sampled_from([1e-15, 0.5 * PERIOD_S, PERIOD_S, 1.6 * PERIOD_S]),
+        st.floats(min_value=0.1 * PERIOD_S, max_value=1.9 * PERIOD_S),
+    )
+    # 0-4 demanded frames, mostly none or one: a single frame after idle
+    # ticks is what leaves a VSync edge unlatched with nothing in flight.
+    frames = st.sampled_from([0, 0, 1, 1, 2, 3, 4]).flatmap(
+        lambda n: st.lists(st.builds(FrameSpec, frame_work, frame_work), min_size=n, max_size=n)
+    )
+    n_ticks = draw(st.integers(min_value=1, max_value=40))
+    ticks = draw(
+        st.lists(st.tuples(frames, opp, opp, dt), min_size=n_ticks, max_size=n_ticks)
+    )
+    return draw(st.integers(1, 3)), draw(st.integers(1, 3)), ticks
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=frame_queue_runs())
+# An idle tick, then one frame that renders at once and two VSync edges:
+# the second edge is a miss although nothing is left in flight.
+@example(
+    case=(1, 1, [([], 4, 4, 1.6 * PERIOD_S), ([FrameSpec(0.0, 0.0)], 4, 4, 1.6 * PERIOD_S)])
+)
+def test_frame_queue_matches_the_transcribed_scalar_tick(case):
+    max_pending, back_buffers, ticks = case
+    config = PipelineConfig(
+        big_cluster="cpu",
+        little_cluster="__none__",
+        gpu_cluster="gpu",
+        ui_big_cores=1.0,
+        max_pending_frames=max_pending,
+    )
+    clusters = {
+        "cpu": stage_cluster("cpu", ClusterKind.BIG_CPU),
+        "gpu": stage_cluster("gpu", ClusterKind.GPU),
+    }
+    reference = NaiveFrameQueueReference(max_pending, back_buffers, 60.0)
+    scalar = FramePipeline(config, 60.0, back_buffer_count=back_buffers)
+    batch = BatchFramePipeline(config, 60.0, clusters, 1, back_buffer_count=back_buffers)
+    no_background = dict.fromkeys(clusters, 0.0)
+    for frames, cpu_index, gpu_index, dt in ticks:
+        clusters["cpu"].set_frequency_index(cpu_index)
+        clusters["gpu"].set_frequency_index(gpu_index)
+        (_, _, cpu_rate, gpu_rate), _ = transcribed_pipeline_lines(
+            config, clusters, 0.0, 0.0, no_background, dt
+        )
+        cpu_budget = cpu_rate * dt
+        gpu_budget = gpu_rate * dt
+        displayed, rejected, completed, misses, cpu_done, gpu_done = reference.tick(
+            dt, frames, cpu_budget, gpu_budget
+        )
+        counts = (reference.frames_in_flight, reference.ready_frames)
+
+        # One CPU cluster and no background work: the attributed work of
+        # each stage cluster is that stage's work itself.
+        result = scalar.tick(dt, clusters, frames)
+        assert (
+            result.frames_displayed,
+            result.frames_dropped,
+            result.frames_completed,
+            result.vsync_misses,
+        ) == (displayed, rejected, completed, misses)
+        assert hexes([result.work_done_mwu["cpu"], result.work_done_mwu["gpu"]]) == hexes(
+            [cpu_done, gpu_done]
+        )
+        assert (scalar.frames_in_flight, scalar.queue.ready) == counts
+
+        lane = batch.queues[0]
+        lane_displayed, lane_rejected, lane_cpu, lane_gpu, lane_completed = lane.step(
+            frames, cpu_budget, gpu_budget, batch.advance_time(dt)
+        )
+        assert (lane_displayed, lane_rejected, lane_completed) == (
+            displayed,
+            rejected,
+            completed,
+        )
+        assert hexes([lane_cpu, lane_gpu]) == hexes([cpu_done, gpu_done])
+        assert (lane.in_flight, lane.ready) == counts

@@ -15,6 +15,7 @@ Three layers:
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,7 @@ from repro.lint.engine import lint_source, parse_suppressions, resolve_rules
 from repro.lint.rules import ALL_RULES, RULES_BY_ID
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+SRC = str(REPO_ROOT / "src")
 
 #: Rules resolved with their built-in default scopes (the committed
 #: pyproject policy mirrors these; the meta-test covers the committed one).
@@ -747,12 +749,15 @@ class TestRepositoryIsClean:
         assert status == 0, f"repro-lint found new hazards:\n{out}"
 
     def test_console_entry_point_runs(self):
-        # `python -m repro.lint` mirrors the installed repro-lint script.
+        # `python -m repro.lint` mirrors the installed repro-lint script; the
+        # checkout's src comes first, so the child needs no install.
+        pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "repro.lint", "explain", "REP001"],
             capture_output=True,
             text=True,
             cwd=str(REPO_ROOT),
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert result.returncode == 0
         assert "REP001" in result.stdout

@@ -61,6 +61,8 @@ from repro.reliability.retry import (
 )
 from repro.reliability.watchdog import WatchdogPolicy
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 # ---------------------------------------------------------------------------
 # FaultPlan: scheduling, determinism, serialisation
@@ -103,9 +105,12 @@ class TestFaultPlan:
             "mark_worker_process()\n"
             "fault_point(SITE_EXECUTE_CELL, 'cell-a')\n"
         )
+        # The checkout's src comes first, so the child imports the package
+        # without an install.
+        pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", code],
-            env={**os.environ, FAULT_PLAN_ENV: plan.to_json()},
+            env={**os.environ, "PYTHONPATH": pythonpath, FAULT_PLAN_ENV: plan.to_json()},
         )
         assert proc.returncode == CRASH_EXIT_CODE
 
