@@ -760,12 +760,24 @@ class _PoolExecutor(ProcessPoolExecutor):
         Worker processes are terminated outright: they compute in memory
         and return results by pickle -- every store write happens in the
         orchestrator -- so killing them mid-job cannot corrupt anything on
-        disk.  ``shutdown`` drops the process table, so it is read first.
+        disk.  ``shutdown`` drops the process table and the manager thread,
+        so both are read first.
+
+        The manager thread is joined once the workers are dead: while it
+        tears the pool down it briefly holds the pool's shutdown lock, and a
+        rebuilt pool forked in that window hands the held lock to its
+        workers.  A worker that then garbage-collects this executor runs its
+        weakref callback, which takes that lock, and blocks forever on a job
+        that never hung.  The join is bounded, so a teardown that stalls
+        cannot stall the sweep with it.
         """
         processes = list((self._processes or {}).values())
+        manager = self._executor_manager_thread
         self.shutdown(wait=False, cancel_futures=True)
         for process in processes:
             process.terminate()
+        if manager is not None:
+            manager.join(timeout=5.0)
 
 
 class _InlineExecutor(Executor):

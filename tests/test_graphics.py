@@ -3,7 +3,7 @@
 import pytest
 
 from repro.graphics.display import Display, FpsCounter
-from repro.graphics.pipeline import FramePipeline, FrameSpec, PipelineConfig
+from repro.graphics.pipeline import FramePipeline, FrameQueue, FrameSpec, PipelineConfig
 from repro.graphics.vsync import VsyncClock
 from repro.soc.platform import exynos9810
 
@@ -40,6 +40,18 @@ class TestVsyncClock:
     def test_rejects_bad_refresh(self):
         with pytest.raises(ValueError):
             VsyncClock(refresh_hz=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Frame queue
+# ---------------------------------------------------------------------------
+
+class TestFrameQueue:
+    def test_rejects_zero_back_buffers(self):
+        with pytest.raises(ValueError):
+            FrameQueue(max_pending_frames=1, back_buffer_count=0)
+        with pytest.raises(ValueError):
+            FramePipeline(back_buffer_count=0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +216,6 @@ class TestFramePipeline:
             PipelineConfig(gpu_core_fraction=0.0)
         with pytest.raises(ValueError):
             PipelineConfig(max_pending_frames=0)
-        with pytest.raises(ValueError):
-            FramePipeline(back_buffer_count=0)
 
     def test_vsync_misses_reported_separately(self, clusters):
         pipeline = FramePipeline()

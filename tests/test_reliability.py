@@ -30,7 +30,7 @@ from repro.experiments.artifacts import ArtifactStore
 from repro.experiments.costs import DEFAULT_COST_MODEL
 from repro.experiments.federated import FleetStore
 from repro.experiments.matrix import ScenarioMatrix
-from repro.experiments.runner import SweepRunner
+from repro.experiments.runner import SweepRunner, _PoolExecutor
 from repro.obs.metrics import metrics, reset_metrics
 from repro.reliability.faults import (
     CRASH_EXIT_CODE,
@@ -475,6 +475,19 @@ class TestPoolAbandon:
         while multiprocessing.active_children() and time.monotonic() < deadline:
             time.sleep(0.05)
         assert multiprocessing.active_children() == []
+
+    def test_abandon_waits_for_the_pool_manager_thread(self):
+        # While the manager thread tears an abandoned pool down it holds the
+        # pool's shutdown lock for a moment.  A rebuilt pool forked in that
+        # window gives its workers the lock already held, and a worker that
+        # garbage-collects the old executor blocks on it for good, so the
+        # watchdog expires on a job that never hung.  abandon() must not
+        # return before that thread is done.
+        executor = _PoolExecutor(1)
+        executor.submit(time.sleep, 30.0)
+        manager = executor._executor_manager_thread
+        executor.abandon()
+        assert not manager.is_alive()
 
     def test_watchdog_restart_bumps_the_jobs_on_workers_only(self):
         # Two workers, six cells.  The first two cells hang on their first
