@@ -13,9 +13,9 @@ pins that discipline.
 
 The scope covers every masked-update code path: the kernel itself (whose
 heterogeneous-lane loop masks finished lanes out of each stage) and the
-batch recorder (whose per-row device masks gather lanes back apart).  A
-masked reduction is just as lane-crossing as an unmasked one -- boolean
-indexing selects lanes but the reduction over the survivors still
+batch recorder (whose per-segment arrays select lanes and gather them back
+apart).  A masked reduction is just as lane-crossing as an unmasked one --
+boolean indexing selects lanes but the reduction over the survivors still
 reassociates -- so masking earns no exemption.
 """
 

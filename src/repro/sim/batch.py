@@ -15,7 +15,8 @@ that :meth:`~repro.graphics.pipeline.FramePipeline.tick` steps too.  Each
 numeric stage is one NumPy call chain over the whole ``(clusters,
 devices)`` or ``(nodes, devices)`` array, never one chain per cluster or
 node: per-call overhead, not the lane count, is what a small batch pays per
-tick.
+tick.  The recorder's arrays span only the active lanes of the current
+lane segment (:class:`~repro.sim.recorder.BatchRecorder`).
 
 Bit-identity contract
 ---------------------
@@ -106,13 +107,6 @@ class BatchSimulation:
         self._ref = ref
         soc0 = ref.soc
         self._dt = ref.config.dt_s
-        self._record_every_arr = np.array(
-            [config.record_every_n_ticks for config in configs], dtype=np.int64
-        )
-        self._uniform_cadence = all(
-            config.record_every_n_ticks == first.record_every_n_ticks
-            for config in configs
-        )
         #: A heterogeneous run leaves lanes at different local tick counts;
         #: any further shared-clock run would diverge from scalar per-device
         #: runs, so the batch is consumed (see :meth:`run`).
@@ -173,10 +167,6 @@ class BatchSimulation:
 
         self._scaler = ref.scaler
         self._scaler_state = ref.scaler.compile_batch(soc0.clusters, n)
-        #: Every cluster's OPP frequencies in one flat table (the scaler's),
-        #: with a ``(clusters, 1)`` offset column, for the DVFS row gathers.
-        self._freq_flat = self._scaler_state.flat_frequencies
-        self._freq_offsets = self._scaler_state.offsets
         self._pipeline = BatchFramePipeline(
             ref._pipeline_config(), ref.config.refresh_hz, soc0.clusters, n
         )
@@ -221,9 +211,13 @@ class BatchSimulation:
             hot_node=ref.recorder.hot_node,
             cluster_keys=self._cluster_names,
             node_keys=self._node_names,
+            record_every=[config.record_every_n_ticks for config in configs],
+            # The scaler's flat OPP table turns recorded OPP indices into MHz.
+            frequency_table=self._scaler_state.flat_frequencies,
+            frequency_offsets=self._scaler_state.offsets,
         )
 
-        # Reusable per-tick rows (overwritten every tick, copied on record).
+        # Reusable per-tick rows (overwritten every tick, read on record).
         self._app_row: List[str] = [""] * n
         self._phase_row: List[str] = [""] * n
         self._demanded_row: List[int] = [0] * n
@@ -295,7 +289,8 @@ class BatchSimulation:
             if len(duration_s) != self._n:
                 raise ValueError("one duration per device required")
             budgets = [clock.ticks_for(float(dur)) for dur in duration_s]
-        if not (self._uniform_cadence and len(set(budgets)) == 1):
+        cadences = {dev.config.record_every_n_ticks for dev in self.devices}
+        if len(cadences) > 1 or len(set(budgets)) > 1:
             self._consumed = True
         self._run_ticks(workloads, budgets)
         return self.recorder
@@ -331,9 +326,9 @@ class BatchSimulation:
         segment in which every lane is active and records on the same ticks.
         When a lane's budget runs out, it is removed from the frontend visit
         list, its demand/display/drop rows are zeroed (freezing its
-        contribution to the shared FPS window and governor counters), and it
-        is masked out of the observe hooks, governor ``due`` set and recorder
-        rows.  The dense element-wise stages (power, thermal, scaler,
+        contribution to the shared FPS window and governor counters), it is
+        masked out of the observe hooks and governor ``due`` set, and the
+        recorder's arrays for the next segment leave it out.  The dense element-wise stages (power, thermal, scaler,
         throttle) keep stepping every lane -- a dead lane's column is never
         read again, and per-lane independence means it cannot perturb a live
         lane's IEEE-754 op order.  Because all lanes share tick zero, a
@@ -343,10 +338,6 @@ class BatchSimulation:
         n = self._n
         n_clusters = self._n_clusters
         dt = self._dt
-        record_every_arr = self._record_every_arr
-        uniform_every = (
-            int(record_every_arr[0]) if self._uniform_cadence else None
-        )
         pipeline = self._pipeline
         queue_steps = [queue.step for queue in pipeline.queues]
         batch_rates = pipeline.batch_rates
@@ -356,6 +347,9 @@ class BatchSimulation:
         observe = self._observe
         observe_any = any(fn is not None for fn in observe)
         agents = self._agents
+        # Recorded target FPS: the agent's on lanes that have one, else 0.0.
+        agent_lanes = [d for d in range(n) if agents[d] is not None]
+        target_row = np.zeros(n)
         current_app = self._current_app
         invocation_period = self._invocation_period
         last_invocation = self._last_invocation
@@ -381,11 +375,10 @@ class BatchSimulation:
         soc_step = self._soc_step
         scaler_select = self._scaler.select_tick_batch
         scaler_state = self._scaler_state
-        freq_flat = self._freq_flat
-        freq_offsets = self._freq_offsets
         fps_events = self._fps_events
         fps_window_s = self._fps_window_s
         refresh_hz = self._refresh_hz
+        begin_segment = self.recorder.begin_segment
         recorder_append = self.recorder.append_tick
         invoke_governor = self._invoke_governor
         fast_update = self._fast_update
@@ -420,6 +413,8 @@ class BatchSimulation:
                 metrics().inc(
                     "batch.device_ticks", float(seg_ticks) * len(active_list)
                 )
+                # The ticks on which some active lane records.
+                row_ticks = begin_segment(tick_count, seg_ticks, active_list)
                 # Freeze lanes that just went inactive: zero the reused
                 # frontend rows once so the shared FPS window and governor
                 # counters stop accruing for them.
@@ -428,7 +423,6 @@ class BatchSimulation:
                         demanded_row[d] = 0
                         displayed_row[d] = 0
                         dropped_row[d] = 0
-                        interaction_row[d] = 0.0
                         cpu_done_row[d] = 0.0
                         gpu_done_row[d] = 0.0
                         for k in range(n_clusters):
@@ -507,21 +501,12 @@ class BatchSimulation:
 
                     tick_count += 1
                     now = tick_count * dt
-                    # Per-lane recording cadence, gated by the active mask:
-                    # the lanes that record this tick, or None.
-                    if uniform_every is not None:
-                        recorded = (
-                            active_list if tick_count % uniform_every == 0 else None
-                        )
-                    else:
-                        recorded = np.flatnonzero(
-                            active_mask & (tick_count % record_every_arr == 0)
-                        ).tolist() or None
-                    if recorded is not None:
-                        # DVFS snapshot before the scaler moves frequencies, as
-                        # in the scalar engine.
-                        frequency_rows = freq_flat[cur + freq_offsets]
-                        max_limit_rows = freq_flat[max_limit + freq_offsets]
+                    recording = tick_count in row_ticks
+                    if recording:
+                        # DVFS snapshot (OPP indices) before the scaler moves
+                        # frequencies, as in the scalar engine.
+                        frequency_rows = cur.copy()
+                        max_limit_rows = max_limit.copy()
 
                     # Sliding-window FPS, vectorised over devices (expiry is
                     # time-driven and therefore shared).
@@ -624,35 +609,31 @@ class BatchSimulation:
                             governors[d].invocation_period_s for d in due_devices
                         ]
 
-                    if recorded is not None:
+                    if recording:
                         dynamic_total = dynamic[0]
                         leakage_total = leakage[0]
                         for k in range(1, n_clusters):
                             dynamic_total = dynamic_total + dynamic[k]
                             leakage_total = leakage_total + leakage[k]
                         power_total = (dynamic_total + leakage_total) + rest_w
+                        if agent_lanes:
+                            target_row[agent_lanes] = [
+                                agents[d].target_fps for d in agent_lanes
+                            ]
                         recorder_append(
                             now,
-                            list(app_row),
-                            list(phase_row),
+                            app_row,
+                            phase_row,
                             fps,
-                            [
-                                0.0 if agents[d] is None else agents[d].target_fps
-                                for d in range(n)
-                            ],
-                            list(demanded_row),
-                            list(displayed_row),
-                            list(dropped_row),
+                            target_row,
+                            counts,
                             power_total,
                             cluster_power,
-                            temps.copy(),
+                            temps,
                             frequency_rows,
                             max_limit_rows,
                             util,
-                            list(interaction_row),
-                            device_mask=(
-                                None if len(recorded) == n else tuple(recorded)
-                            ),
+                            interaction_row,
                         )
         finally:
             self._tick_count = tick_count

@@ -6,27 +6,31 @@ paper ran alongside its on-device experiments -- and derives the aggregate
 numbers the paper reports: average power, peak temperature, average FPS,
 dropped frames and average PPDW.
 
-Storage is *struct-of-arrays*: each scalar field lives in its own flat
-column and each mapping field in a values column plus a (shared, interned)
-key tuple per row, so the simulation hot loop appends plain floats and small
-tuples instead of building five dict copies and a dataclass per tick
-(:meth:`Recorder.append_tick`).  The :class:`SimulationSample` view is
-reconstructed lazily on access -- ``recorder.samples``, :meth:`resample` and
-the analysis APIs are unchanged and the reconstructed samples compare equal
-(bit-identically) to what the previous object-per-tick recorder stored.
+Storage is *columnar* under one key layout per recorder: each scalar field
+lives in its own flat list and each mapping field in one list per key of
+the layout, so the simulation hot loop appends plain floats
+(:meth:`Recorder.append_tick`) instead of building five dict copies and a
+dataclass per tick.  The :class:`SimulationSample` view is reconstructed
+lazily on access -- ``recorder.samples``, :meth:`resample` and the analysis
+APIs are unchanged and the reconstructed samples compare equal
+(bit-identically) to what an object-per-tick recorder stored.
 :meth:`Recorder.content_hash` and :meth:`Recorder.summary` read the columns
-directly and build no sample views; the hash formats each row through one
-cached template per mapping-key layout and equals
-:func:`sample_stream_hash` over the views byte for byte.
+directly and build no sample views; the hash formats every row through one
+template of the layout and equals :func:`sample_stream_hash` over the views
+byte for byte.
+
+:class:`BatchRecorder` records the lanes of a batched run into NumPy
+arrays, one set per lane segment, and hands one lane's columns to a
+:class:`Recorder` without building a row object.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.core.ppdw import compute_ppdw
 
@@ -112,7 +116,7 @@ def sample_stream_hash(samples: Iterable[SimulationSample]) -> str:
     return h.hexdigest()
 
 
-#: Mapping-valued sample fields (each stored as a keys column + values column).
+#: Mapping-valued sample fields, in the order of a recorder's key layout.
 _MAPPING_FIELDS = (
     "power_per_cluster_w",
     "temperatures_c",
@@ -120,6 +124,11 @@ _MAPPING_FIELDS = (
     "max_limits_mhz",
     "utilisations",
 )
+
+#: Runs an iterator to its end and keeps nothing: ``_drain(map(_append,
+#: columns, values))`` appends one value to each column at C speed.
+_drain = deque(maxlen=0).extend
+_append = list.append
 
 #: Rows formatted per ``str.join`` in :meth:`Recorder.content_hash` (bounds
 #: the transient text to about half a megabyte).
@@ -156,7 +165,7 @@ def _row_template(
 
 
 class Recorder:
-    """Accumulates samples (struct-of-arrays) and computes :class:`SummaryStatistics`."""
+    """Accumulates samples (a list per column) and computes :class:`SummaryStatistics`."""
 
     def __init__(self, ambient_c: float = 21.0, hot_node: str = "big") -> None:
         self.ambient_c = ambient_c
@@ -172,16 +181,13 @@ class Recorder:
         self._dropped: List[int] = []
         self._power_total: List[float] = []
         self._interaction: List[float] = []
-        # Mapping columns: one (keys, values) tuple pair per row per field.
-        self._map_keys: Dict[str, List[Tuple[str, ...]]] = {
-            name: [] for name in _MAPPING_FIELDS
-        }
-        self._map_vals: Dict[str, List[tuple]] = {name: [] for name in _MAPPING_FIELDS}
-        # Interned key tuples (rows overwhelmingly share one layout per run).
-        self._key_intern: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
-        # Registered fixed layout for the engine fast path.
-        self._cluster_keys: Optional[Tuple[str, ...]] = None
-        self._node_keys: Optional[Tuple[str, ...]] = None
+        # The key layout, fixed by register_layout() or by the first
+        # recorded sample: each mapping field's key tuple, in field order.
+        self._layout: Dict[str, Tuple[str, ...]] = {}
+        # Mapping columns: one values list per key of the layout, field
+        # after field; ``_spans`` maps each field to its slice of them.
+        self._key_columns: List[list] = []
+        self._spans: Dict[str, slice] = {}
         # Lazily materialised SimulationSample views.
         self._materialised: List[SimulationSample] = []
 
@@ -190,12 +196,24 @@ class Recorder:
     def register_layout(
         self, cluster_keys: Sequence[str], node_keys: Sequence[str]
     ) -> None:
-        """Fix the key layout for :meth:`append_tick` (cluster / node order)."""
-        self._cluster_keys = self._intern(tuple(cluster_keys))
-        self._node_keys = self._intern(tuple(node_keys))
+        """Fix the key layout: temperatures by node, other mappings by cluster."""
+        cluster_keys = tuple(cluster_keys)
+        self._use_layout(
+            (cluster_keys, tuple(node_keys), cluster_keys, cluster_keys, cluster_keys)
+        )
 
-    def _intern(self, keys: Tuple[str, ...]) -> Tuple[str, ...]:
-        return self._key_intern.setdefault(keys, keys)
+    def _use_layout(self, key_tuples: Sequence[Tuple[str, ...]]) -> None:
+        layout = dict(zip(_MAPPING_FIELDS, key_tuples))
+        if layout == self._layout:
+            return
+        if self._time:
+            raise ValueError("cannot change the key layout of a non-empty recording")
+        self._layout = layout
+        start = 0
+        for name, keys in layout.items():
+            self._spans[name] = slice(start, start + len(keys))
+            start += len(keys)
+        self._key_columns = [[] for _ in range(start)]
 
     def append_tick(
         self,
@@ -220,9 +238,7 @@ class Recorder:
         Requires :meth:`register_layout`; the value tuples must be aligned
         with the registered cluster/node key order.
         """
-        cluster_keys = self._cluster_keys
-        node_keys = self._node_keys
-        if cluster_keys is None or node_keys is None:
+        if not self._layout:
             raise ValueError("append_tick requires register_layout() first")
         self._time.append(time_s)
         self._app.append(app_name)
@@ -234,21 +250,33 @@ class Recorder:
         self._dropped.append(frames_dropped)
         self._power_total.append(power_total_w)
         self._interaction.append(interaction_activity)
-        map_keys = self._map_keys
-        map_vals = self._map_vals
-        map_keys["power_per_cluster_w"].append(cluster_keys)
-        map_vals["power_per_cluster_w"].append(power_per_cluster_values)
-        map_keys["temperatures_c"].append(node_keys)
-        map_vals["temperatures_c"].append(temperature_values)
-        map_keys["frequencies_mhz"].append(cluster_keys)
-        map_vals["frequencies_mhz"].append(frequency_values)
-        map_keys["max_limits_mhz"].append(cluster_keys)
-        map_vals["max_limits_mhz"].append(max_limit_values)
-        map_keys["utilisations"].append(cluster_keys)
-        map_vals["utilisations"].append(utilisation_values)
+        _drain(
+            map(
+                _append,
+                self._key_columns,
+                (
+                    *power_per_cluster_values,
+                    *temperature_values,
+                    *frequency_values,
+                    *max_limit_values,
+                    *utilisation_values,
+                ),
+            )
+        )
 
     def record(self, sample: SimulationSample) -> None:
-        """Append one sample (object-based compatibility path)."""
+        """Append one sample (object-based path).
+
+        The first sample fixes the key layout when none is registered; a
+        sample whose mapping keys differ from the layout raises ``ValueError``.
+        """
+        mappings = [getattr(sample, name) for name in _MAPPING_FIELDS]
+        if not self._layout:
+            self._use_layout([tuple(mapping) for mapping in mappings])
+        layout = self._layout.values()
+        for name, keys, mapping in zip(_MAPPING_FIELDS, layout, mappings):
+            if mapping.keys() != set(keys):
+                raise ValueError(f"sample {name} keys differ from the layout {keys!r}")
         self._time.append(sample.time_s)
         self._app.append(sample.app_name)
         self._phase.append(sample.phase_name)
@@ -259,11 +287,8 @@ class Recorder:
         self._dropped.append(sample.frames_dropped)
         self._power_total.append(sample.power_total_w)
         self._interaction.append(sample.interaction_activity)
-        for name in _MAPPING_FIELDS:
-            mapping = getattr(sample, name)
-            keys = self._intern(tuple(mapping))
-            self._map_keys[name].append(keys)
-            self._map_vals[name].append(tuple(mapping[k] for k in keys))
+        values = [mapping[k] for keys, mapping in zip(layout, mappings) for k in keys]
+        _drain(map(_append, self._key_columns, values))
 
     def __len__(self) -> int:
         return len(self._time)
@@ -282,9 +307,13 @@ class Recorder:
                 materialised.append(build(i))
         return materialised
 
+    def _mapping(self, name: str, i: int) -> Dict[str, float]:
+        """Row ``i`` of a mapping field as a dict (a repeated key keeps its last value)."""
+        columns = self._key_columns[self._spans[name]]
+        return dict(zip(self._layout[name], [column[i] for column in columns]))
+
     def _build_sample(self, i: int) -> SimulationSample:
-        map_keys = self._map_keys
-        map_vals = self._map_vals
+        mapping = self._mapping
         return SimulationSample(
             time_s=self._time[i],
             app_name=self._app[i],
@@ -295,34 +324,25 @@ class Recorder:
             frames_displayed=self._displayed[i],
             frames_dropped=self._dropped[i],
             power_total_w=self._power_total[i],
-            power_per_cluster_w=dict(
-                zip(map_keys["power_per_cluster_w"][i], map_vals["power_per_cluster_w"][i])
-            ),
-            temperatures_c=dict(
-                zip(map_keys["temperatures_c"][i], map_vals["temperatures_c"][i])
-            ),
-            frequencies_mhz=dict(
-                zip(map_keys["frequencies_mhz"][i], map_vals["frequencies_mhz"][i])
-            ),
-            max_limits_mhz=dict(
-                zip(map_keys["max_limits_mhz"][i], map_vals["max_limits_mhz"][i])
-            ),
-            utilisations=dict(zip(map_keys["utilisations"][i], map_vals["utilisations"][i])),
+            power_per_cluster_w=mapping("power_per_cluster_w", i),
+            temperatures_c=mapping("temperatures_c", i),
+            frequencies_mhz=mapping("frequencies_mhz", i),
+            max_limits_mhz=mapping("max_limits_mhz", i),
+            utilisations=mapping("utilisations", i),
             interaction_activity=self._interaction[i],
         )
 
     def content_hash(self) -> str:
         """Canonical hash of the recorded stream (see :func:`sample_stream_hash`).
 
-        Reads the columns directly: each run of rows sharing one
-        mapping-key layout is formatted through that layout's
-        :func:`_row_template`, so the digest equals
+        Reads the columns directly: every row is formatted through the
+        layout's :func:`_row_template`, so the digest equals
         ``sample_stream_hash(self.samples)`` without building any sample.
         """
         h = hashlib.sha256()
-        key_columns = [self._map_keys[name] for name in _MAPPING_FIELDS]
-        value_columns = [self._map_vals[name] for name in _MAPPING_FIELDS]
-        scalar_columns = (
+        template, orders = _row_template(tuple(self._layout.values()))
+        format_row = template.__mod__
+        columns = [
             self._time,
             self._app,
             self._phase,
@@ -332,21 +352,14 @@ class Recorder:
             self._displayed,
             self._dropped,
             self._power_total,
-        )
-        start = 0
-        for layout, run in groupby(zip(*key_columns)):
-            run_stop = start + len(list(run))
-            template, orders = _row_template(layout)
-            format_row = template.__mod__
-            for lo in range(start, run_stop, _HASH_CHUNK_ROWS):
-                hi = min(lo + _HASH_CHUNK_ROWS, run_stop)
-                columns = [column[lo:hi] for column in scalar_columns]
-                for values, order in zip(value_columns, orders):
-                    by_position = list(zip(*values[lo:hi]))
-                    columns.extend(by_position[index] for index in order)
-                columns.append(self._interaction[lo:hi])
-                h.update("".join(map(format_row, zip(*columns))).encode("utf-8"))
-            start = run_stop
+        ]
+        for name, order in zip(_MAPPING_FIELDS, orders):
+            by_key = self._key_columns[self._spans[name]]
+            columns.extend(by_key[index] for index in order)
+        columns.append(self._interaction)
+        for lo in range(0, len(self._time), _HASH_CHUNK_ROWS):
+            rows = zip(*[column[lo : lo + _HASH_CHUNK_ROWS] for column in columns])
+            h.update("".join(map(format_row, rows)).encode("utf-8"))
         return h.hexdigest()
 
     # -- column access ------------------------------------------------------------
@@ -371,33 +384,23 @@ class Recorder:
         if attr is not None:
             return list(getattr(self, attr))
         if name in _MAPPING_FIELDS:
-            keys = self._map_keys[name]
-            vals = self._map_vals[name]
-            return [dict(zip(keys[i], vals[i])) for i in range(len(self._time))]
+            return [self._mapping(name, i) for i in range(len(self._time))]
         return [getattr(sample, name) for sample in self.samples]
 
     def _mapping_series(self, field_name: str, key: str, default: float) -> List[float]:
-        """One key of a mapping field across all rows (``default`` when absent)."""
-        keys = self._map_keys[field_name]
-        vals = self._map_vals[field_name]
-        index_cache: Dict[Tuple[str, ...], Optional[int]] = {}
-        series: List[float] = []
-        for i in range(len(self._time)):
-            row_keys = keys[i]
-            idx = index_cache.get(row_keys, -2)
-            if idx == -2:
-                idx = row_keys.index(key) if key in row_keys else None
-                index_cache[row_keys] = idx
-            series.append(default if idx is None else vals[i][idx])
-        return series
+        """One key's column of a mapping field, not a copy (``default`` when absent)."""
+        keys = self._layout.get(field_name, ())
+        if key not in keys:
+            return [default] * len(self._time)
+        return self._key_columns[self._spans[field_name].start + keys.index(key)]
 
     def temperature_series(self, node: str) -> List[float]:
         """Temperature of ``node`` across all samples."""
-        return self._mapping_series("temperatures_c", node, self.ambient_c)
+        return list(self._mapping_series("temperatures_c", node, self.ambient_c))
 
     def frequency_series(self, cluster: str) -> List[float]:
         """Operating frequency of ``cluster`` across all samples."""
-        return self._mapping_series("frequencies_mhz", cluster, 0.0)
+        return list(self._mapping_series("frequencies_mhz", cluster, 0.0))
 
     # -- summaries -----------------------------------------------------------------
 
@@ -418,12 +421,9 @@ class Recorder:
         p10_index = max(0, int(0.1 * (count - 1)))
 
         ambient = self.ambient_c
-        node_names: List[str] = sorted(
-            {node for keys in set(self._map_keys["temperatures_c"]) for node in keys}
-        )
         node_series = {
             node: self._mapping_series("temperatures_c", node, ambient)
-            for node in node_names
+            for node in sorted(set(self._layout.get("temperatures_c", ())))
         }
         peak_temps = {node: max(series) for node, series in node_series.items()}
         avg_temps = {node: sum(series) / count for node, series in node_series.items()}
@@ -476,39 +476,42 @@ class Recorder:
         return result
 
 
+class _Segment:
+    """The rows one lane segment records, as ``(rows, fields, lanes)`` blocks."""
+
+    def __init__(self, lanes: Sequence[int], row_ticks, owner: "BatchRecorder") -> None:
+        import numpy as np
+
+        rows = len(row_ticks)
+        #: Device index -> its lane column in this segment's blocks.
+        self.column_of = {device: column for column, device in enumerate(lanes)}
+        #: Device-axis index of this segment's lanes in a full-width row, or
+        #: None when every lane is active.
+        self.take = None if len(lanes) == owner.n_devices else np.array(lanes)
+        self.ticks = row_ticks
+        self.times = np.empty(rows)
+        self.floats = np.empty((rows, owner._float_fields, len(lanes)))
+        self.ints = np.empty((rows, owner._int_fields, len(lanes)), dtype=np.int32)
+        #: Rows written so far.
+        self.filled = 0
+
+
 class BatchRecorder:
-    """Column-striped recording over a device axis.
+    """Per-segment array recording over the lanes of a batched run.
 
-    The scalar :class:`Recorder` already stores struct-of-arrays per tick;
-    here the device axis is one more stride.  Float fields are appended as
-    ``(devices,)`` / ``(clusters, devices)`` / ``(nodes, devices)`` NumPy
-    rows per recorded tick, string and integer fields as per-tick Python
-    lists.  :meth:`device_recorder` slices one device column out into a real
-    :class:`Recorder`; float64 extraction via ``tolist()`` is exact, so the
-    materialised per-device sample stream is bit-identical to the one a
-    scalar simulation of that device records.
+    A batched run splits into segments with a constant set of active lanes
+    (:meth:`~repro.sim.batch.BatchSimulation._lane_schedule`).
+    :meth:`begin_segment` allocates one float64 and one int32 block per
+    segment, sized to the ticks on which one of its lanes records and to
+    those lanes only, so a lane that has ended keeps no rows.  Each recorded
+    tick (:meth:`append_tick`) writes one row of both blocks: the float
+    fields, and the frame counts, the app and phase names (as codes into one
+    string table) and the frequencies and max limits (as OPP indices).
+    :meth:`device_recorder` fills one lane's :class:`Recorder` from one
+    ``tolist()`` per block, without building a row; float64 extraction is
+    exact, so the lane's stream is bit-identical to the one a scalar
+    simulation of that device records.
     """
-
-    #: Columns appended as one per-device Python list per recorded tick.
-    _LIST_COLUMNS = (
-        "_app",
-        "_phase",
-        "_target_fps",
-        "_demanded",
-        "_displayed",
-        "_dropped",
-        "_interaction",
-    )
-    #: Columns appended as one NumPy row per recorded tick.
-    _ARRAY_COLUMNS = (
-        "_fps",
-        "_power_total",
-        "_power_rows",
-        "_temp_rows",
-        "_freq_rows",
-        "_max_limit_rows",
-        "_util_rows",
-    )
 
     def __init__(
         self,
@@ -517,40 +520,71 @@ class BatchRecorder:
         hot_node: str,
         cluster_keys: Sequence[str],
         node_keys: Sequence[str],
+        record_every: Sequence[int],
+        frequency_table,
+        frequency_offsets,
     ) -> None:
+        """``frequency_table`` holds every cluster's OPP frequencies in one
+        flat array; ``frequency_offsets`` is the ``(clusters, 1)`` column of
+        each cluster's first entry in it."""
         self.n_devices = n_devices
         self.ambient_c = ambient_c
         self.hot_node = hot_node
         self._cluster_keys = tuple(cluster_keys)
         self._node_keys = tuple(node_keys)
-        self._time: List[float] = []
-        # Per-tick Python rows (ragged / non-float fields), one entry per device.
-        self._app: List[List[str]] = []
-        self._phase: List[List[str]] = []
-        self._target_fps: List[List[float]] = []
-        self._demanded: List[List[int]] = []
-        self._displayed: List[List[int]] = []
-        self._dropped: List[List[int]] = []
-        self._interaction: List[List[float]] = []
-        # Per-tick NumPy rows.
-        self._fps: List = []  # (devices,)
-        self._power_total: List = []  # (devices,)
-        self._power_rows: List = []  # (clusters, devices)
-        self._temp_rows: List = []  # (nodes, devices)
-        self._freq_rows: List = []  # (clusters, devices)
-        self._max_limit_rows: List = []  # (clusters, devices)
-        self._util_rows: List = []  # (clusters, devices)
-        # Per-row device mask: None means every device recorded this tick;
-        # otherwise a tuple of the device indices whose lane was both active
-        # and due under its own recording cadence (heterogeneous batches).
-        self._row_mask: List[Optional[Tuple[int, ...]]] = []
-        # Lane-major copies of the rows gathered so far (see _gather_columns)
-        # and which lane recorded each row.
-        self._lanes: Dict[str, Any] = {}
-        self._recorded = None
+        self._record_every = [int(every) for every in record_every]
+        self._frequency_table = frequency_table
+        self._frequency_offsets = frequency_offsets
+        clusters = len(self._cluster_keys)
+        #: Fields of the float block: fps, target FPS, total power and
+        #: interaction, then per-cluster power, per-node temperature and
+        #: per-cluster utilisation.
+        self._float_fields = 4 + 2 * clusters + len(self._node_keys)
+        #: Fields of the int32 block (int32 holds every per-tick frame count,
+        #: string code and OPP index exactly, in half the bytes of int64):
+        #: frames displayed, dropped and demanded, app and phase codes, then
+        #: per-cluster frequency and max-limit OPP indices.
+        self._int_fields = 5 + 2 * clusters
+        #: String table: name -> code, in first-seen order.
+        self._names: Dict[str, int] = {}
+        #: Per name field, the last full-width name row and its ``(1,
+        #: devices)`` codes: a lane's names change only when its app or
+        #: phase does.
+        self._code_rows: Dict[str, tuple] = {}
+        self._segments: List[_Segment] = []
 
     def __len__(self) -> int:
-        return len(self._time)
+        return sum(segment.filled for segment in self._segments)
+
+    def begin_segment(
+        self, first_tick: int, ticks: int, lanes: Sequence[int]
+    ) -> FrozenSet[int]:
+        """Allocate the blocks of a segment that steps ``lanes`` for ``ticks`` ticks.
+
+        ``first_tick`` is the tick count before the segment.  Returns the
+        ticks on which at least one of the lanes records; each of them gets
+        one row, written by :meth:`append_tick`.
+        """
+        import numpy as np
+
+        tick_numbers = np.arange(first_tick + 1, first_tick + ticks + 1)
+        due = np.zeros(ticks, dtype=bool)
+        for every in {self._record_every[device] for device in lanes}:
+            due |= tick_numbers % every == 0
+        row_ticks = tick_numbers[due]
+        self._segments.append(_Segment(lanes, row_ticks, self))
+        return frozenset(row_ticks.tolist())
+
+    def _code_row(self, field: str, names: List[str]):
+        """The string-table codes of a full-width name row, ``(1, devices)``."""
+        import numpy as np
+
+        last = self._code_rows.get(field)
+        if last is None or last[0] != names:
+            table = self._names
+            codes = np.array([[table.setdefault(name, len(table)) for name in names]])
+            last = self._code_rows[field] = (list(names), codes)
+        return last[1]
 
     def append_tick(
         self,
@@ -558,10 +592,8 @@ class BatchRecorder:
         app_names: List[str],
         phase_names: List[str],
         fps,
-        target_fps: List[float],
-        frames_demanded: List[int],
-        frames_displayed: List[int],
-        frames_dropped: List[int],
+        target_fps,
+        counts,
         power_total,
         power_rows,
         temperature_rows,
@@ -569,124 +601,100 @@ class BatchRecorder:
         max_limit_rows,
         utilisation_rows,
         interaction: List[float],
-        device_mask: Optional[Tuple[int, ...]] = None,
     ) -> None:
-        """Append one recorded tick.
+        """Write the current segment's next row.
 
-        Array arguments must be owned by the recorder (pass copies of any
-        live simulation buffer) and always span the full device axis;
-        ``device_mask`` marks which device columns belong to this row
-        (``None`` = all of them -- the homogeneous fast path).
-        """
-        self._time.append(time_s)
-        self._row_mask.append(device_mask)
-        self._app.append(app_names)
-        self._phase.append(phase_names)
-        self._fps.append(fps)
-        self._target_fps.append(target_fps)
-        self._demanded.append(frames_demanded)
-        self._displayed.append(frames_displayed)
-        self._dropped.append(frames_dropped)
-        self._power_total.append(power_total)
-        self._power_rows.append(power_rows)
-        self._temp_rows.append(temperature_rows)
-        self._freq_rows.append(frequency_rows)
-        self._max_limit_rows.append(max_limit_rows)
-        self._util_rows.append(utilisation_rows)
-        self._interaction.append(interaction)
-
-    def _gather_columns(self) -> None:
-        """Turn the rows appended since the last gather into lane-major columns.
-
-        Each Python column becomes one tuple per device and each NumPy
-        column one ``(ticks, ..., devices)`` array, appended to what earlier
-        gathers built.  A column's per-tick rows are released as soon as its
-        gathered copy exists, so the two are never held side by side.  Also
-        rebuilds ``_recorded``, the ``(ticks, devices)`` mask of which lane
-        recorded each row (``None`` when every lane recorded every row).
+        Every argument spans the full device axis and is only read, so live
+        simulation buffers may be passed.  Names and ``interaction`` are
+        Python lists; ``fps``, ``target_fps`` and ``power_total`` are
+        ``(devices,)`` arrays; ``counts`` is the ``(3, devices)`` array of
+        frames displayed, dropped and demanded; ``frequency_rows`` and
+        ``max_limit_rows`` are ``(clusters, devices)`` OPP indices; the other
+        rows are ``(clusters, devices)`` or ``(nodes, devices)`` floats.
         """
         import numpy as np
 
-        if not self._fps:
-            return  # no row appended since the last gather
-        lanes = self._lanes
-        for name in self._LIST_COLUMNS + self._ARRAY_COLUMNS:
-            rows = getattr(self, name)
-            setattr(self, name, [])
-            if name in self._ARRAY_COLUMNS:
-                column = np.stack(rows)
-                if name in lanes:
-                    column = np.concatenate((lanes[name], column))
-            else:
-                column = list(zip(*rows))
-                if name in lanes:
-                    column = [old + new for old, new in zip(lanes[name], column)]
-            del rows
-            lanes[name] = column
-        masked = [
-            (i, mask) for i, mask in enumerate(self._row_mask) if mask is not None
-        ]
-        if masked:
-            recorded = np.ones((len(self._time), self.n_devices), dtype=bool)
-            for i, mask in masked:
-                recorded[i] = False
-                recorded[i, list(mask)] = True
-            self._recorded = recorded
+        segment = self._segments[-1]
+        row = segment.filled
+        floats = (
+            fps[None],
+            target_fps[None],
+            power_total[None],
+            np.array((interaction,)),
+            power_rows,
+            temperature_rows,
+            utilisation_rows,
+        )
+        ints = (
+            counts,
+            self._code_row("app", app_names),
+            self._code_row("phase", phase_names),
+            frequency_rows,
+            max_limit_rows,
+        )
+        take = segment.take
+        if take is None:
+            np.concatenate(floats, out=segment.floats[row])
+            np.concatenate(ints, out=segment.ints[row])
         else:
-            self._recorded = None
+            segment.floats[row] = np.concatenate(floats)[:, take]
+            segment.ints[row] = np.concatenate(ints)[:, take]
+        segment.times[row] = time_s
+        segment.filled = row + 1
 
     def device_recorder(self, device: int) -> Recorder:
-        """Materialise one device's column as a scalar :class:`Recorder`.
+        """One lane's rows, over every segment it ran in, as a scalar :class:`Recorder`.
 
-        Rows whose ``device_mask`` excludes ``device`` (the lane had
-        finished, or its recording cadence was not due) are skipped, so the
-        materialised stream is exactly what a scalar run of that device
-        records.  Each column is gathered lane-major once per recorder (see
-        :meth:`_gather_columns`); every call slices one lane out of it.
+        Only the rows of the lane's own recording cadence are taken, so the
+        stream is exactly what a scalar run of that device records.
         """
+        import numpy as np
+
         recorder = Recorder(ambient_c=self.ambient_c, hot_node=self.hot_node)
         recorder.register_layout(self._cluster_keys, self._node_keys)
-        if not self._time:
+        every = self._record_every[device]
+        parts = []
+        for segment in self._segments:
+            column = segment.column_of.get(device)
+            if column is not None:
+                ticks = segment.ticks[: segment.filled]
+                parts.append((segment, np.flatnonzero(ticks % every == 0), column))
+        if not parts:
             return recorder
-        self._gather_columns()
-        lanes = self._lanes
-        if self._recorded is None:
-            rows = slice(None)
-            count = len(self._time)
-            recorder._time = list(self._time)
-
-            def take(lane):
-                return list(lane)
-
-        else:
-            rows = self._recorded[:, device].nonzero()[0]
-            indices = rows.tolist()
-            count = len(indices)
-            recorder._time = [self._time[i] for i in indices]
-
-            def take(lane):
-                return [lane[i] for i in indices]
-
-        recorder._app = take(lanes["_app"][device])
-        recorder._phase = take(lanes["_phase"][device])
-        recorder._target_fps = take(lanes["_target_fps"][device])
-        recorder._demanded = take(lanes["_demanded"][device])
-        recorder._displayed = take(lanes["_displayed"][device])
-        recorder._dropped = take(lanes["_dropped"][device])
-        recorder._interaction = take(lanes["_interaction"][device])
-        recorder._fps = lanes["_fps"][rows, device].tolist()
-        recorder._power_total = lanes["_power_total"][rows, device].tolist()
-        cluster_keys = recorder._cluster_keys
-        node_keys = recorder._node_keys
-        for name, keys, field in (
-            ("_power_rows", cluster_keys, "power_per_cluster_w"),
-            ("_temp_rows", node_keys, "temperatures_c"),
-            ("_freq_rows", cluster_keys, "frequencies_mhz"),
-            ("_max_limit_rows", cluster_keys, "max_limits_mhz"),
-            ("_util_rows", cluster_keys, "utilisations"),
-        ):
-            recorder._map_keys[field] = [keys] * count
-            # (keys, ticks) lists zipped into one values tuple per tick.
-            by_key = lanes[name][rows, :, device].T.tolist()
-            recorder._map_vals[field] = list(zip(*by_key))
+        recorder._time = np.concatenate(
+            [segment.times[rows] for segment, rows, _ in parts]
+        ).tolist()
+        floats = np.concatenate(
+            [segment.floats[rows, :, column] for segment, rows, column in parts]
+        ).T.tolist()
+        ints = np.concatenate(
+            [segment.ints[rows, :, column] for segment, rows, column in parts]
+        ).T
+        clusters = len(self._cluster_keys)
+        nodes = len(self._node_keys)
+        (
+            recorder._fps,
+            recorder._target_fps,
+            recorder._power_total,
+            recorder._interaction,
+        ) = floats[:4]
+        (
+            recorder._displayed,
+            recorder._dropped,
+            recorder._demanded,
+            app_codes,
+            phase_codes,
+        ) = ints[:5].tolist()
+        names = list(self._names)
+        recorder._app = [names[code] for code in app_codes]
+        recorder._phase = [names[code] for code in phase_codes]
+        table = self._frequency_table
+        offsets = self._frequency_offsets
+        recorder._key_columns = [
+            *floats[4 : 4 + clusters],
+            *floats[4 + clusters : 4 + clusters + nodes],
+            *table[ints[5 : 5 + clusters] + offsets].tolist(),
+            *table[ints[5 + clusters :] + offsets].tolist(),
+            *floats[4 + clusters + nodes :],
+        ]
         return recorder

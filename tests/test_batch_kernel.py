@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -484,6 +485,44 @@ class TestHeterogeneousLanes:
         workloads = [make_app(lane["app"], seed=lane["seed"]) for lane in lanes]
         with pytest.raises(ValueError, match="consumes the batch"):
             batch.run(workloads, duration_s=1.0)
+
+    def test_ended_lanes_keep_no_rows(self):
+        """One long lane adds its own rows only, not rows of the ended lanes.
+
+        Eight 1 s lanes, then seven 1 s lanes beside one 8 s lane: the
+        second run may keep at most three times the bytes of the first.
+        """
+        platform = make_platform("exynos9810")
+        kept = []
+        for durations in ([1.0] * 8, [1.0] * 7 + [8.0]):
+            configs = [
+                SimulationConfig(
+                    refresh_hz=platform.display_refresh_hz,
+                    duration_s=duration,
+                    seed=device,
+                )
+                for device, duration in enumerate(durations)
+            ]
+            batch = BatchSimulation(
+                platform, [make_governor("schedutil") for _ in configs], configs
+            )
+            workloads = [make_app("facebook", seed=device) for device in range(8)]
+            tracemalloc.start()
+            try:
+                batch.run(workloads, duration_s=durations)
+                kept.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+            for device, config in enumerate(configs):
+                simulation = Simulation(
+                    platform, make_governor("schedutil"), config
+                )
+                simulation.run(make_app("facebook", seed=device))
+                assert (
+                    batch.device_recorder(device).content_hash()
+                    == simulation.recorder.content_hash()
+                ), f"lane {device} of {durations} diverged"
+        assert kept[1] <= 3 * kept[0], kept
 
 
 #: The pinned non-IID fleet cell: mixed durations, cadences and intensities.

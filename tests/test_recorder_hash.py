@@ -1,12 +1,13 @@
 """``Recorder.content_hash`` against the reference ``sample_stream_hash``.
 
-``content_hash`` formats the recorder's columns directly, one template per
-mapping-key layout, instead of hashing ``SimulationSample`` views.  Its
-digest is the parity currency of every cached cell, golden pin and shard
-merge, so it must equal ``sample_stream_hash(recorder.samples)`` byte for
-byte on any stream: layouts that change mid-stream, empty and unsorted
-mappings, keys that look like format directives or need escaping in
-``repr``, and the floats whose ``repr`` is least regular.
+``content_hash`` formats the recorder's columns directly, through one
+template of the recorder's mapping-key layout, instead of hashing
+``SimulationSample`` views.  Its digest is the parity currency of every
+cached cell, golden pin and shard merge, so it must equal
+``sample_stream_hash(recorder.samples)`` byte for byte on any stream: empty
+and unsorted mappings, keys that look like format directives or need
+escaping in ``repr``, and the floats whose ``repr`` is least regular.  A
+recorder holds one layout, so a sample with other mapping keys is refused.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,11 +61,10 @@ def layouts(draw):
 
 @st.composite
 def sample_streams(draw):
-    """Samples drawn from a few layouts, so runs of rows share one."""
-    pool = draw(st.lists(layouts(), min_size=1, max_size=3))
+    """Samples that all share one drawn layout, as a recorder requires."""
+    layout = draw(layouts())
     samples = []
     for _ in range(draw(st.integers(min_value=0, max_value=12))):
-        layout = pool[draw(st.integers(min_value=0, max_value=len(pool) - 1))]
         mappings = {
             field: {key: draw(floats) for key in field_keys}
             for field, field_keys in zip(MAPPING_FIELDS, layout)
@@ -116,3 +117,39 @@ class TestContentHashOracle:
                 (4.0, 5.0, 6.0), (0.25, 0.5, 0.75), 0.0,
             )
         assert recorder.content_hash() == sample_stream_hash(recorder.samples)
+
+
+class TestSingleLayout:
+    @staticmethod
+    def sample(temperatures):
+        return SimulationSample(
+            time_s=0.0, app_name="facebook", phase_name="idle", fps=60.0,
+            target_fps=0.0, frames_demanded=1, frames_displayed=1,
+            frames_dropped=0, power_total_w=2.5,
+            power_per_cluster_w={"big": 1.0}, temperatures_c=temperatures,
+            frequencies_mhz={"big": 1690.0}, max_limits_mhz={"big": 2704.0},
+            utilisations={"big": 0.4}, interaction_activity=0.5,
+        )
+
+    def test_record_rejects_other_mapping_keys(self):
+        recorder = Recorder()
+        recorder.record(self.sample({"big": 40.0, "device": 30.0}))
+        with pytest.raises(ValueError):
+            recorder.record(self.sample({"big": 40.0}))
+        with pytest.raises(ValueError):
+            recorder.record(self.sample({"big": 40.0, "device": 30.0, "gpu": 35.0}))
+        assert len(recorder) == 1
+
+    def test_record_rejects_keys_outside_a_registered_layout(self):
+        recorder = Recorder()
+        recorder.register_layout(("big",), ("big", "gpu"))
+        with pytest.raises(ValueError):
+            recorder.record(self.sample({"big": 40.0, "device": 30.0}))
+        assert len(recorder) == 0
+
+    def test_append_tick_requires_a_registered_layout(self):
+        with pytest.raises(ValueError):
+            Recorder().append_tick(
+                0.0, "facebook", "idle", 60.0, 0.0, 1, 1, 0, 2.5,
+                (1.0,), (40.0,), (1690.0,), (2704.0,), (0.4,), 0.5,
+            )
