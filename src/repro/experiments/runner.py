@@ -47,7 +47,7 @@ import math
 import os
 import time
 import traceback
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -56,6 +56,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import (
@@ -241,6 +242,44 @@ def cell_trace(cell: ScenarioCell, platform: PlatformSpec) -> WorkloadTrace:
     return record_session_trace(segments, platform=platform, seed=cell.trace_seed)
 
 
+class SessionTraces:
+    """Recorded session traces, each kept until the last cell that replays it.
+
+    ``cells`` fix how many uses each session (platform, segments and
+    ``trace_seed``) gets.  :meth:`take` records a session on its first use,
+    through :func:`cell_trace`, and forgets it on its last.  A use beyond
+    the count, such as a retry or a failed batch's scalar re-run, records
+    the session again.
+    """
+
+    def __init__(self, cells: Iterable[ScenarioCell]) -> None:
+        self._uses = Counter(self._key(cell) for cell in cells)
+        self._traces: Dict[Tuple[Any, ...], WorkloadTrace] = {}
+
+    @staticmethod
+    def _key(cell: ScenarioCell) -> Tuple[Any, ...]:
+        return (cell.platform, cell.workload.segments, cell.trace_seed)
+
+    def take(self, cell: ScenarioCell, platform: PlatformSpec) -> WorkloadTrace:
+        """The cell's trace, recorded on the session's first use."""
+        key = self._key(cell)
+        trace = self._traces.pop(key, None)
+        if trace is None:
+            trace = cell_trace(cell, platform)
+        uses = self._uses.pop(key, 0) - 1
+        if uses > 0:
+            self._uses[key] = uses
+            self._traces[key] = trace
+        return trace
+
+
+#: The trace table of the in-process sweep whose job is running, if any
+#: (set by :class:`_InlineExecutor`).  Pool workers never see one.
+_sweep_traces: ContextVar[Optional[SessionTraces]] = ContextVar(
+    "sweep_traces", default=None
+)
+
+
 def cell_lane(
     cell: ScenarioCell,
     platform: PlatformSpec,
@@ -289,13 +328,15 @@ def run_cell_session(
     """Execute one cell in-process and return the full session result.
 
     Records the cell's demand trace, builds its lane (:func:`cell_lane`) and
-    replays the trace through the shared single-cell primitive.  The sweep
-    runner resolves artifacts through its :class:`ArtifactStore` /
-    :class:`FleetStore` and passes them in; standalone callers may omit
-    ``artifact``.
+    replays the trace through the shared single-cell primitive.  Inside an
+    in-process sweep the trace comes from the sweep's table, which records
+    each session once.  The sweep runner resolves artifacts through its
+    :class:`ArtifactStore` / :class:`FleetStore` and passes them in;
+    standalone callers may omit ``artifact``.
     """
     platform = make_platform(cell.platform)
-    trace = cell_trace(cell, platform)
+    table = _sweep_traces.get()
+    trace = cell_trace(cell, platform) if table is None else table.take(cell, platform)
     governor, config = cell_lane(cell, platform, trace, artifact)
     return run_trace(trace, governor, platform=platform, config=config)
 
@@ -363,11 +404,13 @@ def execute_cells_batched(
     cell keeps its own trace, governor and simulation seeds, session
     duration and recording cadence -- mixed durations and cadences run as
     masked heterogeneous lanes of the batch kernel.  Lanes replaying the same
-    session (same segments and ``trace_seed``) share one recorded trace;
-    the sharing lasts for this call only.  The batched
-    device-population kernel is bit-identical per lane to the scalar
-    :func:`execute_cell` path (pinned by the batch parity suite), so cached
-    results from either route are interchangeable.
+    session (same segments and ``trace_seed``) share one recorded trace,
+    which the kernel decodes once per tick for all of them.  Inside an
+    in-process sweep the trace comes from the sweep's table and is shared
+    with the sweep's other cells; otherwise the sharing lasts for this call
+    only.  The batched device-population kernel is bit-identical per lane
+    to the scalar :func:`execute_cell` path (pinned by the batch parity
+    suite), so cached results from either route are interchangeable.
 
     Failure isolation matches the scalar path's granularity: any batch-level
     failure (including one diverging cell) falls back to running every cell
@@ -394,16 +437,12 @@ def execute_cells_batched(
         platform = make_platform(cells[0].platform)
         # Cells replaying one session (same segments and trace seed, other
         # governors) share a single recording of its demand trace.
-        session_traces: Dict[Tuple[Any, int], WorkloadTrace] = {}
-        traces = []
+        table = _sweep_traces.get() or SessionTraces(cells)
+        traces = [table.take(cell, platform) for cell in cells]
         governors = []
         configs = []
-        for cell in cells:
-            key = (cell.workload.segments, cell.trace_seed)
-            if key not in session_traces:
-                session_traces[key] = cell_trace(cell, platform)
-            traces.append(session_traces[key])
-            governor, config = cell_lane(cell, platform, traces[-1])
+        for cell, trace in zip(cells, traces):
+            governor, config = cell_lane(cell, platform, trace)
             governors.append(governor)
             configs.append(config)
         batch = BatchSimulation(platform, governors, configs)
@@ -790,12 +829,17 @@ class _InlineExecutor(Executor):
     orchestrator is never marked expendable, so injected crashes raise here
     instead of exiting, and a job always runs to completion: this executor
     neither breaks nor times out.
+
+    It also holds the sweep's trace table over ``cells``, the cells it will
+    run, and makes it the active one while a job runs: each session is then
+    recorded once for all of its cells, and dropped after the last one.
     """
 
     workers = 1
 
-    def __init__(self) -> None:
+    def __init__(self, cells: Iterable[ScenarioCell]) -> None:
         self._queue: Deque[Tuple[Future, Callable[..., Any], tuple, dict]] = deque()
+        self._traces = SessionTraces(cells)
 
     def submit(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Future:
         future: Future = Future()
@@ -804,10 +848,13 @@ class _InlineExecutor(Executor):
 
     def step(self, pending: Iterable[Future], timeout: Optional[float]) -> Iterable[Future]:
         future, fn, args, kwargs = self._queue.popleft()
+        token = _sweep_traces.set(self._traces)
         try:
             future.set_result(fn(*args, **kwargs))
         except Exception as exc:  # repro-lint: disable=REP008 -- lands on the job's future, where the loop classifies it
             future.set_exception(exc)
+        finally:
+            _sweep_traces.reset(token)
         return (future,)
 
     def abandon(self) -> None:
@@ -930,7 +977,7 @@ class SweepRunner:
                     # the rebuild budget allows.  Only the *remaining* cells
                     # run: everything delivered before the last restart
                     # already sits in its slot and the cache.
-                    executor = _InlineExecutor()
+                    executor = _InlineExecutor(cell for _, cell in remaining)
                 else:
                     executor = _PoolExecutor(min(workers, len(remaining)))
                 try:

@@ -46,7 +46,7 @@ element-wise with unchanged IEEE-754 op order.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -59,9 +59,120 @@ from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulation
 from repro.sim.recorder import BatchRecorder, Recorder
 from repro.soc.platform import PlatformSpec
+from repro.workloads.trace import TracePlayer
 
-#: Unique miss marker for the per-tick background-mapping cache.
-_SENTINEL = object()
+
+class _TraceGroup:
+    """Lanes whose players replay one trace from one position.
+
+    Their players would return the same ticks from here on, so the group
+    reads each tick's demand from the trace columns once for all of them:
+    the app and phase names, the frames, the background as a per-cluster
+    row (resolved once per distinct mapping of the trace) and the
+    interaction.  :meth:`sync` hands the position back to the players, so
+    each ends where its own ``tick`` calls would have left it.
+    """
+
+    def __init__(self, player: TracePlayer, dt: float, cluster_names) -> None:
+        player.check_dt(dt)
+        trace = player.trace
+        self.lanes: List[int] = []
+        self._players: List[TracePlayer] = []
+        self._index = player._index
+        self._loop = player.loop
+        self._trace = trace
+        self._rows = [
+            [mapping.get(name, 0.0) for name in cluster_names]
+            for mapping in trace.backgrounds
+        ]
+        self._exhausted = (
+            trace.names[trace.app_codes[-1]],
+            "exhausted",
+            [],
+            [0.0] * len(cluster_names),
+            0.0,
+        )
+
+    def add(self, lane: int, player: TracePlayer) -> None:
+        self.lanes.append(lane)
+        self._players.append(player)
+
+    def __call__(self):
+        trace = self._trace
+        index = self._index
+        if index >= len(trace.time_s):
+            if not self._loop:
+                return self._exhausted
+            index = 0
+        self._index = index + 1
+        names = trace.names
+        return (
+            names[trace.app_codes[index]],
+            names[trace.phase_codes[index]],
+            trace.tick_frames(index),
+            self._rows[trace.background_codes[index]],
+            trace.interaction[index],
+        )
+
+    def sync(self) -> None:
+        for player in self._players:
+            player._index = self._index
+
+
+class _LaneDemand:
+    """A group of one: a lane whose workload is stepped through ``tick``."""
+
+    def __init__(self, workload, lane: int, dt: float, cluster_names) -> None:
+        self.lanes = [lane]
+        self._tick = workload.tick
+        self._dt = dt
+        self._cluster_names = cluster_names
+        self._zeros = [0.0] * len(cluster_names)
+
+    def __call__(self):
+        demand = self._tick(self._dt)
+        background = demand.background_work_mwu
+        if background:
+            get = background.get
+            row = [get(name, 0.0) for name in self._cluster_names]
+        else:
+            row = self._zeros
+        return (
+            demand.app_name,
+            demand.phase_name,
+            demand.frames,
+            row,
+            demand.interaction_activity,
+        )
+
+    def sync(self) -> None:
+        pass
+
+
+def _demand_groups(workloads: Sequence, lanes: Sequence[int], dt: float, cluster_names):
+    """The demand sources of ``lanes``, one per group, in order of first lane.
+
+    Lanes whose workload is a :class:`TracePlayer` over the same trace
+    object, at the same position and with the same loop mode, form one
+    :class:`_TraceGroup`: grouping is by object and position, never by
+    content.  A player that several lanes share, and any other workload,
+    is a :class:`_LaneDemand` of its own, stepped in lane order as before.
+    """
+    uses = Counter(id(workloads[d]) for d in lanes)
+    groups = []
+    shared = {}
+    for d in lanes:
+        workload = workloads[d]
+        if type(workload) is TracePlayer and uses[id(workload)] == 1:
+            key = (id(workload.trace), workload._index, workload.loop)
+            group = shared.get(key)
+            if group is None:
+                group = shared[key] = _TraceGroup(workload, dt, cluster_names)
+                groups.append(group)
+            group.add(d, workload)
+        else:
+            groups.append(_LaneDemand(workload, d, dt, cluster_names))
+    return groups
 
 
 class BatchSimulation:
@@ -342,7 +453,6 @@ class BatchSimulation:
         queue_steps = [queue.step for queue in pipeline.queues]
         batch_rates = pipeline.batch_rates
         batch_finish = pipeline.batch_finish
-        workload_ticks = [w.tick for w in workloads]
         governors = self.governors
         observe = self._observe
         observe_any = any(fn is not None for fn in observe)
@@ -390,10 +500,8 @@ class BatchSimulation:
         if profiler is not None:
             # Same opt-in stage wrapping as the scalar engine, over the same
             # six stages: results pass through untouched, so the loop below
-            # is identical either way.
-            workload_ticks = [
-                profiler.wrap("workload", fn) for fn in workload_ticks
-            ]
+            # is identical either way.  (Demand sources are wrapped per
+            # segment, where they are built.)
             batch_rates = profiler.wrap("pipeline", batch_rates)
             queue_steps = [profiler.wrap("pipeline", fn) for fn in queue_steps]
             batch_finish = profiler.wrap("pipeline", batch_finish)
@@ -406,8 +514,22 @@ class BatchSimulation:
             ]
             recorder_append = profiler.wrap("recorder", recorder_append)
 
+        sources = []
         try:
             for seg_ticks, active_list, active_mask in self._lane_schedule(budgets):
+                # One demand source per group of lanes that replay the same
+                # demand (see _demand_groups); players resume where the last
+                # segment left them.
+                for source in sources:
+                    source.sync()
+                sources = _demand_groups(workloads, active_list, dt, cluster_names)
+                frontend = [
+                    (
+                        source if profiler is None else profiler.wrap("workload", source),
+                        source.lanes,
+                    )
+                    for source in sources
+                ]
                 # Per-segment occupancy: how full the batch lanes actually ran.
                 metrics().observe("batch.lane_occupancy", float(len(active_list)))
                 metrics().inc(
@@ -437,47 +559,35 @@ class BatchSimulation:
                     cpu_budgets = (cpu_rate * dt).tolist()
                     gpu_budgets = (gpu_rate * dt).tolist()
 
-                    # Per-device frontend: workload demand, session hooks, frame
-                    # queue drain (utilisation math is vectorised afterwards).
-                    prev_background = _SENTINEL
-                    background_values: List[float] = [0.0] * n_clusters
-                    for d in active_list:
-                        demand = workload_ticks[d](dt)
-                        app_name = demand.app_name
-                        if app_name != current_app[d]:
-                            governor = governors[d]
-                            if current_app[d] is not None:
-                                governor.on_session_end(current_app[d])
-                            current_app[d] = app_name
-                            governor.on_session_start(app_name)
-                            invocation_period[d] = governor.invocation_period_s
-                        frames = demand.frames
-                        displayed, rejected, cpu_done, gpu_done, _ = queue_steps[d](
-                            frames, cpu_budgets[d], gpu_budgets[d], edge_count
+                    # Frontend: one demand per group, then per lane the session
+                    # hooks, the frame queue drain and the lane's rows
+                    # (utilisation math is vectorised afterwards).
+                    for demand, lanes in frontend:
+                        app_name, phase_name, frames, background, interaction = (
+                            demand()
                         )
-                        cpu_done_row[d] = cpu_done
-                        gpu_done_row[d] = gpu_done
-                        background = demand.background_work_mwu
-                        if background is not prev_background:
-                            # Devices replaying shared demand objects (e.g. the
-                            # same trace) resolve the mapping once per tick.
-                            prev_background = background
-                            if background:
-                                get = background.get
-                                background_values = [
-                                    get(cluster_names[k], 0.0)
-                                    for k in range(n_clusters)
-                                ]
-                            else:
-                                background_values = [0.0] * n_clusters
-                        for k in range(n_clusters):
-                            background_lists[k][d] = background_values[k]
-                        app_row[d] = app_name
-                        phase_row[d] = demand.phase_name
-                        demanded_row[d] = len(frames)
-                        displayed_row[d] = displayed
-                        dropped_row[d] = rejected
-                        interaction_row[d] = demand.interaction_activity
+                        demanded = len(frames)
+                        for d in lanes:
+                            if app_name != current_app[d]:
+                                governor = governors[d]
+                                if current_app[d] is not None:
+                                    governor.on_session_end(current_app[d])
+                                current_app[d] = app_name
+                                governor.on_session_start(app_name)
+                                invocation_period[d] = governor.invocation_period_s
+                            displayed, rejected, cpu_done, gpu_done, _ = queue_steps[
+                                d
+                            ](frames, cpu_budgets[d], gpu_budgets[d], edge_count)
+                            cpu_done_row[d] = cpu_done
+                            gpu_done_row[d] = gpu_done
+                            for k in range(n_clusters):
+                                background_lists[k][d] = background[k]
+                            app_row[d] = app_name
+                            phase_row[d] = phase_name
+                            demanded_row[d] = demanded
+                            displayed_row[d] = displayed
+                            dropped_row[d] = rejected
+                            interaction_row[d] = interaction
 
                     work_rows = np.array(
                         (cpu_done_row, gpu_done_row, *background_lists)
@@ -636,6 +746,8 @@ class BatchSimulation:
                             interaction_row,
                         )
         finally:
+            for source in sources:
+                source.sync()
             self._tick_count = tick_count
             self._soc_time_s = soc_time
 

@@ -388,11 +388,16 @@ class Recorder:
         return [getattr(sample, name) for sample in self.samples]
 
     def _mapping_series(self, field_name: str, key: str, default: float) -> List[float]:
-        """One key's column of a mapping field, not a copy (``default`` when absent)."""
+        """One key's column of a mapping field, not a copy (``default`` when absent).
+
+        A key that the layout lists twice reads its last column, the value
+        that the recorded samples (``dict(zip(keys, values))``) keep.
+        """
         keys = self._layout.get(field_name, ())
         if key not in keys:
             return [default] * len(self._time)
-        return self._key_columns[self._spans[field_name].start + keys.index(key)]
+        last = len(keys) - 1 - keys[::-1].index(key)
+        return self._key_columns[self._spans[field_name].start + last]
 
     def temperature_series(self, node: str) -> List[float]:
         """Temperature of ``node`` across all samples."""

@@ -8,94 +8,235 @@ governor, which is the simulator equivalent of the paper's "similar session"
 methodology (Figs. 1 and 3) and of running each app with the same usage
 script (Figs. 7 and 8).
 
-Traces are plain data (lists of :class:`~repro.workloads.app.TickWorkload`)
-and can be serialised to/from JSON for archival.
+A trace is stored as columns in stdlib :mod:`array` buffers, not as one
+:class:`~repro.workloads.app.TickWorkload` per tick.  Per tick it keeps the
+time and the interaction activity (float64), app and phase codes into one
+name table, an offset into the frame columns (each frame's CPU and GPU
+work, float64) and a code into a table of the session's distinct
+background mappings, of which a recorded session has a handful.  A 90 s
+session then takes about 200 kB instead of 3 MB.  Indexing, iteration and
+:class:`TracePlayer` decode :class:`TickWorkload`\\ s from the columns on
+demand, and :meth:`WorkloadTrace.to_dict` gives the per-tick JSON form,
+which can be archived and read back with :meth:`WorkloadTrace.from_dict`.
+Every number is stored as a float64, bit for bit.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from array import array
+from struct import Struct
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.graphics.pipeline import FrameSpec
 from repro.workloads.app import AppModel, TickWorkload
 
+#: Background mapping of an exhausted tick (read-only, shared).
+_NO_BACKGROUND: Mapping[str, float] = MappingProxyType({})
 
-@dataclass
+#: float64 packers by value count, for the background table's exact-bit keys.
+_PACKERS: Dict[int, Struct] = {}
+
+
+def _restore(cls, fields: Dict[str, object]):
+    """A ``cls`` instance with ``fields``, restored the way pickle restores one.
+
+    Replay decodes a :class:`TickWorkload` per tick, and the frozen
+    dataclass constructor's per-field ``object.__setattr__`` calls and
+    checks would be most of its cost; the values passed the checks when
+    they were recorded.
+    """
+    instance = object.__new__(cls)
+    object.__setattr__(instance, "__dict__", fields)
+    return instance
+
+
 class WorkloadTrace:
-    """A recorded sequence of per-tick demands."""
+    """A recorded sequence of per-tick demands, stored as columns.
 
-    dt_s: float
-    ticks: List[TickWorkload] = field(default_factory=list)
+    Tick ``i`` demanded the frames ``frame_offsets[i]`` up to
+    ``frame_offsets[i + 1]`` of ``frame_cpu_mwu`` and ``frame_gpu_mwu``.
+    Its app and phase are ``names[app_codes[i]]`` and
+    ``names[phase_codes[i]]``, and its background work is
+    ``backgrounds[background_codes[i]]``, a read-only mapping that every
+    tick with the same keys and float bits shares.  The columns only grow:
+    :meth:`append` adds a tick, and nothing rewrites one.
+    """
 
-    def __post_init__(self) -> None:
-        if self.dt_s <= 0:
+    def __init__(self, dt_s: float) -> None:
+        if dt_s <= 0:
             raise ValueError("dt_s must be positive")
+        self.dt_s = dt_s
+        self.time_s = array("d")
+        self.interaction = array("d")
+        self.app_codes = array("I")
+        self.phase_codes = array("I")
+        self.frame_offsets = array("I", [0])
+        self.frame_cpu_mwu = array("d")
+        self.frame_gpu_mwu = array("d")
+        self.background_codes = array("I")
+        self.names: List[str] = []
+        self.backgrounds: List[Mapping[str, float]] = []
+        self._name_codes: Dict[str, int] = {}
+        self._background_codes: Dict[Tuple[Tuple[str, ...], bytes], int] = {}
 
     def __len__(self) -> int:
-        return len(self.ticks)
+        return len(self.time_s)
 
     def __iter__(self) -> Iterator[TickWorkload]:
-        return iter(self.ticks)
+        for index in range(len(self.time_s)):
+            yield self.tick_at(index)
 
     def __getitem__(self, index: int) -> TickWorkload:
-        return self.ticks[index]
+        return self.tick_at(range(len(self.time_s))[index])
 
     @property
     def duration_s(self) -> float:
         """Total duration covered by the trace."""
-        return len(self.ticks) * self.dt_s
+        return len(self.time_s) * self.dt_s
 
     @property
     def total_frames_demanded(self) -> int:
         """Total number of frames demanded across the trace."""
-        return sum(tick.frame_count for tick in self.ticks)
+        return self.frame_offsets[-1]
 
     def app_names(self) -> List[str]:
         """Distinct application names appearing in the trace, in order."""
-        seen: List[str] = []
-        for tick in self.ticks:
-            if tick.app_name not in seen:
-                seen.append(tick.app_name)
-        return seen
+        return [self.names[code] for code in dict.fromkeys(self.app_codes)]
+
+    # -- columns ---------------------------------------------------------------
+
+    def append(self, tick: TickWorkload) -> None:
+        """Append one tick of demand."""
+        self.append_demand(
+            tick.time_s,
+            tick.app_name,
+            tick.phase_name,
+            tick.frames,
+            tick.background_work_mwu,
+            tick.interaction_activity,
+        )
+
+    def append_demand(
+        self,
+        time_s: float,
+        app_name: str,
+        phase_name: str,
+        frames: Sequence[FrameSpec],
+        background_work_mwu: Mapping[str, float],
+        interaction_activity: float,
+    ) -> None:
+        """Append one tick given as the fields of a :class:`TickWorkload`."""
+        background = self._background_code(background_work_mwu)
+        self.time_s.append(time_s)
+        self.app_codes.append(self._name_code(app_name))
+        self.phase_codes.append(self._name_code(phase_name))
+        if frames:
+            cpu = self.frame_cpu_mwu
+            gpu = self.frame_gpu_mwu
+            for frame in frames:
+                cpu.append(frame.cpu_work_mwu)
+                gpu.append(frame.gpu_work_mwu)
+            self.frame_offsets.append(len(cpu))
+        else:
+            self.frame_offsets.append(self.frame_offsets[-1])
+        self.background_codes.append(background)
+        self.interaction.append(interaction_activity)
+
+    def _name_code(self, name: str) -> int:
+        code = self._name_codes.get(name)
+        if code is None:
+            code = self._name_codes[name] = len(self.names)
+            self.names.append(name)
+        return code
+
+    def _background_code(self, background: Mapping[str, float]) -> int:
+        # Keyed by exact float bits, so -0.0 and NaN payloads keep their own
+        # entry (value equality would merge -0.0 into 0.0 and miss every NaN).
+        values = [float(value) for value in background.values()]
+        packer = _PACKERS.get(len(values))
+        if packer is None:
+            packer = _PACKERS[len(values)] = Struct(f"<{len(values)}d")
+        key = (tuple(background), packer.pack(*values))
+        code = self._background_codes.get(key)
+        if code is None:
+            code = self._background_codes[key] = len(self.backgrounds)
+            self.backgrounds.append(MappingProxyType(dict(zip(key[0], values))))
+        return code
+
+    def tick_frames(self, index: int) -> List[FrameSpec]:
+        """The frames demanded on tick ``index`` (non-negative)."""
+        offsets = self.frame_offsets
+        start = offsets[index]
+        stop = offsets[index + 1]
+        if start == stop:
+            return []
+        cpu = self.frame_cpu_mwu
+        gpu = self.frame_gpu_mwu
+        return [
+            _restore(FrameSpec, {"cpu_work_mwu": cpu[frame], "gpu_work_mwu": gpu[frame]})
+            for frame in range(start, stop)
+        ]
+
+    def tick_at(self, index: int) -> TickWorkload:
+        """Decode tick ``index`` (non-negative) from the columns."""
+        names = self.names
+        return _restore(
+            TickWorkload,
+            {
+                "time_s": self.time_s[index],
+                "app_name": names[self.app_codes[index]],
+                "phase_name": names[self.phase_codes[index]],
+                "frames": self.tick_frames(index),
+                "background_work_mwu": self.backgrounds[self.background_codes[index]],
+                "interaction_activity": self.interaction[index],
+            },
+        )
 
     # -- serialisation ---------------------------------------------------------
 
     def to_dict(self) -> Dict:
         """Convert the trace to a JSON-serialisable dictionary."""
+        names = self.names
+        offsets = self.frame_offsets
+        cpu = self.frame_cpu_mwu
+        gpu = self.frame_gpu_mwu
+        backgrounds = self.backgrounds
         return {
             "dt_s": self.dt_s,
             "ticks": [
                 {
-                    "time_s": tick.time_s,
-                    "app_name": tick.app_name,
-                    "phase_name": tick.phase_name,
-                    "interaction_activity": tick.interaction_activity,
+                    "time_s": self.time_s[index],
+                    "app_name": names[self.app_codes[index]],
+                    "phase_name": names[self.phase_codes[index]],
+                    "interaction_activity": self.interaction[index],
                     "frames": [
-                        [frame.cpu_work_mwu, frame.gpu_work_mwu] for frame in tick.frames
+                        [cpu[frame], gpu[frame]]
+                        for frame in range(offsets[index], offsets[index + 1])
                     ],
-                    "background_work_mwu": dict(tick.background_work_mwu),
+                    "background_work_mwu": dict(
+                        backgrounds[self.background_codes[index]]
+                    ),
                 }
-                for tick in self.ticks
+                for index in range(len(self.time_s))
             ],
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "WorkloadTrace":
         """Rebuild a trace from :meth:`to_dict` output."""
-        ticks = [
-            TickWorkload(
-                time_s=entry["time_s"],
-                app_name=entry["app_name"],
-                phase_name=entry["phase_name"],
-                frames=[FrameSpec(cpu, gpu) for cpu, gpu in entry["frames"]],
-                background_work_mwu=dict(entry["background_work_mwu"]),
-                interaction_activity=entry["interaction_activity"],
+        trace = cls(dt_s=data["dt_s"])
+        for entry in data["ticks"]:
+            trace.append_demand(
+                entry["time_s"],
+                entry["app_name"],
+                entry["phase_name"],
+                [FrameSpec(cpu, gpu) for cpu, gpu in entry["frames"]],
+                entry["background_work_mwu"],
+                entry["interaction_activity"],
             )
-            for entry in data["ticks"]
-        ]
-        return cls(dt_s=data["dt_s"], ticks=ticks)
+        return trace
 
     def to_json(self) -> str:
         """Serialise the trace to a JSON string."""
@@ -115,7 +256,7 @@ class TraceRecorder:
 
     def record(self, tick: TickWorkload) -> None:
         """Append one tick of demand."""
-        self.trace.ticks.append(tick)
+        self.trace.append(tick)
 
     @classmethod
     def record_app(
@@ -144,7 +285,8 @@ class TraceRecorder:
         """
         from repro.workloads.apps import make_app
 
-        recorder = cls(dt_s=dt_s)
+        trace = cls(dt_s=dt_s).trace
+        append = trace.append_demand
         time_offset = 0.0
         for i, segment in enumerate(segments):
             app_seed = None if seed is None else seed + i * 7919
@@ -152,18 +294,16 @@ class TraceRecorder:
             steps = int(round(segment.duration_s / dt_s))
             for _ in range(steps):
                 tick = app.tick(dt_s)
-                recorder.record(
-                    TickWorkload(
-                        time_s=time_offset + tick.time_s,
-                        app_name=tick.app_name,
-                        phase_name=tick.phase_name,
-                        frames=tick.frames,
-                        background_work_mwu=tick.background_work_mwu,
-                        interaction_activity=tick.interaction_activity,
-                    )
+                append(
+                    time_offset + tick.time_s,
+                    tick.app_name,
+                    tick.phase_name,
+                    tick.frames,
+                    tick.background_work_mwu,
+                    tick.interaction_activity,
                 )
             time_offset += segment.duration_s
-        return recorder.trace
+        return trace
 
 
 class TracePlayer:
@@ -175,14 +315,12 @@ class TracePlayer:
         self.trace = trace
         self.loop = loop
         self._index = 0
-        # Hot-path caches: the trace is immutable during playback.
-        self._ticks = trace.ticks
         self._dt_s = trace.dt_s
 
     @property
     def name(self) -> str:
         """Name of the (first) application in the trace."""
-        return self.trace.ticks[0].app_name
+        return self.trace.names[self.trace.app_codes[0]]
 
     @property
     def exhausted(self) -> bool:
@@ -193,31 +331,33 @@ class TracePlayer:
         """Restart playback from the beginning."""
         self._index = 0
 
+    def check_dt(self, dt_s: float) -> None:
+        """Refuse a tick length other than the one the trace was recorded at."""
+        if abs(dt_s - self._dt_s) > 1e-9:
+            raise ValueError(
+                f"trace was recorded at dt={self._dt_s}s, cannot replay at dt={dt_s}s"
+            )
+
     def tick(self, dt_s: float) -> TickWorkload:
         """Return the next tick of recorded demand.
 
         ``dt_s`` must match the trace's tick length; passing anything else is
         an error because the demand was discretised at recording time.
         """
-        if abs(dt_s - self._dt_s) > 1e-9:
-            raise ValueError(
-                f"trace was recorded at dt={self._dt_s}s, cannot replay at dt={dt_s}s"
-            )
-        ticks = self._ticks
+        self.check_dt(dt_s)
+        trace = self.trace
         index = self._index
-        if index >= len(ticks):
+        if index >= len(trace.time_s):
             if not self.loop:
                 # Replay the final tick's shape with no demand once exhausted.
-                last = ticks[-1]
                 return TickWorkload(
-                    time_s=last.time_s + self._dt_s,
-                    app_name=last.app_name,
+                    time_s=trace.time_s[-1] + self._dt_s,
+                    app_name=trace.names[trace.app_codes[-1]],
                     phase_name="exhausted",
                     frames=[],
-                    background_work_mwu={},
+                    background_work_mwu=_NO_BACKGROUND,
                     interaction_activity=0.0,
                 )
             index = 0
-        tick = ticks[index]
         self._index = index + 1
-        return tick
+        return trace.tick_at(index)

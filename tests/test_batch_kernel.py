@@ -28,14 +28,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.profile import STAGES, profiled
-from repro.sim.batch import BatchSimulation
+from repro.sim.batch import BatchSimulation, _demand_groups
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SessionWorkload, Simulation
-from repro.sim.experiment import GOVERNOR_FACTORIES, make_governor
+from repro.sim.experiment import GOVERNOR_FACTORIES, make_governor, record_session_trace
 from repro.sim.recorder import sample_stream_hash
 from repro.soc.platform import make_platform
 from repro.workloads.apps import make_app
-from repro.workloads.session import FIGURE1_SESSION
+from repro.workloads.session import FIGURE1_SESSION, SessionSegment
+from repro.workloads.trace import TracePlayer, WorkloadTrace
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_hashes.json")
 
@@ -603,6 +604,78 @@ class TestLaneGather:
                 batch.device_recorder(device).content_hash()
                 == simulation.recorder.content_hash()
             )
+
+
+class TestTraceGroups:
+    """Lanes replaying one trace object from one position share a decode.
+
+    Groups form by trace object and position, never by content: twin traces
+    with equal content stay apart, and so does a player advanced before the
+    run.  Every lane must still equal its own scalar run, and every player
+    must end where its own ``tick`` calls would have left it.
+    """
+
+    def test_grouped_lanes_match_their_scalar_runs(self):
+        platform = make_platform("exynos9810")
+        dt = 1.0 / platform.display_refresh_hz
+        segments = [SessionSegment("facebook", 1.0), SessionSegment("spotify", 1.0)]
+        shared = record_session_trace(segments, platform=platform, seed=3)
+        twin = record_session_trace(segments[:1], platform=platform, seed=5)
+        twin_copy = WorkloadTrace.from_json(twin.to_json())
+        assert twin_copy is not twin and twin_copy.to_json() == twin.to_json()
+
+        def advanced():
+            player = TracePlayer(shared)
+            for _ in range(30):
+                player.tick(dt)
+            return player
+
+        # (workload factory, duration_s, governor); ``shared`` lasts 2 s, so
+        # the 2.5 s lane replays exhausted ticks at the end.
+        lanes = [
+            (lambda: TracePlayer(shared), 1.0, "schedutil"),
+            (lambda: TracePlayer(shared), 2.0, "conservative"),
+            (lambda: TracePlayer(shared), 1.5, "int_qos_pm"),
+            (lambda: TracePlayer(shared), 2.5, "conservative"),
+            (lambda: TracePlayer(twin), 1.0, "schedutil"),
+            (lambda: TracePlayer(twin_copy), 1.0, "conservative"),
+            (advanced, 1.0, "schedutil"),
+            (lambda: make_app("lineage", seed=9), 1.5, "conservative"),
+        ]
+
+        def config(lane, duration_s):
+            return SimulationConfig(
+                refresh_hz=platform.display_refresh_hz,
+                duration_s=duration_s,
+                seed=100 + lane,
+            )
+
+        workloads = [make() for make, _, _ in lanes]
+        groups = _demand_groups(
+            workloads, range(len(lanes)), dt, platform.cluster_names
+        )
+        assert [group.lanes for group in groups] == [
+            [0, 1, 2, 3], [4], [5], [6], [7]
+        ]
+        batch = BatchSimulation(
+            platform,
+            [make_governor(name) for _, _, name in lanes],
+            [config(lane, duration) for lane, (_, duration, _) in enumerate(lanes)],
+        )
+        batch.run(workloads, duration_s=[duration for _, duration, _ in lanes])
+        for lane, (make, duration_s, governor_name) in enumerate(lanes):
+            workload = make()
+            simulation = Simulation(
+                platform, make_governor(governor_name), config(lane, duration_s)
+            )
+            simulation.run(workload, duration_s=duration_s)
+            assert (
+                batch.device_recorder(lane).content_hash()
+                == simulation.recorder.content_hash()
+            ), f"lane {lane} diverged"
+            if isinstance(workload, TracePlayer):
+                assert workloads[lane]._index == workload._index, lane
+        assert workloads[3].exhausted
 
 
 class TestBatchProfiler:

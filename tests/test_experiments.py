@@ -637,6 +637,63 @@ class TestBatchedCellGroup:
             reset_metrics()
 
 
+class TestSweepTraceSharing:
+    """An in-process sweep records each session once, for all of its cells."""
+
+    @staticmethod
+    def counting_recorder(monkeypatch):
+        import weakref
+
+        import repro.experiments.runner as runner_module
+
+        traces = []
+        record = runner_module.record_session_trace
+
+        def counting(segments, platform=None, seed=0):
+            trace = record(segments, platform=platform, seed=seed)
+            traces.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(runner_module, "record_session_trace", counting)
+        return traces
+
+    def test_each_session_is_recorded_once_and_released(self, monkeypatch):
+        import gc
+
+        matrix = ScenarioMatrix.build(
+            name="shared-sessions",
+            governors=("schedutil", "powersave"),
+            apps=("facebook", "spotify"),
+            seeds=(0,),
+            duration_s=2.0,
+        )
+        traces = self.counting_recorder(monkeypatch)
+        remaining = {}
+        for cell in matrix.cells():
+            remaining[cell.workload.key] = remaining.get(cell.workload.key, 0) + 1
+
+        def progress(done, total, result):
+            # A session's trace is dropped once its last cell is delivered.
+            remaining[result.cell.workload.key] -= 1
+            live = sum(ref() is not None for ref in traces)
+            assert live <= sum(count > 0 for count in remaining.values())
+
+        result = SweepRunner(max_workers=1).run(matrix, progress=progress)
+        assert len(result.completed) == 4
+        assert len(traces) == 2
+        gc.collect()
+        assert [ref() for ref in traces] == [None, None]
+
+    def test_a_lone_cell_records_on_every_call(self, monkeypatch):
+        cell = ScenarioMatrix.build(
+            name="lone", governors=("schedutil",), apps=("facebook",),
+            seeds=(0,), duration_s=1.0,
+        ).cells()[0]
+        traces = self.counting_recorder(monkeypatch)
+        assert execute_cell(cell).ok and execute_cell(cell).ok
+        assert len(traces) == 2
+
+
 class TestResultCacheQuarantine:
     """Corrupt cache entries are quarantined as misses, never raised mid-sweep."""
 

@@ -118,6 +118,19 @@ class TestContentHashOracle:
             )
         assert recorder.content_hash() == sample_stream_hash(recorder.samples)
 
+    def test_series_and_summary_read_the_last_column_of_a_repeated_key(self):
+        # Series and summaries agree with the samples: the last value wins.
+        recorder = Recorder()
+        recorder.register_layout(("big",), ("big", "big"))
+        for tick, temperatures in enumerate(((30.0, 40.0), (31.0, 41.0))):
+            recorder.append_tick(
+                tick / 60.0, "facebook", "idle", 60.0, 0.0, 1, 1, 0, 2.5,
+                (1.0,), temperatures, (1690.0,), (2704.0,), (0.4,), 0.5,
+            )
+        assert [s.temperatures_c["big"] for s in recorder.samples] == [40.0, 41.0]
+        assert recorder.temperature_series("big") == [40.0, 41.0]
+        assert recorder.summary().peak_temperature_c == {"big": 41.0}
+
 
 class TestSingleLayout:
     @staticmethod
