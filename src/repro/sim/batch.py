@@ -62,91 +62,48 @@ from repro.soc.platform import PlatformSpec
 from repro.workloads.trace import TracePlayer
 
 
-class _TraceGroup:
-    """Lanes whose players replay one trace from one position.
+class _DemandSource:
+    """One workload's demand per tick, read once for every lane it feeds.
 
-    Their players would return the same ticks from here on, so the group
-    reads each tick's demand from the trace columns once for all of them:
-    the app and phase names, the frames, the background as a per-cluster
-    row (resolved once per distinct mapping of the trace) and the
-    interaction.  :meth:`sync` hands the position back to the players, so
-    each ends where its own ``tick`` calls would have left it.
+    The source steps its first lane's workload through ``tick``.  Lanes
+    whose workloads are :class:`TracePlayer`\\ s over one trace object at
+    one position share a source, since their players would return the same
+    ticks; :meth:`sync` hands the stepped player's position to the others,
+    so each ends where its own ``tick`` calls would have left it.  Each
+    demand comes with its background work as a per-cluster row.  A player
+    hands out only read-only mappings that outlive it (its trace's table
+    and the empty mapping of an exhausted tick), so a player's rows are
+    kept by mapping ``id``; any other workload's mapping is resolved on
+    every tick.
     """
 
-    def __init__(self, player: TracePlayer, dt: float, cluster_names) -> None:
-        player.check_dt(dt)
-        trace = player.trace
-        self.lanes: List[int] = []
-        self._players: List[TracePlayer] = []
-        self._index = player._index
-        self._loop = player.loop
-        self._trace = trace
-        self._rows = [
-            [mapping.get(name, 0.0) for name in cluster_names]
-            for mapping in trace.backgrounds
-        ]
-        self._exhausted = (
-            trace.names[trace.app_codes[-1]],
-            "exhausted",
-            [],
-            [0.0] * len(cluster_names),
-            0.0,
-        )
-
-    def add(self, lane: int, player: TracePlayer) -> None:
-        self.lanes.append(lane)
-        self._players.append(player)
-
-    def __call__(self):
-        trace = self._trace
-        index = self._index
-        if index >= len(trace.time_s):
-            if not self._loop:
-                return self._exhausted
-            index = 0
-        self._index = index + 1
-        names = trace.names
-        return (
-            names[trace.app_codes[index]],
-            names[trace.phase_codes[index]],
-            trace.tick_frames(index),
-            self._rows[trace.background_codes[index]],
-            trace.interaction[index],
-        )
-
-    def sync(self) -> None:
-        for player in self._players:
-            player._index = self._index
-
-
-class _LaneDemand:
-    """A group of one: a lane whose workload is stepped through ``tick``."""
-
-    def __init__(self, workload, lane: int, dt: float, cluster_names) -> None:
-        self.lanes = [lane]
+    def __init__(self, lane: int, workload, dt: float, cluster_names) -> None:
+        self.lanes: List[int] = [lane]
+        self._workloads = [workload]
         self._tick = workload.tick
         self._dt = dt
         self._cluster_names = cluster_names
-        self._zeros = [0.0] * len(cluster_names)
+        self._rows = {} if type(workload) is TracePlayer else None
+
+    def add(self, lane: int, player: TracePlayer) -> None:
+        self.lanes.append(lane)
+        self._workloads.append(player)
 
     def __call__(self):
         demand = self._tick(self._dt)
         background = demand.background_work_mwu
-        if background:
-            get = background.get
-            row = [get(name, 0.0) for name in self._cluster_names]
-        else:
-            row = self._zeros
-        return (
-            demand.app_name,
-            demand.phase_name,
-            demand.frames,
-            row,
-            demand.interaction_activity,
-        )
+        rows = self._rows
+        row = None if rows is None else rows.get(id(background))
+        if row is None:
+            row = [background.get(name, 0.0) for name in self._cluster_names]
+            if rows is not None:
+                rows[id(background)] = row
+        return demand, row
 
     def sync(self) -> None:
-        pass
+        leader, *followers = self._workloads
+        for player in followers:
+            player._index = leader._index
 
 
 def _demand_groups(workloads: Sequence, lanes: Sequence[int], dt: float, cluster_names):
@@ -154,9 +111,9 @@ def _demand_groups(workloads: Sequence, lanes: Sequence[int], dt: float, cluster
 
     Lanes whose workload is a :class:`TracePlayer` over the same trace
     object, at the same position and with the same loop mode, form one
-    :class:`_TraceGroup`: grouping is by object and position, never by
-    content.  A player that several lanes share, and any other workload,
-    is a :class:`_LaneDemand` of its own, stepped in lane order as before.
+    group: grouping is by object and position, never by content.  A player
+    that several lanes share, and any other workload, is a group of one,
+    stepped in lane order as before.
     """
     uses = Counter(id(workloads[d]) for d in lanes)
     groups = []
@@ -166,12 +123,13 @@ def _demand_groups(workloads: Sequence, lanes: Sequence[int], dt: float, cluster
         if type(workload) is TracePlayer and uses[id(workload)] == 1:
             key = (id(workload.trace), workload._index, workload.loop)
             group = shared.get(key)
-            if group is None:
-                group = shared[key] = _TraceGroup(workload, dt, cluster_names)
-                groups.append(group)
-            group.add(d, workload)
+            if group is not None:
+                group.add(d, workload)
+                continue
+            group = shared[key] = _DemandSource(d, workload, dt, cluster_names)
         else:
-            groups.append(_LaneDemand(workload, d, dt, cluster_names))
+            group = _DemandSource(d, workload, dt, cluster_names)
+        groups.append(group)
     return groups
 
 
@@ -562,10 +520,12 @@ class BatchSimulation:
                     # Frontend: one demand per group, then per lane the session
                     # hooks, the frame queue drain and the lane's rows
                     # (utilisation math is vectorised afterwards).
-                    for demand, lanes in frontend:
-                        app_name, phase_name, frames, background, interaction = (
-                            demand()
-                        )
+                    for source, lanes in frontend:
+                        demand, background = source()
+                        app_name = demand.app_name
+                        phase_name = demand.phase_name
+                        frames = demand.frames
+                        interaction = demand.interaction_activity
                         demanded = len(frames)
                         for d in lanes:
                             if app_name != current_app[d]:

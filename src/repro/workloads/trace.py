@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from array import array
-from struct import Struct
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -35,21 +34,12 @@ from repro.workloads.app import AppModel, TickWorkload
 #: Background mapping of an exhausted tick (read-only, shared).
 _NO_BACKGROUND: Mapping[str, float] = MappingProxyType({})
 
-#: float64 packers by value count, for the background table's exact-bit keys.
-_PACKERS: Dict[int, Struct] = {}
-
-
-def _restore(cls, fields: Dict[str, object]):
-    """A ``cls`` instance with ``fields``, restored the way pickle restores one.
-
-    Replay decodes a :class:`TickWorkload` per tick, and the frozen
-    dataclass constructor's per-field ``object.__setattr__`` calls and
-    checks would be most of its cost; the values passed the checks when
-    they were recorded.
-    """
-    instance = object.__new__(cls)
-    object.__setattr__(instance, "__dict__", fields)
-    return instance
+# Replay decodes a TickWorkload per tick and restores it the way pickle
+# does, by setting its ``__dict__``: the frozen dataclass constructor's
+# per-field ``object.__setattr__`` calls and checks would be most of the
+# cost, and the values passed the checks when they were recorded.
+_new = object.__new__
+_setattr = object.__setattr__
 
 
 class WorkloadTrace:
@@ -154,45 +144,44 @@ class WorkloadTrace:
     def _background_code(self, background: Mapping[str, float]) -> int:
         # Keyed by exact float bits, so -0.0 and NaN payloads keep their own
         # entry (value equality would merge -0.0 into 0.0 and miss every NaN).
-        values = [float(value) for value in background.values()]
-        packer = _PACKERS.get(len(values))
-        if packer is None:
-            packer = _PACKERS[len(values)] = Struct(f"<{len(values)}d")
-        key = (tuple(background), packer.pack(*values))
+        values = array("d", background.values())
+        key = (tuple(background), values.tobytes())
         code = self._background_codes.get(key)
         if code is None:
             code = self._background_codes[key] = len(self.backgrounds)
             self.backgrounds.append(MappingProxyType(dict(zip(key[0], values))))
         return code
 
-    def tick_frames(self, index: int) -> List[FrameSpec]:
-        """The frames demanded on tick ``index`` (non-negative)."""
-        offsets = self.frame_offsets
-        start = offsets[index]
-        stop = offsets[index + 1]
-        if start == stop:
-            return []
-        cpu = self.frame_cpu_mwu
-        gpu = self.frame_gpu_mwu
-        return [
-            _restore(FrameSpec, {"cpu_work_mwu": cpu[frame], "gpu_work_mwu": gpu[frame]})
-            for frame in range(start, stop)
-        ]
-
     def tick_at(self, index: int) -> TickWorkload:
         """Decode tick ``index`` (non-negative) from the columns."""
+        offsets = self.frame_offsets
+        frames = []
+        for frame in range(offsets[index], offsets[index + 1]):
+            spec = _new(FrameSpec)
+            _setattr(
+                spec,
+                "__dict__",
+                {
+                    "cpu_work_mwu": self.frame_cpu_mwu[frame],
+                    "gpu_work_mwu": self.frame_gpu_mwu[frame],
+                },
+            )
+            frames.append(spec)
         names = self.names
-        return _restore(
-            TickWorkload,
+        tick = _new(TickWorkload)
+        _setattr(
+            tick,
+            "__dict__",
             {
                 "time_s": self.time_s[index],
                 "app_name": names[self.app_codes[index]],
                 "phase_name": names[self.phase_codes[index]],
-                "frames": self.tick_frames(index),
+                "frames": frames,
                 "background_work_mwu": self.backgrounds[self.background_codes[index]],
                 "interaction_activity": self.interaction[index],
             },
         )
+        return tick
 
     # -- serialisation ---------------------------------------------------------
 
@@ -331,20 +320,16 @@ class TracePlayer:
         """Restart playback from the beginning."""
         self._index = 0
 
-    def check_dt(self, dt_s: float) -> None:
-        """Refuse a tick length other than the one the trace was recorded at."""
-        if abs(dt_s - self._dt_s) > 1e-9:
-            raise ValueError(
-                f"trace was recorded at dt={self._dt_s}s, cannot replay at dt={dt_s}s"
-            )
-
     def tick(self, dt_s: float) -> TickWorkload:
         """Return the next tick of recorded demand.
 
         ``dt_s`` must match the trace's tick length; passing anything else is
         an error because the demand was discretised at recording time.
         """
-        self.check_dt(dt_s)
+        if abs(dt_s - self._dt_s) > 1e-9:
+            raise ValueError(
+                f"trace was recorded at dt={self._dt_s}s, cannot replay at dt={dt_s}s"
+            )
         trace = self.trace
         index = self._index
         if index >= len(trace.time_s):
