@@ -71,10 +71,10 @@ class _DemandSource:
     ticks; :meth:`sync` hands the stepped player's position to the others,
     so each ends where its own ``tick`` calls would have left it.  Each
     demand comes with its background work as a per-cluster row.  A player
-    hands out only read-only mappings that outlive it (its trace's table
-    and the empty mapping of an exhausted tick), so a player's rows are
-    kept by mapping ``id``; any other workload's mapping is resolved on
-    every tick.
+    hands out only read-only mappings that live as long as its trace (the
+    trace's table and the empty mapping of an exhausted tick), so a
+    player's rows are kept by mapping ``id``; any other workload's mapping
+    is resolved on every tick.
     """
 
     def __init__(self, lane: int, workload, dt: float, cluster_names) -> None:
