@@ -1,75 +1,652 @@
-"""Perf-trajectory runner: executes the ``BENCH_*`` benchmarks and writes JSON.
+"""Kernel benchmarks: one sitting that writes every ``BENCH_<name>.json`` report.
 
-The paper-figure benchmarks under ``benchmarks/bench_fig*.py`` regenerate the
-paper's *results*; the benchmarks registered here track the *performance* of
-the reproduction itself over time.  Each entry writes one ``BENCH_<name>.json``
-report (committed at the repo root) containing before/after numbers, so the
-perf trajectory of the codebase is versioned alongside the code.
+The paper-figure benchmarks under ``benchmarks/`` regenerate the paper's
+*results*; this harness tracks the *performance* of the reproduction's own
+kernels.  Each report is one ``BENCH_<name>.json`` with before/after
+numbers, committed at the repo root, so the perf trajectory of the code is
+versioned beside it.
+
+Every report is measured in one process, on one recording of the paper's
+Fig. 1 mixed session (home -> facebook -> spotify under ``schedutil``).
+The session is recorded once, the scalar replay is timed once and each
+batch width once, and every report reads the values it needs from that
+sitting.  Shared-runner wall clocks drift enough between processes that a
+ratio is only meaningful when numerator and denominator come from one
+sitting.  The reports:
+
+* ``hotloop`` -- the compiled scalar kernel against the pre-kernel seed
+  implementation: ``fig1_ticks_per_sec`` (the scalar replay),
+  ``cold_train_episode_s`` (one cold ``Next`` training episode; training
+  throughput bounds every RL experiment and federated round) and
+  ``sweep_cell_wall_s`` (one scenario-matrix cell end to end: trace
+  recording, simulation and summary, the unit of ``repro-sweep`` cost).
+  ``CostModel.from_bench_report`` reads the full-profile report.
+* ``batch_kernel`` -- device-ticks per second of the struct-of-arrays batch
+  kernel (``repro.sim.batch``) stepping N devices through the session,
+  against the scalar replay.  Both kernels produce bit-identical
+  per-device streams (pinned by ``tests/test_batch_kernel.py``), so this is
+  a pure throughput comparison of two routes to the same output.
+* ``batch_hetero`` -- masked heterogeneous lanes: lane ``d`` replays between
+  half and all of the session.  ``uniform`` is the equal-duration batch of
+  the same width, which runs the same tick loop with every lane active, so
+  ``masking_overhead_vs_uniform`` is the cost of ragged lanes alone.
+  Masked throughput is per *stepped* device-tick: each lane only runs its
+  own budget.
+* ``obs_overhead`` -- the scalar replay with every obs feature off
+  (``disabled``, the baseline), with tracing active (``traced``:
+  ``REPRO_TRACE`` exported, the replay under a span, the metrics footer
+  flushed; it must stay within 3% of the baseline because the tick loop
+  carries no tracing hooks) and under the opt-in sampling profiler
+  (``profiled``, for information: profiling is a diagnostic mode, not a
+  default).  ``disabled_seam_allocs`` is the ``sys.getallocatedblocks()``
+  delta across 10,000 calls of the disabled-path seams the hot loop
+  touches (``active_profiler()`` / ``active_tracer()``): the "compiled out
+  to a no-op" contract.
+* ``shard_merge`` -- the bookkeeping of ``repro.experiments.distributed``,
+  which must stay negligible next to the cells it distributes: planner
+  throughput over the ``baselines`` matrix replicated to hundreds of cells,
+  merge throughput over synthetic shard caches (the last shard duplicates
+  the first, so the content-identity check is priced too) and, in the full
+  profile, the wall overhead of plan -> run 3 shards -> merge over the
+  plain run of the ``smoke`` matrix.  Not gated.
 
 Usage::
 
-    python benchmarks/run_benchmarks.py                 # full profile, all benchmarks
-    python benchmarks/run_benchmarks.py --fast          # CI smoke profile
-    python benchmarks/run_benchmarks.py --only hotloop  # one benchmark
-    python benchmarks/run_benchmarks.py --output-dir .  # where reports land
+    python benchmarks/run_benchmarks.py                 # full profile, every report
+    python benchmarks/run_benchmarks.py --only hotloop  # one report, measured alone
+    python benchmarks/run_benchmarks.py --fast --output-dir bench-ci --check-against .
+
+``--check-against DIR`` is the CI regression gate.  It reads every
+``DIR/BENCH_<name>.json`` before any report is written, so ``DIR`` may be
+the output directory.  Each throughput gate in ``GATES`` fails below the
+committed value divided by ``MAX_REGRESSION`` -- deliberately generous, so
+shared CI runners do not flake the build.  The allocation pin gates with or
+without a baseline.  ``--max-overhead-pct`` also gates the traced-mode
+overhead: the committed full-profile report was produced with
+``--max-overhead-pct 3``; the fast profile replays too little sim-time for
+a single-digit-percent gate to mean anything on shared runners.
+
+The batch reports need NumPy; the CI ``bench-smoke`` job installs it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import math
 import os
 import sys
+import tempfile
+import time
+from dataclasses import replace
+from functools import cached_property, partial
 
 if __package__ in (None, ""):  # standalone execution without `pip install -e .`
     sys.path.insert(
         0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     )
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-import bench_batch_hetero
-import bench_batch_kernel
-import bench_hot_loop
-import bench_obs_overhead
-import bench_shard_merge
+from repro.core.governor import NextGovernor
+from repro.experiments.distributed import (
+    merge_shard_stores,
+    merge_shards,
+    plan_shards,
+    run_shard,
+    shard_directory,
+)
+from repro.experiments.matrix import ScenarioMatrix, named_matrix
+from repro.experiments.runner import SweepRunner, execute_cell
+from repro.obs.metrics import reset_metrics
+from repro.obs.profile import active_profiler, deactivate_profiling, profiled
+from repro.obs.trace import active_tracer, deactivate_tracing, maybe_span, traced
+from repro.sim.clock import SimulationClock
+from repro.sim.config import SimulationConfig
+from repro.sim.experiment import (
+    make_governor,
+    record_session_trace,
+    run_trace,
+    train_next_governor,
+)
+from repro.soc.platform import exynos9810
+from repro.workloads.session import FIGURE1_SESSION, SessionSegment
+from repro.workloads.trace import TracePlayer
 
-#: name -> build_report(profile, repeat) callable producing the JSON payload.
-BENCHMARKS = {
-    "batch_hetero": bench_batch_hetero.build_report,
-    "batch_kernel": bench_batch_kernel.build_report,
-    "hotloop": bench_hot_loop.build_report,
-    "obs_overhead": bench_obs_overhead.build_report,
-    "shard_merge": bench_shard_merge.build_report,
+#: Simulated seconds of the Fig. 1 session replayed per profile: the whole
+#: 210 s session (the committed reports' methodology), or 12 s so the CI
+#: smoke stays within a few wall-seconds.
+FIG1_DURATION_S = {"full": None, "fast": 12.0}
+
+#: Batch widths per profile.  The acceptance bar for the batch kernel is
+#: >= 5x device-ticks/s over the scalar kernel at N >= 256, so both profiles
+#: measure exactly that width -- which lets the fast CI smoke gate against
+#: the committed full run -- and the full profile one wider point to show
+#: the amortisation trend.  N=2 and N=36 (the width of a ``baselines`` chunk
+#: in a 2-worker pool) record the kernel's fixed per-tick cost, which
+#: dominates small batches.  The masked lanes are measured, and gated, at
+#: N=256 only.
+BATCH_WIDTHS = {"full": (2, 36, 256, 512), "fast": (2, 36, 256)}
+MASKED_WIDTHS = (256,)
+
+#: The duration spread: masked lane d replays ``SPREAD + (1 - SPREAD) *
+#: d/(N-1)`` of the session, i.e. the shortest lane runs half as long as
+#: the longest.
+SPREAD = 0.5
+
+#: Pre-kernel (seed implementation) ``hotloop`` numbers, full profile,
+#: measured on the machine that produced the committed ``BENCH_hotloop.json``
+#: with the same best-of methodology.
+SEED_BASELINE = {
+    "fig1_ticks_per_sec": 12708.7,
+    "cold_train_episode_s": 0.1936,
+    "sweep_cell_wall_s": 0.02164,
 }
+TRAIN_EPISODE_S = {"full": 30.0, "fast": 5.0}
+SWEEP_CELL_S = {"full": 4.0, "fast": 3.0}
+
+#: Default sampling stride for the informational profiled replay.
+PROFILE_STRIDE = 32
+
+#: Calls of the disabled seams the allocation probe drives.
+ALLOC_PROBE_CALLS = 10_000
+
+#: Constant measurement noise the probe tolerates: the ``before`` counter
+#: sample is itself a live PyLong while the ``after`` sample is taken, so
+#: a handful of blocks can appear even when the probed seams allocate
+#: nothing.  The contract is *zero allocations per call*; a constant
+#: O(blocks) residual over 10,000 calls is the probe's own bookkeeping.
+ALLOC_TOLERANCE_BLOCKS = 4
+
+#: Planner input size per profile (seeds replicate the baselines matrix).
+PLAN_SEEDS = {"full": 10, "fast": 2}
+#: Synthetic cache entries per shard for the merge measurement.
+MERGE_ENTRIES = {"full": 200, "fast": 40}
+MERGE_SHARDS = 3
+
+#: Each throughput gate fails below the committed value divided by this.
+MAX_REGRESSION = 2.0
+
+#: Report -> (per-width table, or None, and the gated key) in ``after``.
+#: Device-ticks/s varies with batch width (wider batches amortise the
+#: per-tick Python frontend better), so a per-width gate compares equal
+#: widths only: the widest one both reports measured.
+GATES = {
+    "hotloop": (None, "fig1_ticks_per_sec"),
+    "batch_kernel": ("batch", "device_ticks_per_sec"),
+    "batch_hetero": ("masked", "device_ticks_per_sec"),
+    "obs_overhead": (None, "fig1_ticks_per_sec_disabled"),
+}
+
+
+def best_of(repeat, fns):
+    """Best wall time of each callable, running them round-robin.
+
+    Sequential blocks (all runs of one callable, then all of the next) fold
+    CPU-frequency drift -- turbo decay, thermal throttling -- into the
+    *difference* between them, which is exactly what a mode comparison
+    reports.  Round-robin runs every callable under the same drift, so the
+    per-callable minima stay comparable.
+    """
+    best = [math.inf] * len(fns)
+    for _ in range(repeat):
+        for index, fn in enumerate(fns):
+            started = time.perf_counter()
+            fn()
+            best[index] = min(best[index], time.perf_counter() - started)
+    return best
+
+
+class Sitting:
+    """The shared measurements of one process, each taken on first use.
+
+    Every report reads the Fig. 1 recording, the scalar replay and the batch
+    widths it needs from here, so one run measures each of them once, and
+    ``--only`` measures only what its report needs.
+    """
+
+    def __init__(self, profile: str, repeat: int):
+        self.profile = profile
+        self.repeat = repeat
+        self.platform = exynos9810()
+        self._batch_walls = {}
+
+    @cached_property
+    def trace(self):
+        """The Fig. 1 session, scaled to the profile, recorded once."""
+        segments = FIGURE1_SESSION.segments
+        limit = FIG1_DURATION_S[self.profile]
+        if limit is not None:
+            scale = limit / FIGURE1_SESSION.total_duration_s
+            segments = tuple(
+                SessionSegment(seg.app_name, max(1.0, seg.duration_s * scale))
+                for seg in segments
+            )
+        return record_session_trace(segments, platform=self.platform, seed=2020)
+
+    @cached_property
+    def scalar_walls(self):
+        """Best scalar replay wall per obs mode: disabled, traced, profiled."""
+
+        def replay():
+            run_trace(self.trace, make_governor("schedutil"), platform=self.platform)
+
+        def disabled_replay():
+            deactivate_tracing()
+            deactivate_profiling()
+            replay()
+
+        with tempfile.TemporaryDirectory(prefix="bench-obs-") as tmp:
+            trace_path = os.path.join(tmp, "trace.jsonl")
+
+            def traced_replay():
+                # Tracing active, the replay under a span -- like a sweep cell.
+                deactivate_profiling()
+                with traced(trace_path):
+                    with maybe_span("cell", fingerprint="bench-fig1"):
+                        replay()
+
+            def profiled_replay():
+                deactivate_tracing()
+                with profiled(stride=PROFILE_STRIDE):
+                    replay()
+
+            reset_metrics()
+            replay()  # warm-up: the first replay pays one-off interpreter costs
+            walls = best_of(
+                self.repeat, [disabled_replay, traced_replay, profiled_replay]
+            )
+        reset_metrics()
+        return dict(zip(("disabled", "traced", "profiled"), walls))
+
+    @property
+    def scalar_rate(self) -> float:
+        """Scalar ticks per second, every obs feature off."""
+        return len(self.trace) / self.scalar_walls["disabled"]
+
+    def scalar_row(self) -> dict:
+        wall = self.scalar_walls["disabled"]
+        return {
+            "scalar_ticks_per_sec": round(self.scalar_rate, 1),
+            "scalar_us_per_tick": round(wall * 1e6 / len(self.trace), 2),
+        }
+
+    def run_batch(self, n: int, duration_s) -> None:
+        """Build and run n schedutil lanes (seeds 0..n-1) replaying the session."""
+        from repro.sim.batch import BatchSimulation  # needs NumPy; import late
+
+        configs = [
+            SimulationConfig(
+                refresh_hz=self.platform.display_refresh_hz,
+                duration_s=self.trace.duration_s,
+                seed=index,
+            )
+            for index in range(n)
+        ]
+        governors = [make_governor("schedutil") for _ in range(n)]
+        batch = BatchSimulation(self.platform, governors, configs)
+        batch.run([TracePlayer(self.trace) for _ in range(n)], duration_s=duration_s)
+
+    def batch_rate(self, n: int) -> float:
+        """Device-ticks per second of one homogeneous batch of width n."""
+        if n not in self._batch_walls:
+            run = partial(self.run_batch, n, self.trace.duration_s)
+            self._batch_walls[n] = best_of(self.repeat, [run])[0]
+        return len(self.trace) * n / self._batch_walls[n]
+
+    def batch_row(self, n: int) -> dict:
+        rate = self.batch_rate(n)
+        return {
+            "device_ticks_per_sec": round(rate, 1),
+            "us_per_device_tick": round(1e6 / rate, 3),
+            "speedup_vs_scalar": round(rate / self.scalar_rate, 2),
+        }
+
+
+def hotloop(sitting: Sitting) -> dict:
+    profile = sitting.profile
+    episode_s = TRAIN_EPISODE_S[profile]
+    cell = ScenarioMatrix.build(
+        name="bench",
+        governors=("schedutil",),
+        apps=("facebook",),
+        seeds=(0,),
+        duration_s=SWEEP_CELL_S[profile],
+    ).cells()[0]
+
+    def train_once():
+        train_next_governor(
+            NextGovernor(seed=7),
+            "facebook",
+            platform=sitting.platform,
+            episodes=1,
+            episode_duration_s=episode_s,
+            seed=7,
+            td_error_threshold=0.0,
+        )
+
+    def run_cell():
+        result = execute_cell(cell)
+        if not result.ok:
+            raise RuntimeError(f"benchmark sweep cell failed: {result.error}")
+
+    train_wall, cell_wall = best_of(sitting.repeat, [train_once, run_cell])
+    after = {
+        "fig1_ticks_per_sec": round(sitting.scalar_rate, 1),
+        "fig1_ticks": len(sitting.trace),
+        "fig1_wall_s": round(sitting.scalar_walls["disabled"], 4),
+        "cold_train_episode_s": round(train_wall, 4),
+        "cold_train_sim_s_per_wall_s": round(episode_s / train_wall, 1),
+        "sweep_cell_wall_s": round(cell_wall, 5),
+    }
+    before = SEED_BASELINE
+    report = {"before": dict(before), "after": after}
+    if profile == "full":
+        report["speedup"] = {
+            "fig1_ticks_per_sec": round(
+                after["fig1_ticks_per_sec"] / before["fig1_ticks_per_sec"], 2
+            ),
+            "cold_train_episode_s": round(
+                before["cold_train_episode_s"] / after["cold_train_episode_s"], 2
+            ),
+            "sweep_cell_wall_s": round(
+                before["sweep_cell_wall_s"] / after["sweep_cell_wall_s"], 2
+            ),
+        }
+    return report
+
+
+def batch_kernel(sitting: Sitting) -> dict:
+    scalar = sitting.scalar_row()
+    batch = {str(n): sitting.batch_row(n) for n in BATCH_WIDTHS[sitting.profile]}
+    # "before" is the scalar kernel measured in the same process -- the
+    # honest denominator under shared-runner wall-clock drift.
+    return {
+        "before": dict(scalar),
+        "after": {"fig1_ticks": len(sitting.trace), **scalar, "batch": batch},
+    }
+
+
+def batch_hetero(sitting: Sitting) -> dict:
+    scalar = sitting.scalar_row()
+    after = {
+        "fig1_ticks": len(sitting.trace),
+        "duration_spread": SPREAD,
+        **scalar,
+        "uniform": {},
+        "masked": {},
+    }
+    total_s = sitting.trace.duration_s
+    refresh_hz = sitting.platform.display_refresh_hz
+    clock = SimulationClock(SimulationConfig(refresh_hz=refresh_hz).dt_s)
+    for n in MASKED_WIDTHS:
+        after["uniform"][str(n)] = sitting.batch_row(n)
+        durations = [
+            total_s * (SPREAD + (1.0 - SPREAD) * lane / (n - 1)) for lane in range(n)
+        ]
+        stepped = sum(clock.ticks_for(duration) for duration in durations)
+        run = partial(sitting.run_batch, n, durations)
+        masked_wall = best_of(sitting.repeat, [run])[0]
+        masked_rate = stepped / masked_wall
+        after["masked"][str(n)] = {
+            "device_ticks_stepped": stepped,
+            "device_ticks_per_sec": round(masked_rate, 1),
+            "us_per_device_tick": round(masked_wall * 1e6 / stepped, 3),
+            "speedup_vs_scalar": round(masked_rate / sitting.scalar_rate, 2),
+            "masking_overhead_vs_uniform": round(
+                sitting.batch_rate(n) / masked_rate, 2
+            ),
+        }
+    return {"before": dict(scalar), "after": after}
+
+
+def disabled_seam_allocs() -> int:
+    """Allocation-count pin of the hot loop's disabled-path obs reads.
+
+    The tick loop's only per-call obs cost when everything is off is one
+    ``active_profiler()`` read (and, at cell granularity, one
+    ``active_tracer()`` env resolution).  Both must allocate nothing.
+    The probe takes the best of several passes: other runtime machinery
+    (GC, interned caches) can allocate concurrently, but the seams
+    themselves never do, so the minimum delta is the honest number.
+    """
+    deactivate_tracing()
+    deactivate_profiling()
+    gc.collect()
+    # One full warm-up pass: the very first loop pays one-off interpreter
+    # costs (adaptive specialization, cache fills) that show up as a few
+    # blocks and never recur.
+    for _ in range(ALLOC_PROBE_CALLS):
+        active_profiler()
+        active_tracer()
+    deltas = []
+    for _ in range(5):
+        before = sys.getallocatedblocks()
+        for _ in range(ALLOC_PROBE_CALLS):
+            active_profiler()
+            active_tracer()
+        deltas.append(sys.getallocatedblocks() - before)
+    return max(0, min(deltas))
+
+
+def obs_overhead(sitting: Sitting) -> dict:
+    ticks = len(sitting.trace)
+    walls = sitting.scalar_walls
+    disabled = walls["disabled"]
+    return {
+        "after": {
+            "fig1_ticks": ticks,
+            "fig1_ticks_per_sec_disabled": round(ticks / disabled, 1),
+            "fig1_ticks_per_sec_traced": round(ticks / walls["traced"], 1),
+            "fig1_ticks_per_sec_profiled": round(ticks / walls["profiled"], 1),
+            "traced_overhead_pct": round(
+                100.0 * (walls["traced"] - disabled) / disabled, 2
+            ),
+            "profiled_overhead_pct": round(
+                100.0 * (walls["profiled"] - disabled) / disabled, 2
+            ),
+            "profile_stride": PROFILE_STRIDE,
+            "disabled_seam_allocs": disabled_seam_allocs(),
+            "alloc_probe_calls": ALLOC_PROBE_CALLS,
+        }
+    }
+
+
+def synthetic_shard_caches(root: str, entries: int) -> list:
+    """Shard cache dirs filled with realistic entries under fake fingerprints.
+
+    One real smoke cell is executed once and its JSON document replicated
+    under distinct fingerprint-shaped names, so the merge engine reads,
+    checks and copies the same byte volume a real merge would.  The last
+    shard duplicates the first one entirely, exercising the
+    content-identity verification path.
+    """
+    payload = json.dumps(execute_cell(named_matrix("smoke").cells()[0]).to_dict())
+    cache_dirs = []
+    for shard in range(MERGE_SHARDS):
+        cache_dir = os.path.join(root, f"shard-{shard:03d}", "cache")
+        os.makedirs(cache_dir, exist_ok=True)
+        cache_dirs.append(cache_dir)
+        source = shard - 1 if shard == MERGE_SHARDS - 1 else shard
+        for index in range(entries):
+            name = f"{source:04x}{index:08x}{'0' * 12}.json"
+            with open(os.path.join(cache_dir, name), "w", encoding="utf-8") as f:
+                f.write(payload)
+    return cache_dirs
+
+
+def shard_merge(sitting: Sitting) -> dict:
+    profile = sitting.profile
+    matrix = replace(named_matrix("baselines"), seeds=tuple(range(PLAN_SEEDS[profile])))
+    counters = {}
+    with tempfile.TemporaryDirectory() as root:
+        cache_dirs = synthetic_shard_caches(root, MERGE_ENTRIES[profile])
+        # Each merge unions the shards into an empty directory of its own.
+        destinations = iter(
+            os.path.join(root, f"merged-{index}") for index in range(sitting.repeat)
+        )
+
+        def merge():
+            counters.update(merge_shard_stores(cache_dirs, next(destinations)))
+
+        plan_wall, merge_wall = best_of(
+            sitting.repeat, [partial(plan_shards, matrix, 8), merge]
+        )
+    entries = counters["results"] + counters["duplicates"]
+    after = {
+        "plan_cells": len(matrix),
+        "plan_wall_s": round(plan_wall, 5),
+        "plan_cells_per_s": round(len(matrix) / plan_wall, 1),
+        "merge_entries": entries,
+        "merge_duplicates": counters["duplicates"],
+        "merge_wall_s": round(merge_wall, 5),
+        "merge_entries_per_s": round(entries / merge_wall, 1),
+    }
+    if profile == "full":
+        # End to end, this includes real cell execution twice.
+        smoke = named_matrix("smoke")
+
+        def roundtrip():
+            with tempfile.TemporaryDirectory() as root:
+                manifest = plan_shards(smoke, 3)
+                directories = [shard_directory(root, index) for index in range(3)]
+                for index, directory in enumerate(directories):
+                    run_shard(manifest, index, directory)
+                merge_shards(manifest, directories, os.path.join(root, "merged"))
+
+        plain_wall, sharded_wall = best_of(
+            sitting.repeat, [lambda: SweepRunner(max_workers=1).run(smoke), roundtrip]
+        )
+        after["smoke_unsharded_s"] = round(plain_wall, 4)
+        after["smoke_roundtrip_s"] = round(sharded_wall, 4)
+        after["smoke_roundtrip_overhead_s"] = round(sharded_wall - plain_wall, 4)
+    return {"after": after}
+
+
+#: Report name -> builder of the report's body from the sitting.
+REPORTS = {
+    "batch_hetero": batch_hetero,
+    "batch_kernel": batch_kernel,
+    "hotloop": hotloop,
+    "obs_overhead": obs_overhead,
+    "shard_merge": shard_merge,
+}
+
+
+def throughput_gate(name: str, report: dict, baseline: dict) -> int:
+    """1 if the report's gated throughput fell below its committed floor."""
+    table, key = GATES[name]
+    measured, committed, where = report["after"], baseline["after"], ""
+    if table is not None:
+        shared = set(measured[table]) & set(committed[table])
+        if not shared:
+            print(
+                f"SKIP: no {name} width measured by both reports (measured "
+                f"{sorted(measured[table], key=int)}, committed "
+                f"{sorted(committed[table], key=int)})"
+            )
+            return 0
+        width = max(shared, key=int)
+        measured, committed = measured[table][width], committed[table][width]
+        where = f" (N={width})"
+    floor = committed[key] / MAX_REGRESSION
+    print(
+        f"regression gate {name}{where}: measured {measured[key]:.0f} {key} vs "
+        f"committed {committed[key]:.0f} (floor {floor:.0f}, max regression "
+        f"{MAX_REGRESSION}x)"
+    )
+    if measured[key] < floor:
+        print(f"FAIL: {name} regressed beyond the allowed factor")
+        return 1
+    print("OK")
+    return 0
+
+
+def obs_gates(report: dict, max_overhead_pct) -> int:
+    """1 if the disabled seams allocate, or tracing costs more than allowed."""
+    after = report["after"]
+    failed = 0
+    # Machine-independent, so gated always: anything beyond the probe's
+    # constant residual means a disabled-path seam allocates per call.
+    if after["disabled_seam_allocs"] > ALLOC_TOLERANCE_BLOCKS:
+        print(
+            f"FAIL: disabled-path obs seams allocated "
+            f"{after['disabled_seam_allocs']} blocks over {ALLOC_PROBE_CALLS} "
+            f"calls (contract: 0 per call, <= {ALLOC_TOLERANCE_BLOCKS} "
+            f"constant residual)"
+        )
+        failed = 1
+    if max_overhead_pct is not None:
+        overhead = after["traced_overhead_pct"]
+        print(
+            f"overhead gate: traced {overhead:+.2f}% vs allowed "
+            f"{max_overhead_pct:.2f}%"
+        )
+        if overhead > max_overhead_pct:
+            print("FAIL: traced-mode overhead exceeds the allowed percentage")
+            failed = 1
+    return failed
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--fast", action="store_true", help="CI smoke profile")
+    parser.add_argument(
+        "--fast", action="store_true", help="CI smoke profile (12 s of the session)"
+    )
     parser.add_argument("--repeat", type=int, default=3, help="best-of repetitions")
     parser.add_argument(
         "--only",
-        choices=sorted(BENCHMARKS),
-        default=None,
-        help="run a single benchmark instead of all",
+        choices=sorted(REPORTS),
+        help="write one report, measuring only what it needs",
     )
     parser.add_argument(
-        "--output-dir", default=".", help="directory for the BENCH_*.json reports"
+        "--output-dir", default=".", help="directory for the BENCH_<name>.json reports"
+    )
+    parser.add_argument(
+        "--check-against",
+        metavar="DIR",
+        help="gate against the committed DIR/BENCH_<name>.json reports",
+    )
+    parser.add_argument(
+        "--max-overhead-pct",
+        type=float,
+        help="also fail if the traced-mode overhead exceeds this percentage",
     )
     args = parser.parse_args(argv)
 
+    names = [args.only] if args.only else sorted(REPORTS)
+    # Every baseline is read before any report is written: DIR may be the
+    # output directory, and a report gated against itself always passes.
+    baselines = {}
+    for name in names:
+        if args.check_against and name in GATES:
+            path = os.path.join(args.check_against, f"BENCH_{name}.json")
+            with open(path, "r", encoding="utf-8") as handle:
+                baselines[name] = json.load(handle)
+
     profile = "fast" if args.fast else "full"
-    names = [args.only] if args.only else sorted(BENCHMARKS)
+    sitting = Sitting(profile, args.repeat)
+    os.makedirs(args.output_dir, exist_ok=True)
+    failed = 0
     for name in names:
         print(f"== {name} ({profile}) ==")
-        report = BENCHMARKS[name](profile=profile, repeat=args.repeat)
+        report = {
+            "benchmark": name,
+            "schema": 1,
+            "profile": profile,
+            "repeat": args.repeat,
+            **REPORTS[name](sitting),
+        }
         path = os.path.join(args.output_dir, f"BENCH_{name}.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2)
             handle.write("\n")
         print(json.dumps(report, indent=2))
         print(f"wrote {path}")
-    return 0
+        if name == "obs_overhead":
+            failed |= obs_gates(report, args.max_overhead_pct)
+        if name in baselines:
+            failed |= throughput_gate(name, report, baselines[name])
+    return failed
 
 
 if __name__ == "__main__":

@@ -136,9 +136,20 @@ class CostModel:
 
         Strict about the expected keys: silently falling back to the
         committed defaults would record another machine's numbers in the
-        manifest as if they were the operator's calibration.
+        manifest as if they were the operator's calibration.  Strict about
+        the profile too: only the full profile times the 4 sim-s cell that
+        ``sweep_cell_wall_s`` is divided by.
         """
-        after = data.get("after") if isinstance(data, Mapping) else None
+        if not isinstance(data, Mapping):
+            data = {}
+        profile = data.get("profile", "full")
+        if profile != "full":
+            raise ValueError(
+                f"bench report has profile {profile!r}; a cost model needs a "
+                "full-profile BENCH_hotloop.json report "
+                "(benchmarks/run_benchmarks.py --only hotloop)"
+            )
+        after = data.get("after")
         if not isinstance(after, Mapping):
             after = {}
         missing = sorted(
@@ -149,7 +160,8 @@ class CostModel:
         if missing:
             raise ValueError(
                 f"bench report is missing 'after' key(s) {missing}; expected a "
-                "BENCH_hotloop.json-shaped report (benchmarks/bench_hot_loop.py)"
+                "BENCH_hotloop.json-shaped report "
+                "(benchmarks/run_benchmarks.py --only hotloop)"
             )
         return cls(
             cell_s_per_sim_s=(

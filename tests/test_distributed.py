@@ -237,6 +237,20 @@ class TestPlanner:
             with pytest.raises(ValueError, match="missing 'after' key"):
                 CostModel.from_bench_file(str(path))
 
+    def test_fast_profile_bench_report_is_rejected(self, tmp_path):
+        # The fast profile times a 3 sim-s cell, so dividing its
+        # sweep_cell_wall_s by the full profile's 4 sim-s would underprice
+        # every cell by a quarter.
+        with open(
+            os.path.join(os.path.dirname(__file__), "..", "BENCH_hotloop.json")
+        ) as handle:
+            report = json.load(handle)
+        report["profile"] = "fast"
+        path = tmp_path / "BENCH_hotloop.json"
+        path.write_text(json.dumps(report))
+        with pytest.raises(ValueError, match="profile 'fast'.*--only hotloop"):
+            CostModel.from_bench_file(str(path))
+
 
 # ---------------------------------------------------------------------------
 # Manifest round trip
