@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Dict, List, Optional, Type, Union
 
-from repro.core.agent import AgentConfig
 from repro.core.artifact import AgentArtifact, TrainingSpec
 from repro.core.federated import FleetArtifact, FleetSpec
 from repro.core.persistence import EntryStore
@@ -42,11 +41,7 @@ StoredArtifact = Union[AgentArtifact, FleetArtifact]
 ArtifactSpec = Union[TrainingSpec, FleetSpec]
 
 
-def train_artifact(
-    spec: TrainingSpec,
-    agent_config: Optional[AgentConfig] = None,
-    attempt: int = 0,
-) -> AgentArtifact:
+def train_artifact(spec: TrainingSpec, attempt: int = 0) -> AgentArtifact:
     """Train one agent per ``spec`` and freeze it into an artifact.
 
     Training runs through :func:`repro.sim.experiment.train_next_on_apps` --
@@ -64,13 +59,13 @@ def train_artifact(
     try:
         with maybe_span(
             "train",
-            fingerprint=spec.fingerprint(agent_config),
+            fingerprint=spec.fingerprint(),
             label=spec.label(),
             attempt=attempt,
         ):
-            fault_point(SITE_TRAIN_ARTIFACT, spec.fingerprint(agent_config), attempt)
+            fault_point(SITE_TRAIN_ARTIFACT, spec.fingerprint(), attempt)
             platform = make_platform(spec.platform)
-            governor = NextGovernor(config=agent_config, seed=spec.seed)
+            governor = NextGovernor(seed=spec.seed)
             results = train_next_on_apps(
                 governor,
                 spec.apps,
@@ -119,9 +114,7 @@ class ArtifactStore(EntryStore):
         self.trained_count = 0
         self.reused_count = 0
 
-    def load(
-        self, spec: ArtifactSpec, agent_config: Optional[AgentConfig] = None
-    ) -> Optional[StoredArtifact]:
+    def load(self, spec: ArtifactSpec) -> Optional[StoredArtifact]:
         """Return the stored artifact for ``spec``, or ``None`` on a miss.
 
         A corrupt entry (a torn copy on a non-atomic filesystem) is
@@ -130,7 +123,7 @@ class ArtifactStore(EntryStore):
         fingerprint does not match is left in place: that is a foreign or
         stale-format file, not corruption.
         """
-        fingerprint = spec.fingerprint(agent_config)
+        fingerprint = spec.fingerprint()
         artifact = self._memory.get(fingerprint)
         if artifact is None:
             artifact = self.load_entry(fingerprint, self.ARTIFACT.from_document)
@@ -144,15 +137,13 @@ class ArtifactStore(EntryStore):
         self._memory[artifact.fingerprint] = artifact
         self.write_entry(artifact.fingerprint, artifact.to_dict())
 
-    def resolve(
-        self, spec: ArtifactSpec, agent_config: Optional[AgentConfig] = None
-    ) -> Optional[StoredArtifact]:
+    def resolve(self, spec: ArtifactSpec) -> Optional[StoredArtifact]:
         """:meth:`load` that also counts the hit as a reuse.
 
         The single accounting point for "this spec did not need training";
         the sweep runner and inline fleet training both go through it.
         """
-        artifact = self.load(spec, agent_config)
+        artifact = self.load(spec)
         if artifact is not None:
             self.reused_count += 1
         return artifact

@@ -13,8 +13,10 @@ This module simulates that fleet at sweep scale:
 * after every round a server-side
   :class:`~repro.core.federated.FederatedAggregator` merges the per-app
   Q-tables visit-weighted and distributes the merged tables back, and each
-  following round continues *local* training from the merged tables
-  (:func:`train_device_round` is the picklable per-device work unit), and
+  following round continues *local* training from the merged tables.
+  :class:`FleetBuild` is the one schedule of those rounds: it routes each
+  round and hands it out as chunks, which :func:`train_round_chunk` runs
+  on any executor, and
 * the finished fleet freezes into a
   :class:`~repro.core.federated.FleetArtifact` -- merged greedy agent,
   per-device states and per-round convergence reports -- stored by the
@@ -61,6 +63,9 @@ from repro.reliability.faults import (
 )
 from repro.sim.experiment import train_lanes, training_config
 from repro.soc.platform import make_platform
+
+#: Actions of the default agent config: the width of every merged table.
+_ACTION_COUNT = len(ActionSpace(AgentConfig().cluster_order))
 
 
 def train_device_round(
@@ -116,8 +121,9 @@ def round_route(jobs: Sequence[Tuple[Any, ...]]) -> Route:
 
     A device lane lasts its whole local training (``apps x episodes x
     episode_duration_s``), so a non-IID round is priced by its longest
-    device.  The sweep runner and :func:`train_fleet_artifact` both route
-    rounds through this one function.
+    device.  :meth:`FleetBuild.round_chunks` routes every round through
+    this one function; a batched round's ``device_batch`` span notes the
+    same prices.
     """
     return DEFAULT_COST_MODEL.route(jobs[0][2], [round_job_sim_s(job) for job in jobs])
 
@@ -139,8 +145,8 @@ def train_device_rounds_batched(
     and the batch kernel is bit-identical per lane (the batch parity suite
     pins the sample streams, the federated parity tests the merged agents).
     Jobs of one round share platform and overrides by construction
-    (:meth:`FleetBuild.round_jobs`); episode budgets and durations may differ
-    per device (intensity-weighted non-IID fleets).
+    (:meth:`FleetBuild.round_chunks`); episode budgets and durations may
+    differ per device (intensity-weighted non-IID fleets).
 
     ``attempt`` is the orchestrator's retry counter for the round, consumed
     only by the fault-injection seam, which is keyed like
@@ -156,6 +162,20 @@ def train_device_rounds_batched(
             return _train_devices(jobs, batched=True)
     finally:
         flush_task_metrics()
+
+
+def train_round_chunk(
+    jobs: Sequence[Tuple[Any, ...]], batched: bool, attempt: int = 0
+) -> List[Dict[str, Any]]:
+    """Train one chunk of a fleet round and return its device states in order.
+
+    A chunk is what :meth:`FleetBuild.round_chunks` hands out: the whole
+    round on the batch route (``batched``), or else one device.  Both fleet
+    drivers run every chunk through this one function.
+    """
+    if batched:
+        return train_device_rounds_batched(jobs, attempt=attempt)
+    return [train_device_round(*job, attempt=attempt) for job in jobs]
 
 
 def _train_devices(
@@ -200,10 +220,6 @@ def _train_devices(
     return [json.loads(json.dumps(governor.agent.to_dict())) for governor in governors]
 
 
-def _action_count(agent_config: AgentConfig) -> int:
-    return len(ActionSpace(agent_config.cluster_order))
-
-
 def _device_stores(
     device_states: Sequence[Dict[str, Any]],
 ) -> List[QTableStore]:
@@ -212,12 +228,10 @@ def _device_stores(
 
 
 def _merge_tables(
-    spec: FleetSpec,
-    agent_config: AgentConfig,
-    stores: Sequence[QTableStore],
+    spec: FleetSpec, stores: Sequence[QTableStore]
 ) -> Dict[str, QTable]:
     """Server-side aggregation: one visit-weighted merged table per app."""
-    aggregator = FederatedAggregator(action_count=_action_count(agent_config))
+    aggregator = FederatedAggregator(action_count=_ACTION_COUNT)
     merged: Dict[str, QTable] = {}
     for app_name in spec.apps:
         tables = [store.table_for(app_name) for store in stores if app_name in store]
@@ -260,10 +274,7 @@ def _round_report(
 
 
 def _distribute(
-    spec: FleetSpec,
-    agent_config: AgentConfig,
-    merged: Dict[str, QTable],
-    device_states: Sequence[Dict[str, Any]],
+    merged: Dict[str, QTable], device_states: Sequence[Dict[str, Any]]
 ) -> List[Dict[str, Any]]:
     """Install the merged tables into every device state.
 
@@ -272,7 +283,7 @@ def _distribute(
     aggregation recovers the fleet's prior experience once, not once per
     device.
     """
-    aggregator = FederatedAggregator(action_count=_action_count(agent_config))
+    aggregator = FederatedAggregator(action_count=_ACTION_COUNT)
     replicas = {
         app_name: aggregator.distribute(table, len(device_states))
         for app_name, table in merged.items()
@@ -286,13 +297,9 @@ def _distribute(
     return distributed
 
 
-def _merged_agent(
-    spec: FleetSpec, agent_config: AgentConfig, merged: Dict[str, QTable]
-) -> NextAgent:
+def _merged_agent(spec: FleetSpec, merged: Dict[str, QTable]) -> NextAgent:
     """The fleet's evaluation agent: merged tables, greedy policy."""
-    agent = NextAgent(
-        config=agent_config, seed=derive_seed("fleet-eval", spec.fleet_seed)
-    )
+    agent = NextAgent(seed=derive_seed("fleet-eval", spec.fleet_seed))
     for app_name, table in merged.items():
         agent.install_table(app_name, QTable.from_dict(table.to_dict()))
     agent.set_training(False)
@@ -300,14 +307,17 @@ def _merged_agent(
 
 
 class FleetBuild:
-    """Stepwise fleet training, for schedulers that interleave other work.
+    """The one fleet schedule: each round's device jobs, route and aggregation.
 
-    :func:`train_fleet_artifact` is the one-call form; the sweep runner's
-    event loop must instead overlap fleet rounds with unrelated cells and
-    trainings, so this class exposes the identical computation as explicit
-    steps: round-0 device specs in, per-round continuation jobs out,
-    finished artifact at the end.  Both forms share every helper in the
-    same order, so their results are bit-identical by construction.
+    Both fleet drivers run this schedule: the sweep runner's event loop,
+    which overlaps rounds with unrelated cells and trainings, and
+    :func:`train_fleet_artifact`, which runs it in-process.  A driver
+    fetches round 0's device agents (the specs in :attr:`round0`) its own
+    way and runs the chunks it is handed through :func:`train_round_chunk`.
+    Everything else happens here: distributing the merged tables, routing
+    each round through the cost model, collecting the chunks' device states
+    and aggregating each completed round.  So every driver's result is
+    bit-identical by construction.
 
     Life cycle::
 
@@ -315,43 +325,45 @@ class FleetBuild:
         if build.needs_round0:
             build.provide_round0({fp: AgentArtifact})   # stored or trained
         while not build.finished:
-            round_index, jobs = build.round_jobs()
-            results = [train_device_round(*job) for job in jobs]  # any executor
-            build.finish_round(round_index, results)
+            for first, jobs in build.round_chunks():    # any executor, any order
+                build.deliver(first, train_round_chunk(jobs, build.batched))
         artifact = build.artifact()
     """
 
-    def __init__(
-        self,
-        spec: FleetSpec,
-        agent_config: Optional[AgentConfig] = None,
-        start: Optional[FleetArtifact] = None,
-    ) -> None:
+    def __init__(self, spec: FleetSpec, start: Optional[FleetArtifact] = None) -> None:
         self.spec = spec
-        self.agent_config = agent_config or AgentConfig()
         self.resumed = start is not None
+        #: Each device's round-0 spec and its fingerprint, in device order
+        #: (empty when resuming: round 0 is done).
+        self.round0: List[Tuple[str, TrainingSpec]] = []
+        #: The round that is open, or that :meth:`round_chunks` opens next.
+        self.round_index = 0
+        #: Whether the open round runs on the batch route.
+        self.batched = False
         self._states: Optional[List[Dict[str, Any]]] = None
         self._merged: Optional[Dict[str, QTable]] = None
         self._reports: List[RoundReport] = []
-        self._next_round = 0
-        if start is not None:
-            if start.lineage != spec.lineage(self.agent_config):
-                raise ValueError(
-                    f"cannot resume fleet {spec.label()} from an artifact of "
-                    "a different lineage"
-                )
-            if start.rounds_completed >= spec.rounds:
-                raise ValueError(
-                    f"resume artifact already completed {start.rounds_completed} "
-                    f"rounds; spec asks for {spec.rounds}"
-                )
-            self._states = [dict(state) for state in start.device_states]
-            self._reports = list(start.round_reports)
-            # Recompute the last aggregation (pure data) to distribute from.
-            self._merged = _merge_tables(
-                spec, self.agent_config, _device_stores(self._states)
+        self._buffer: Optional[List[Optional[Dict[str, Any]]]] = None
+        if start is None:
+            for device in range(spec.devices):
+                device_spec = spec.device_training_spec(device)
+                self.round0.append((device_spec.fingerprint(), device_spec))
+            return
+        if start.lineage != spec.lineage():
+            raise ValueError(
+                f"cannot resume fleet {spec.label()} from an artifact of "
+                "a different lineage"
             )
-            self._next_round = start.rounds_completed
+        if start.rounds_completed >= spec.rounds:
+            raise ValueError(
+                f"resume artifact already completed {start.rounds_completed} "
+                f"rounds; spec asks for {spec.rounds}"
+            )
+        self._states = [dict(state) for state in start.device_states]
+        self._reports = list(start.round_reports)
+        # Recompute the last aggregation (pure data) to distribute from.
+        self._merged = _merge_tables(spec, _device_stores(self._states))
+        self.round_index = start.rounds_completed
 
     @property
     def needs_round0(self) -> bool:
@@ -361,48 +373,41 @@ class FleetBuild:
     @property
     def finished(self) -> bool:
         """Whether every pre-registered round has completed."""
-        return self._states is not None and self._next_round >= self.spec.rounds
-
-    def device_specs(self) -> List[TrainingSpec]:
-        """The round-0 :class:`TrainingSpec` of every device."""
-        return [
-            self.spec.device_training_spec(device)
-            for device in range(self.spec.devices)
-        ]
+        return self._states is not None and self.round_index >= self.spec.rounds
 
     def provide_round0(self, artifacts: Mapping[str, Any]) -> None:
         """Accept the round-0 device artifacts, keyed by spec fingerprint."""
         if not self.needs_round0:
             raise ValueError("round 0 was already provided")
         self._states = [
-            dict(artifacts[device_spec.fingerprint(self.agent_config)].agent_state)
-            for device_spec in self.device_specs()
+            dict(artifacts[fingerprint].agent_state) for fingerprint, _ in self.round0
         ]
         self._aggregate(0)
-        self._next_round = 1
+        self.round_index = 1
 
     def _aggregate(self, round_index: int) -> None:
         stores = _device_stores(self._states)
-        self._merged = _merge_tables(self.spec, self.agent_config, stores)
+        self._merged = _merge_tables(self.spec, stores)
         self._reports.append(
             _round_report(round_index, self._states, stores, self._merged)
         )
 
-    def round_jobs(self) -> Tuple[int, List[Tuple[Any, ...]]]:
-        """Distribute the merged tables and emit one continuation job per device.
+    def round_chunks(self) -> List[Tuple[int, List[Tuple[Any, ...]]]]:
+        """Open the next round and hand it out as ``(first device, jobs)`` chunks.
 
-        Returns ``(round_index, jobs)`` where each job is the argument tuple
-        of :func:`train_device_round` -- run them on any executor, in any
-        order, and hand the device-ordered results to :meth:`finish_round`.
+        Distributes the merged tables into one continuation job per device
+        (the argument tuple of :func:`train_device_round`) and routes the
+        round through the cost model (:func:`round_route`).  On the batch
+        route, which sets :attr:`batched`, the whole round is one chunk;
+        otherwise each device is a chunk of its own.  Run each chunk through
+        :func:`train_round_chunk` on any executor, in any order, and hand
+        its device states to :meth:`deliver`.
         """
         if self.needs_round0:
             raise ValueError("round 0 has not been provided yet")
         if self.finished:
             raise ValueError("fleet has no rounds left to train")
-        round_index = self._next_round
-        distributed = _distribute(
-            self.spec, self.agent_config, self._merged, self._states
-        )
+        distributed = _distribute(self._merged, self._states)
         jobs = [
             (
                 distributed[device],
@@ -410,29 +415,50 @@ class FleetBuild:
                 self.spec.platform,
                 self.spec.device_episodes(device),
                 self.spec.episode_duration_s,
-                self.spec.device_seed(device, round_index),
+                self.spec.device_seed(device, self.round_index),
                 self.spec.config_overrides,
             )
             for device in range(self.spec.devices)
         ]
-        return round_index, jobs
+        self.batched = routes_to_batch(
+            round_route(jobs), "devices", batch_kernel_available
+        )
+        self._buffer = [None] * len(jobs)
+        if self.batched:
+            return [(0, jobs)]
+        return [(device, [job]) for device, job in enumerate(jobs)]
+
+    def deliver(self, first: int, device_states: Sequence[Dict[str, Any]]) -> bool:
+        """Collect one chunk's device states; finish the round with its last chunk.
+
+        Returns whether this chunk completed the open round.
+        """
+        buffer = self._buffer
+        if buffer is None:
+            raise ValueError("no round is open")
+        buffer[first : first + len(device_states)] = device_states
+        if any(state is None for state in buffer):
+            return False
+        self.finish_round(self.round_index, buffer)
+        return True
 
     def finish_round(
         self, round_index: int, device_states: Sequence[Dict[str, Any]]
     ) -> None:
         """Accept one round's device-ordered results and aggregate them."""
-        if round_index != self._next_round:
+        if round_index != self.round_index:
             raise ValueError(
-                f"got results for round {round_index}, expected {self._next_round}"
+                f"got results for round {round_index}, expected {self.round_index}"
             )
         if len(device_states) != self.spec.devices:
             raise ValueError(
                 f"got {len(device_states)} device results, expected "
                 f"{self.spec.devices}"
             )
+        self._buffer = None
         self._states = [dict(state) for state in device_states]
         self._aggregate(round_index)
-        self._next_round = round_index + 1
+        self.round_index = round_index + 1
 
     def artifact(self) -> FleetArtifact:
         """Freeze the finished fleet (raises while rounds remain)."""
@@ -440,7 +466,7 @@ class FleetBuild:
             raise ValueError("fleet has rounds left to train")
         return FleetArtifact.capture(
             self.spec,
-            _merged_agent(self.spec, self.agent_config, self._merged),
+            _merged_agent(self.spec, self._merged),
             self._states,
             self._reports,
         )
@@ -448,51 +474,39 @@ class FleetBuild:
 
 def train_fleet_artifact(
     spec: FleetSpec,
-    agent_config: Optional[AgentConfig] = None,
     artifacts: Optional[ArtifactStore] = None,
     start: Optional[FleetArtifact] = None,
 ) -> FleetArtifact:
     """Train one federated fleet per ``spec`` in-process and freeze it.
 
-    The one-call form of :class:`FleetBuild`, for callers outside the sweep
-    runner (which schedules the same build through its event loop).  Round-0
-    device specs resolve through ``artifacts`` -- stored ones are reused,
-    missing ones train and are stored.  Each round takes the route
-    :func:`round_route` picks, as in the sweep runner: the batched
-    device-population kernel (one lockstep step loop for the whole fleet)
-    when the cost model predicts it beats N sequential simulations and
-    NumPy is importable, else one scalar run per device; every path is
-    bit-identical.  ``start`` resumes a same-lineage artifact
-    with fewer rounds: only the missing rounds run, and the outcome equals a
+    Runs the :class:`FleetBuild` schedule for callers outside the sweep
+    runner, which runs the same schedule through its event loop.  Round-0
+    device specs resolve through ``artifacts``: stored ones are reused,
+    missing ones train and are stored.  Each round's chunks then train
+    here, one after another, on the route the build picked; every route is
+    bit-identical.  ``start`` resumes a same-lineage artifact with fewer
+    rounds: only the missing rounds run, and the outcome equals a
     from-scratch run of the full depth.
     """
-    build = FleetBuild(spec, agent_config=agent_config, start=start)
+    build = FleetBuild(spec, start=start)
     store = artifacts if artifacts is not None else ArtifactStore(None)
     if build.needs_round0:
         round0: Dict[str, Any] = {}
-        for device_spec in build.device_specs():
-            fingerprint = device_spec.fingerprint(build.agent_config)
+        for fingerprint, device_spec in build.round0:
             if fingerprint in round0:
                 continue
-            artifact = store.resolve(device_spec, build.agent_config)
+            artifact = store.resolve(device_spec)
             if artifact is None:
-                artifact = train_artifact(device_spec, build.agent_config)
+                artifact = train_artifact(device_spec)
                 store.accept(artifact)
             round0[fingerprint] = artifact
         build.provide_round0(round0)
     while not build.finished:
-        round_index, jobs = build.round_jobs()
-        batched = routes_to_batch(
-            round_route(jobs), "devices", batch_kernel_available
-        )
         with maybe_span(
-            "federated_round", round=round_index, devices=len(jobs)
+            "federated_round", round=build.round_index, devices=spec.devices
         ):
-            if batched:
-                results = train_device_rounds_batched(jobs)
-            else:
-                results = [train_device_round(*job) for job in jobs]
-        build.finish_round(round_index, results)
+            for first, jobs in build.round_chunks():
+                build.deliver(first, train_round_chunk(jobs, build.batched))
     return build.artifact()
 
 
@@ -525,9 +539,7 @@ class FleetStore(ArtifactStore):
         else:
             self.trained_count += 1
 
-    def resume_candidate(
-        self, spec: FleetSpec, agent_config: Optional[AgentConfig] = None
-    ) -> Optional[FleetArtifact]:
+    def resume_candidate(self, spec: FleetSpec) -> Optional[FleetArtifact]:
         """The deepest same-lineage artifact with fewer rounds than ``spec``.
 
         Federated training is incremental, so a 2-round fleet of the same
@@ -540,7 +552,7 @@ class FleetStore(ArtifactStore):
         deepest first, so a directory full of unrelated fleets costs one JSON
         parse each rather than a validation pass each.
         """
-        lineage = spec.lineage(agent_config)
+        lineage = spec.lineage()
         best: Optional[FleetArtifact] = None
         for artifact in self._memory.values():
             if artifact.lineage != lineage:

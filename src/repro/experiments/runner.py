@@ -27,7 +27,7 @@ same traceback twice in a row) are quarantined as permanent immediately.
 A broken pool (crashed worker) or an expired watchdog deadline (hung
 worker) tears the pool down and rebuilds it, resubmitting only the jobs
 that were in flight -- their attempt counters bumped so first-attempt-only
-injected faults cannot re-fire -- and after ``max_pool_rebuilds`` restarts
+injected faults cannot re-fire -- and after :data:`MAX_POOL_REBUILDS` restarts
 the *remaining* cells (never the already-delivered ones) finish through the
 same loop in-process, where injected crashes raise instead of exiting.  All
 of this is safe because of the bit-identity contract: a retried cell can
@@ -91,10 +91,8 @@ from repro.experiments.federated import (
     FleetBuild,
     FleetStore,
     batch_kernel_available,
-    round_route,
-    train_device_round,
-    train_device_rounds_batched,
     train_fleet_artifact,
+    train_round_chunk,
 )
 from repro.experiments.matrix import ScenarioCell, ScenarioMatrix
 from repro.governors.base import Governor
@@ -130,6 +128,10 @@ from repro.workloads.trace import TracePlayer, WorkloadTrace
 
 #: Progress callback signature: (completed_count, total_count, latest_result).
 ProgressCallback = Callable[[int, int, "CellResult"], None]
+
+#: How often a sweep rebuilds a broken or watchdog-expired pool before its
+#: remaining cells finish in-process.
+MAX_POOL_REBUILDS = 2
 
 
 @dataclass
@@ -885,10 +887,10 @@ class SweepRunner:
     re-run and how long the seeded backoff between attempts is;
     ``watchdog`` prices per-job wall-clock budgets from the shard cost
     model so hung workers are detected and their jobs rescheduled; a
-    broken or watchdog-expired pool is rebuilt up to ``max_pool_rebuilds``
-    times before the remaining cells finish in-process.  The defaults
-    enable all three with conservative settings (two retries, 20x
-    cost-model budgets with a 60 s floor, two rebuilds).
+    broken or watchdog-expired pool is rebuilt up to
+    :data:`MAX_POOL_REBUILDS` times before the remaining cells finish
+    in-process.  The defaults of the first two are conservative (two
+    retries, 20x cost-model budgets with a 60 s floor).
     """
 
     def __init__(
@@ -898,12 +900,9 @@ class SweepRunner:
         artifact_dir: Optional[str] = None,
         retry_policy: Optional[RetryPolicy] = None,
         watchdog: Optional[WatchdogPolicy] = None,
-        max_pool_rebuilds: int = 2,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        if max_pool_rebuilds < 0:
-            raise ValueError("max_pool_rebuilds must be non-negative")
         self.max_workers = max_workers
         self.cache = ResultCache(cache_dir)
         if artifact_dir is None:
@@ -914,7 +913,6 @@ class SweepRunner:
         if watchdog is None:
             watchdog = WatchdogPolicy(cost_model=DEFAULT_COST_MODEL)
         self.watchdog = watchdog
-        self.max_pool_rebuilds = max_pool_rebuilds
 
     def run(
         self,
@@ -972,7 +970,7 @@ class SweepRunner:
                 ]
                 if not remaining:
                     break
-                if workers <= 1 or len(remaining) <= 1 or rebuilds > self.max_pool_rebuilds:
+                if workers <= 1 or len(remaining) <= 1 or rebuilds > MAX_POOL_REBUILDS:
                     # A sequential run, or a pool that broke more often than
                     # the rebuild budget allows.  Only the *remaining* cells
                     # run: everything delivered before the last restart
@@ -1037,13 +1035,14 @@ class SweepRunner:
         moment it lands -- no cell ever waits on an unrelated spec.
 
         Federated fleets resolve through the same loop: stored fleets load up
-        front (a same-lineage shallower fleet resumes), a missing fleet's
+        front (a same-lineage shallower fleet resumes), and a missing fleet's
         round-0 device specs join the training queue (deduplicated against
-        the cells' own specs and the artifact store), each continuation round
-        is submitted as soon as the previous round's aggregation lands, and a
-        fleet's cells dispatch the moment its artifact is captured.  Unrelated
-        cells keep flowing while fleets train, and a fleet failure fails
-        exactly its own cells, as permanent errors.
+        the cells' own specs and the artifact store).  The fleet's
+        :class:`FleetBuild` routes each round and hands it out as chunks; the
+        loop only runs them (:func:`train_round_chunk`), hands their device
+        states back, and dispatches the fleet's cells the moment its artifact
+        is captured.  Unrelated cells keep flowing while fleets train, and a
+        fleet failure fails exactly its own cells, as permanent errors.
 
         Fault tolerance: every job sits in one map from future to
         :class:`_Job`, which carries its retry keys and watchdog deadline.  A
@@ -1070,13 +1069,7 @@ class SweepRunner:
         ready: Dict[str, StoredArtifact] = {}
         waiting: Dict[str, List[Tuple[int, ScenarioCell]]] = {}
         failed: set = set()
-
-        # -- fleet state -------------------------------------------------------
         builds: Dict[str, FleetBuild] = {}
-        device_needs: Dict[str, List[str]] = {}  # device spec fp -> fleet fps
-        missing_devices: Dict[str, set] = {}  # fleet fp -> unresolved device fps
-        round_buffers: Dict[str, List[Optional[Dict[str, Any]]]] = {}
-
         for fleet_fingerprint, fleet_spec in fleet_specs.items():
             stored = self.fleets.resolve(fleet_spec)
             if stored is not None:
@@ -1086,26 +1079,17 @@ class SweepRunner:
                     fleet_spec, start=self.fleets.resume_candidate(fleet_spec)
                 )
 
-        # -- artifact resolution: cell specs + fleet round-0 device specs ------
+        # -- artifact resolution: fleet round-0 device specs + cell specs ------
         missing: Dict[str, TrainingSpec] = {}
-        for fleet_fingerprint, build in builds.items():
-            if not build.needs_round0:
-                continue
-            unresolved = set()
-            for device_spec in build.device_specs():
-                fingerprint = device_spec.fingerprint()
-                if fingerprint in ready:
+        for build in builds.values():
+            for fingerprint, device_spec in build.round0:
+                if fingerprint in ready or fingerprint in missing:
                     continue
-                if fingerprint not in missing:
-                    artifact = self.artifacts.resolve(device_spec)
-                    if artifact is not None:
-                        ready[fingerprint] = artifact
-                        continue
+                artifact = self.artifacts.resolve(device_spec)
+                if artifact is not None:
+                    ready[fingerprint] = artifact
+                else:
                     missing[fingerprint] = device_spec
-                unresolved.add(fingerprint)
-                device_needs.setdefault(fingerprint, []).append(fleet_fingerprint)
-            if unresolved:
-                missing_devices[fleet_fingerprint] = unresolved
         for fingerprint, spec in specs.items():
             if fingerprint in ready or fingerprint in missing:
                 continue  # already resolved or queued as a fleet device spec
@@ -1246,14 +1230,8 @@ class SweepRunner:
                 return
             self.artifacts.accept(outcome)
             release(fingerprint, outcome)
-            for fleet_fingerprint in device_needs.pop(fingerprint, ()):
-                if fleet_fingerprint in failed:
-                    continue
-                unresolved = missing_devices[fleet_fingerprint]
-                unresolved.discard(fingerprint)
-                if not unresolved:
-                    del missing_devices[fleet_fingerprint]
-                    builds[fleet_fingerprint].provide_round0(ready)
+            for fleet_fingerprint, build in builds.items():
+                if build.needs_round0 and fleet_fingerprint not in failed:
                     advance_fleet(fleet_fingerprint)
 
         def release(fingerprint: str, artifact: StoredArtifact) -> None:
@@ -1272,7 +1250,6 @@ class SweepRunner:
             """
             error = _training_error(fingerprint, spec, details)
             failed.add(fingerprint)
-            round_buffers.pop(fingerprint, None)
             for index, cell in waiting.pop(fingerprint, ()):
                 deliver(
                     index,
@@ -1281,71 +1258,50 @@ class SweepRunner:
                         error_kind=PERMANENT, error_type=error_type,
                     ),
                 )
-            for fleet_fingerprint in device_needs.pop(fingerprint, ()):
-                if fleet_fingerprint not in failed:
-                    fail(
-                        fleet_fingerprint, fleet_specs[fleet_fingerprint], error, None
-                    )
+            for fleet_fingerprint, build in builds.items():
+                if fleet_fingerprint not in failed and fingerprint in dict(build.round0):
+                    fail(fleet_fingerprint, build.spec, error, None)
 
         def advance_fleet(fleet_fingerprint: str) -> None:
-            """Launch the build's next round as device chunks, or release it.
+            """Launch the build's next round, chunk by chunk, or release it.
 
-            The batch route puts every device in one job, which steps the
-            whole fleet through the batched device-population kernel --
-            bit-identical to one job per device (the federated parity tests
-            pin it), but the round costs one worker instead of N.
+            A build waiting on a round-0 device agent that is not ready
+            yet stays put; the training that brings the last one in
+            advances it.
             """
             build = builds[fleet_fingerprint]
+            if build.needs_round0:
+                if any(fingerprint not in ready for fingerprint, _ in build.round0):
+                    return
+                build.provide_round0(ready)
             if build.finished:
                 artifact = build.artifact()
                 self.fleets.accept(artifact, resumed=build.resumed)
                 release(fleet_fingerprint, artifact)
                 return
-            round_index, round_jobs = build.round_jobs()
-            batched = routes_to_batch(
-                round_route(round_jobs), "devices", batch_kernel_available
-            )
-            round_buffers[fleet_fingerprint] = [None] * len(round_jobs)
-            key = f"{fleet_fingerprint}:r{round_index}"
-            chunks = [round_jobs] if batched else [[args] for args in round_jobs]
-            for device, chunk in enumerate(chunks):
+            key = f"{fleet_fingerprint}:r{build.round_index}"
+            for first, chunk in build.round_chunks():
                 launch(
                     _Job(
-                        keys=(key if batched else f"{key}:d{device}",),
-                        start=partial(submit_round, chunk, batched),
-                        settle=partial(
-                            settle_round, fleet_fingerprint, round_index, device
+                        keys=(key if build.batched else f"{key}:d{first}",),
+                        start=partial(
+                            executor.submit, train_round_chunk, chunk, build.batched
                         ),
+                        settle=partial(settle_round, fleet_fingerprint, first),
                         budget_s=self.watchdog.round_budget_s(chunk),
                     )
                 )
 
-        def submit_round(
-            chunk: List[Tuple[Any, ...]], batched: bool, attempt: int
-        ) -> Future:
-            if batched:
-                return executor.submit(
-                    train_device_rounds_batched, chunk, attempt=attempt
-                )
-            return executor.submit(train_device_round, *chunk[0], attempt=attempt)
-
         def settle_round(
-            fleet_fingerprint: str, round_index: int, first: int, job: _Job, states: Any
+            fleet_fingerprint: str, first: int, job: _Job, states: Any
         ) -> None:
+            build = builds[fleet_fingerprint]
             if fleet_fingerprint in failed:
                 return  # a sibling device job already doomed it
             if isinstance(states, _Failure):
                 if not retry(job, states):
-                    spec = fleet_specs[fleet_fingerprint]
-                    fail(fleet_fingerprint, spec, states.error, None)
-                return
-            if isinstance(states, dict):
-                states = [states]  # a per-device job returns its one state
-            buffer = round_buffers[fleet_fingerprint]
-            buffer[first : first + len(states)] = states
-            if all(entry is not None for entry in buffer):
-                del round_buffers[fleet_fingerprint]
-                builds[fleet_fingerprint].finish_round(round_index, buffer)
+                    fail(fleet_fingerprint, build.spec, states.error, None)
+            elif build.deliver(first, states):
                 advance_fleet(fleet_fingerprint)
 
         # -- initial submissions -----------------------------------------------
@@ -1354,12 +1310,8 @@ class SweepRunner:
 
         # Kick off fleets that need no round-0 training: resumed lineages,
         # and fleets whose device artifacts were all served from the store.
-        for fleet_fingerprint, build in builds.items():
-            if not build.needs_round0:
-                advance_fleet(fleet_fingerprint)
-            elif fleet_fingerprint not in missing_devices:
-                build.provide_round0(ready)
-                advance_fleet(fleet_fingerprint)
+        for fleet_fingerprint in builds:
+            advance_fleet(fleet_fingerprint)
 
         # Artifact-free cells group and chunk so a pool still spreads a large
         # sweep across its workers.  A chunk runs on the batch kernel only
@@ -1449,7 +1401,6 @@ def run_matrix(
     progress: Optional[ProgressCallback] = None,
     retry_policy: Optional[RetryPolicy] = None,
     watchdog: Optional[WatchdogPolicy] = None,
-    max_pool_rebuilds: int = 2,
 ) -> SweepResult:
     """One-call convenience wrapper around :class:`SweepRunner`."""
     runner = SweepRunner(
@@ -1458,6 +1409,5 @@ def run_matrix(
         artifact_dir=artifact_dir,
         retry_policy=retry_policy,
         watchdog=watchdog,
-        max_pool_rebuilds=max_pool_rebuilds,
     )
     return runner.run(matrix, progress=progress)

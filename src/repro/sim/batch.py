@@ -110,10 +110,10 @@ def _demand_groups(workloads: Sequence, lanes: Sequence[int], dt: float, cluster
     """The demand sources of ``lanes``, one per group, in order of first lane.
 
     Lanes whose workload is a :class:`TracePlayer` over the same trace
-    object, at the same position and with the same loop mode, form one
-    group: grouping is by object and position, never by content.  A player
-    that several lanes share, and any other workload, is a group of one,
-    stepped in lane order as before.
+    object and at the same position form one group: grouping is by object
+    and position, never by content.  A player that several lanes share,
+    and any other workload, is a group of one, stepped in lane order as
+    before.
     """
     uses = Counter(id(workloads[d]) for d in lanes)
     groups = []
@@ -121,7 +121,7 @@ def _demand_groups(workloads: Sequence, lanes: Sequence[int], dt: float, cluster
     for d in lanes:
         workload = workloads[d]
         if type(workload) is TracePlayer and uses[id(workload)] == 1:
-            key = (id(workload.trace), workload._index, workload.loop)
+            key = (id(workload.trace), workload._index)
             group = shared.get(key)
             if group is not None:
                 group.add(d, workload)

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.agent import AgentConfig, NextAgent
+from repro.core.agent import NextAgent
 from repro.core.governor import NextGovernor
 from repro.governors.base import Governor
 from repro.governors.intqos import IntQosGovernor
@@ -418,7 +418,6 @@ def train_next_on_apps(
 def pretrained_next_governor(
     app_names: Sequence[str],
     platform: Optional[PlatformSpec] = None,
-    agent_config: Optional[AgentConfig] = None,
     episodes: int = 6,
     episode_duration_s: float = 60.0,
     seed: int = 0,
@@ -429,7 +428,7 @@ def pretrained_next_governor(
     the greedy (fully trained) policy, matching the paper's "all results for
     Next were observed when it was fully trained" protocol.
     """
-    governor = NextGovernor(config=agent_config, seed=seed)
+    governor = NextGovernor(seed=seed)
     train_next_on_apps(
         governor,
         app_names,
@@ -463,7 +462,6 @@ def candidate_sort_key(
 def select_best_next_governor(
     app_names: Sequence[str],
     platform: Optional[PlatformSpec] = None,
-    agent_config: Optional[AgentConfig] = None,
     candidate_seeds: Sequence[int] = (7, 23),
     episodes: int = 20,
     episode_duration_s: float = 90.0,
@@ -494,7 +492,7 @@ def select_best_next_governor(
     best_governor: Optional[NextGovernor] = None
     best_key = None
     for seed in candidate_seeds:
-        governor = NextGovernor(config=agent_config, seed=seed)
+        governor = NextGovernor(seed=seed)
         train_next_on_apps(
             governor,
             app_names,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Any, Dict, Mapping, NamedTuple, Sequence
 
 from repro.soc.cluster import Cluster, ClusterSpec
 from repro.soc.frequency import flat_table
@@ -145,61 +145,6 @@ class SocPowerModel:
         }
         self.rest_of_platform_power_w = rest_of_platform_power_w
 
-    def compile_coefficients(
-        self, cluster_names: Sequence[str]
-    ) -> Tuple[Tuple[float, int, float, float], ...]:
-        """Per-cluster power coefficient tuples in ``cluster_names`` order.
-
-        Each entry is ``(capacitance_nf, core_count, leakage_w_per_v,
-        leakage_temp_coeff)`` -- everything :meth:`evaluate_flat` needs, so
-        the hot loop never touches the spec objects.
-        """
-        coeffs = []
-        for name in cluster_names:
-            spec = self._models[name].spec
-            coeffs.append(
-                (
-                    spec.capacitance_nf,
-                    spec.core_count,
-                    spec.leakage_w_per_v,
-                    spec.leakage_temp_coeff,
-                )
-            )
-        return tuple(coeffs)
-
-    def evaluate_flat(
-        self,
-        clusters: Sequence[Cluster],
-        coefficients: Sequence[Tuple[float, int, float, float]],
-        temperatures_c: Sequence[float],
-        dynamic_out: List[float],
-        leakage_out: List[float],
-    ) -> None:
-        """Compiled-kernel power evaluation over index-aligned flat sequences.
-
-        ``clusters``, ``coefficients`` and ``temperatures_c`` are parallel
-        (one entry per cluster, in compile order); results are written into
-        the preallocated ``dynamic_out``/``leakage_out`` buffers so the per-
-        tick path allocates nothing.  The float operation sequence replicates
-        :meth:`ClusterPowerModel.dynamic_power_w` and
-        :meth:`ClusterPowerModel.leakage_power_w` exactly, so the outputs are
-        bit-identical to :meth:`evaluate` for the same inputs.
-        """
-        exp = math.exp
-        ref_t = LEAKAGE_REFERENCE_TEMPERATURE_C
-        for k in range(len(clusters)):
-            cluster = clusters[k]
-            cap_nf, cores, leak_w_per_v, leak_coeff = coefficients[k]
-            index = cluster._current_index
-            frequency = cluster._freqs[index]
-            voltage = cluster._volts[index]
-            utilisation = min(1.0, max(0.0, cluster._utilisation))
-            per_core_full = cap_nf * frequency * voltage ** 2 * 1e-3
-            dynamic_out[k] = per_core_full * cores * utilisation
-            delta_t = temperatures_c[k] - ref_t
-            scale = exp(leak_coeff * delta_t)
-            leakage_out[k] = leak_w_per_v * voltage * cores * scale
-
     def compile_batch_tables(
         self, clusters: Sequence[Cluster], cluster_node_index: Sequence[int]
     ) -> "BatchPowerTables":
@@ -250,18 +195,18 @@ class SocPowerModel:
         dynamic_out,
         leakage_out,
     ) -> None:
-        """Batched :meth:`evaluate_flat` over a device axis.
+        """Batched form of the fused power pass of ``SocSimulator.step_tick``.
 
         All row arguments are ``(clusters, devices)``-shaped (temperatures are
         ``(nodes, devices)``); lane ``d`` is one device.  Every step is one
         whole-array call over all clusters.  Per lane the float sequence
-        matches :meth:`evaluate_flat` exactly: the dynamic partial product
-        and the leakage base come from the precomputed per-OPP tables (same
-        Python-float products, see :meth:`compile_batch_tables`) and the
-        leakage exponential is evaluated with :func:`math.exp` per element,
-        one ``map`` over the flattened arguments -- ``numpy.exp`` is *not*
-        guaranteed to round identically to libm, so it must not be used
-        here.
+        matches :meth:`~repro.soc.soc.SocSimulator.step_tick` exactly: the
+        dynamic partial product and the leakage base come from the
+        precomputed per-OPP tables (same Python-float products, see
+        :meth:`compile_batch_tables`) and the leakage exponential is
+        evaluated with :func:`math.exp` per element, one ``map`` over the
+        flattened arguments -- ``numpy.exp`` is *not* guaranteed to round
+        identically to libm, so it must not be used here.
         """
         import numpy as np
 

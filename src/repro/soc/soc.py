@@ -111,7 +111,6 @@ class SocSimulator:
         self._cluster_node_index: Tuple[int, ...] = tuple(
             self.thermal.node_index(name) for name in self._cluster_names
         )
-        self._power_coefficients = self.power_model.compile_coefficients(self._cluster_names)
         device_nodes = set(self.thermal.node_names)
         self._device_index: Optional[int] = (
             self.thermal.node_index("device") if "device" in device_nodes else None
@@ -130,14 +129,14 @@ class SocSimulator:
         self._kernel_records = tuple(
             (
                 k,
-                self._cluster_list[k],
+                cluster,
                 self._cluster_node_index[k],
-                self._power_coefficients[k][0],
-                self._power_coefficients[k][1],
-                self._power_coefficients[k][2],
-                self._power_coefficients[k][3],
+                cluster.spec.capacitance_nf,
+                cluster.spec.core_count,
+                cluster.spec.leakage_w_per_v,
+                cluster.spec.leakage_temp_coeff,
             )
-            for k in range(n_clusters)
+            for k, cluster in enumerate(self._cluster_list)
         )
         self._max_substep_s = ThermalNetwork.MAX_SUBSTEP_S
 
@@ -206,8 +205,8 @@ class SocSimulator:
         for i in range(len(heat_in)):
             heat_in[i] = 0.0
         # One fused pass per cluster: power evaluation (same float sequence as
-        # SocPowerModel.evaluate_flat / ClusterPowerModel) straight into the
-        # heat buffer.
+        # ClusterPowerModel, which SocPowerModel.evaluate runs) straight into
+        # the heat buffer.
         exp = math.exp
         for k, cluster, node_idx, cap_nf, cores, leak_w_per_v, leak_coeff in (
             self._kernel_records

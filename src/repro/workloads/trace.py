@@ -298,11 +298,10 @@ class TraceRecorder:
 class TracePlayer:
     """Replays a :class:`WorkloadTrace` with the same interface as an app model."""
 
-    def __init__(self, trace: WorkloadTrace, loop: bool = False) -> None:
+    def __init__(self, trace: WorkloadTrace) -> None:
         if len(trace) == 0:
             raise ValueError("cannot replay an empty trace")
         self.trace = trace
-        self.loop = loop
         self._index = 0
         self._dt_s = trace.dt_s
 
@@ -313,8 +312,8 @@ class TracePlayer:
 
     @property
     def exhausted(self) -> bool:
-        """Whether the trace has been fully replayed (never true when looping)."""
-        return not self.loop and self._index >= len(self.trace)
+        """Whether the trace has been fully replayed."""
+        return self._index >= len(self.trace)
 
     def reset(self) -> None:
         """Restart playback from the beginning."""
@@ -333,16 +332,14 @@ class TracePlayer:
         trace = self.trace
         index = self._index
         if index >= len(trace.time_s):
-            if not self.loop:
-                # Replay the final tick's shape with no demand once exhausted.
-                return TickWorkload(
-                    time_s=trace.time_s[-1] + self._dt_s,
-                    app_name=trace.names[trace.app_codes[-1]],
-                    phase_name="exhausted",
-                    frames=[],
-                    background_work_mwu=_NO_BACKGROUND,
-                    interaction_activity=0.0,
-                )
-            index = 0
+            # Replay the final tick's shape with no demand once exhausted.
+            return TickWorkload(
+                time_s=trace.time_s[-1] + self._dt_s,
+                app_name=trace.names[trace.app_codes[-1]],
+                phase_name="exhausted",
+                frames=[],
+                background_work_mwu=_NO_BACKGROUND,
+                interaction_activity=0.0,
+            )
         self._index = index + 1
         return trace.tick_at(index)

@@ -85,13 +85,6 @@ class TestTracePlayer:
         assert extra.frame_count == 0
         assert extra.phase_name == "exhausted"
 
-    def test_looping_player_never_exhausts(self):
-        trace = TraceRecorder.record_app(make_app("home", seed=4), 1.0, VSYNC)
-        player = TracePlayer(trace, loop=True)
-        for _ in range(3 * len(trace)):
-            player.tick(VSYNC)
-        assert not player.exhausted
-
     def test_wrong_dt_rejected(self):
         trace = TraceRecorder.record_app(make_app("home", seed=4), 1.0, VSYNC)
         player = TracePlayer(trace)
