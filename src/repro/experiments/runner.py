@@ -441,29 +441,21 @@ def execute_cells_batched(
         # governors) share a single recording of its demand trace.
         table = _sweep_traces.get() or SessionTraces(cells)
         traces = [table.take(cell, platform) for cell in cells]
-        governors = []
-        configs = []
-        for cell, trace in zip(cells, traces):
-            governor, config = cell_lane(cell, platform, trace)
-            governors.append(governor)
-            configs.append(config)
+        governors, configs = zip(
+            *[cell_lane(cell, platform, trace) for cell, trace in zip(cells, traces)]
+        )
         batch = BatchSimulation(platform, governors, configs)
         batch.run(
             [TracePlayer(trace) for trace in traces],
             duration_s=[trace.duration_s for trace in traces],
         )
-        results = []
-        for index, cell in enumerate(cells):
-            recorder = batch.device_recorder(index)
-            session = SessionResult(
-                governor_name=governors[index].name,
-                app_names=list(traces[index].app_names()),
-                recorder=recorder,
-                summary=recorder.summary(),
-            )
-            results.append(
-                CellResult(cell=cell, status="ok", summary=summary_to_dict(session))
-            )
+        # The kernel is done with the traces: keep each lane's app names only.
+        app_names = [list(trace.app_names()) for trace in traces]
+        del traces
+        results = [
+            CellResult(cell=cell, status="ok", summary=_lane_summary(batch, lane, names))
+            for lane, (cell, names) in enumerate(zip(cells, app_names))
+        ]
         # Each lane's share covers gather, summary and hash, not just the kernel.
         elapsed_s = (time.perf_counter() - started) / len(cells)
         for result in results:
@@ -500,6 +492,18 @@ def execute_cells_batched(
         if tracer is not None:
             tracer.end(span)
             flush_task_metrics()
+
+
+def _lane_summary(batch, index: int, app_names: List[str]) -> Dict[str, Any]:
+    """One batch lane's cell summary; its gathered rows die on return."""
+    recorder = batch.device_recorder(index)
+    session = SessionResult(
+        governor_name=batch.governors[index].name,
+        app_names=app_names,
+        recorder=recorder,
+        summary=recorder.summary(),
+    )
+    return summary_to_dict(session)
 
 
 def cell_route(cells: List[ScenarioCell]) -> Route:

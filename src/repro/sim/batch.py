@@ -273,6 +273,7 @@ class BatchSimulation:
             g.update_batch if g.observation_free else None for g in self.governors
         ]
         self._agents = [getattr(g, "agent", None) for g in self.governors]
+        self._agent_lanes = [d for d in range(n) if self._agents[d] is not None]
 
         self.recorder = BatchRecorder(
             n_devices=n,
@@ -284,15 +285,13 @@ class BatchSimulation:
             # The scaler's flat OPP table turns recorded OPP indices into MHz.
             frequency_table=self._scaler_state.flat_frequencies,
             frequency_offsets=self._scaler_state.offsets,
+            agent_lanes=self._agent_lanes,
         )
 
-        # Reusable per-tick rows (overwritten every tick, read on record).
-        self._app_row: List[str] = [""] * n
-        self._phase_row: List[str] = [""] * n
+        # Reusable per-tick lane rows (overwritten every tick).
         self._demanded_row: List[int] = [0] * n
         self._displayed_row: List[int] = [0] * n
         self._dropped_row: List[int] = [0] * n
-        self._interaction_row: List[float] = [0.0] * n
         self._cpu_done_row: List[float] = [0.0] * n
         self._gpu_done_row: List[float] = [0.0] * n
         self._background_lists: List[List[float]] = [
@@ -415,19 +414,16 @@ class BatchSimulation:
         observe = self._observe
         observe_any = any(fn is not None for fn in observe)
         agents = self._agents
-        # Recorded target FPS: the agent's on lanes that have one, else 0.0.
-        agent_lanes = [d for d in range(n) if agents[d] is not None]
+        # Target FPS, written and recorded on the agent lanes only.
+        agent_lanes = self._agent_lanes
         target_row = np.zeros(n)
         current_app = self._current_app
         invocation_period = self._invocation_period
         last_invocation = self._last_invocation
         since = self._since
-        app_row = self._app_row
-        phase_row = self._phase_row
         demanded_row = self._demanded_row
         displayed_row = self._displayed_row
         dropped_row = self._dropped_row
-        interaction_row = self._interaction_row
         cpu_done_row = self._cpu_done_row
         gpu_done_row = self._gpu_done_row
         background_lists = self._background_lists
@@ -483,18 +479,30 @@ class BatchSimulation:
                 sources = _demand_groups(workloads, active_list, dt, cluster_names)
                 frontend = [
                     (
+                        group,
                         source if profiler is None else profiler.wrap("workload", source),
                         source.lanes,
                     )
-                    for source in sources
+                    for group, source in enumerate(sources)
                 ]
+                # The demand fields a group's lanes share, recorded once
+                # per group.
+                group_apps = [""] * len(sources)
+                group_phases = [""] * len(sources)
+                group_demanded = [0] * len(sources)
+                group_interaction = [0.0] * len(sources)
                 # Per-segment occupancy: how full the batch lanes actually ran.
                 metrics().observe("batch.lane_occupancy", float(len(active_list)))
                 metrics().inc(
                     "batch.device_ticks", float(seg_ticks) * len(active_list)
                 )
                 # The ticks on which some active lane records.
-                row_ticks = begin_segment(tick_count, seg_ticks, active_list)
+                row_ticks = begin_segment(
+                    tick_count,
+                    seg_ticks,
+                    active_list,
+                    [source.lanes for source in sources],
+                )
                 # Freeze lanes that just went inactive: zero the reused
                 # frontend rows once so the shared FPS window and governor
                 # counters stop accruing for them.
@@ -517,16 +525,18 @@ class BatchSimulation:
                     cpu_budgets = (cpu_rate * dt).tolist()
                     gpu_budgets = (gpu_rate * dt).tolist()
 
-                    # Frontend: one demand per group, then per lane the session
-                    # hooks, the frame queue drain and the lane's rows
-                    # (utilisation math is vectorised afterwards).
-                    for source, lanes in frontend:
+                    # Frontend: one demand and group row per group, then per
+                    # lane the session hooks, the frame queue drain and the
+                    # lane's rows (utilisation math is vectorised afterwards).
+                    for group, source, lanes in frontend:
                         demand, background = source()
                         app_name = demand.app_name
-                        phase_name = demand.phase_name
                         frames = demand.frames
-                        interaction = demand.interaction_activity
                         demanded = len(frames)
+                        group_apps[group] = app_name
+                        group_phases[group] = demand.phase_name
+                        group_demanded[group] = demanded
+                        group_interaction[group] = demand.interaction_activity
                         for d in lanes:
                             if app_name != current_app[d]:
                                 governor = governors[d]
@@ -542,12 +552,9 @@ class BatchSimulation:
                             gpu_done_row[d] = gpu_done
                             for k in range(n_clusters):
                                 background_lists[k][d] = background[k]
-                            app_row[d] = app_name
-                            phase_row[d] = phase_name
                             demanded_row[d] = demanded
                             displayed_row[d] = displayed
                             dropped_row[d] = rejected
-                            interaction_row[d] = interaction
 
                     work_rows = np.array(
                         (cpu_done_row, gpu_done_row, *background_lists)
@@ -692,8 +699,11 @@ class BatchSimulation:
                             ]
                         recorder_append(
                             now,
-                            app_row,
-                            phase_row,
+                            group_apps,
+                            group_phases,
+                            group_demanded,
+                            group_interaction,
+                            edge_count,
                             fps,
                             target_row,
                             counts,
@@ -703,7 +713,6 @@ class BatchSimulation:
                             frequency_rows,
                             max_limit_rows,
                             util,
-                            interaction_row,
                         )
         finally:
             for source in sources:

@@ -15,11 +15,9 @@ These helpers encode the paper's experimental methodology:
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.agent import NextAgent
 from repro.core.governor import NextGovernor
 from repro.governors.base import Governor
 from repro.governors.intqos import IntQosGovernor

@@ -481,22 +481,50 @@ class Recorder:
         return result
 
 
-class _Segment:
-    """The rows one lane segment records, as ``(rows, fields, lanes)`` blocks."""
+#: The largest value an int16 block holds.  Every frame count, name code and
+#: OPP index is checked against it before it enters a block, never wrapped.
+_INT16_MAX = 2**15 - 1
 
-    def __init__(self, lanes: Sequence[int], row_ticks, owner: "BatchRecorder") -> None:
+
+class _Segment:
+    """The rows one lane segment records, one block per kind of column.
+
+    ``floats`` and ``ints`` are ``(rows, fields, lanes)`` blocks.  The
+    demand groups' fields are ``group_ints`` (app and phase codes, frames
+    demanded), ``(rows, 3, groups)``, and ``interaction``, ``(rows,
+    groups)``.  ``targets`` is ``(rows, agent lanes)``.
+    """
+
+    def __init__(
+        self,
+        lanes: Sequence[int],
+        groups: Sequence[Sequence[int]],
+        row_ticks,
+        owner: "BatchRecorder",
+    ) -> None:
         import numpy as np
 
         rows = len(row_ticks)
+        agents = [device for device in lanes if device in owner._agent_lanes]
         #: Device index -> its lane column in this segment's blocks.
         self.column_of = {device: column for column, device in enumerate(lanes)}
+        #: Device index -> the column of its demand group.
+        self.group_of = {
+            device: group for group, members in enumerate(groups) for device in members
+        }
+        #: Agent lane -> its column of ``targets``.
+        self.target_of = {device: column for column, device in enumerate(agents)}
         #: Device-axis index of this segment's lanes in a full-width row, or
         #: None when every lane is active.
         self.take = None if len(lanes) == owner.n_devices else np.array(lanes)
+        self.target_take = np.array(agents, dtype=np.intp)
         self.ticks = row_ticks
         self.times = np.empty(rows)
         self.floats = np.empty((rows, owner._float_fields, len(lanes)))
-        self.ints = np.empty((rows, owner._int_fields, len(lanes)), dtype=np.int32)
+        self.ints = np.empty((rows, owner._int_fields, len(lanes)), dtype=np.int16)
+        self.group_ints = np.empty((rows, 3, len(groups)), dtype=np.int16)
+        self.interaction = np.empty((rows, len(groups)))
+        self.targets = np.empty((rows, len(agents)))
         #: Rows written so far.
         self.filled = 0
 
@@ -506,16 +534,31 @@ class BatchRecorder:
 
     A batched run splits into segments with a constant set of active lanes
     (:meth:`~repro.sim.batch.BatchSimulation._lane_schedule`).
-    :meth:`begin_segment` allocates one float64 and one int32 block per
-    segment, sized to the ticks on which one of its lanes records and to
-    those lanes only, so a lane that has ended keeps no rows.  Each recorded
-    tick (:meth:`append_tick`) writes one row of both blocks: the float
-    fields, and the frame counts, the app and phase names (as codes into one
-    string table) and the frequencies and max limits (as OPP indices).
-    :meth:`device_recorder` fills one lane's :class:`Recorder` from one
-    ``tolist()`` per block, without building a row; float64 extraction is
-    exact, so the lane's stream is bit-identical to the one a scalar
-    simulation of that device records.
+    :meth:`begin_segment` allocates the blocks of a segment, sized to the
+    ticks on which one of its lanes records and to those lanes only, so a
+    lane that has ended keeps no rows.  Each recorded tick
+    (:meth:`append_tick`) writes one row of every block:
+
+    * per lane, a float64 block (FPS, total power, per-cluster power,
+      per-node temperature, per-cluster utilisation) and an int16 block
+      (frames displayed and dropped, then per-cluster frequency and
+      max-limit OPP indices): 112 B per lane-row on a platform with three
+      clusters and four thermal nodes;
+    * per demand group (the lanes that replay one demand, see
+      :func:`~repro.sim.batch._demand_groups`), the app and phase names as
+      codes into one string table and the frames demanded, as int16, and
+      the interaction as a float64: 14 B per group-row;
+    * per agent lane, its target FPS.  Every other lane records 0.0, which
+      :meth:`device_recorder` fills in without storing it.
+
+    int16 holds each value exactly, or the value raises ``ValueError``: the
+    OPP table is checked when the recorder is built and the string table
+    when it grows, and frame counts as they enter a row (a lane's rejected
+    frames are at most its group's demanded frames, and its displayed frames
+    at most the tick's VSync edges).  :meth:`device_recorder` fills one
+    lane's :class:`Recorder` from one ``tolist()`` per block, without
+    building a row; float64 extraction is exact, so the lane's stream is
+    bit-identical to the one a scalar simulation of that device records.
     """
 
     def __init__(
@@ -528,10 +571,17 @@ class BatchRecorder:
         record_every: Sequence[int],
         frequency_table,
         frequency_offsets,
+        agent_lanes: Iterable[int] = (),
     ) -> None:
         """``frequency_table`` holds every cluster's OPP frequencies in one
         flat array; ``frequency_offsets`` is the ``(clusters, 1)`` column of
-        each cluster's first entry in it."""
+        each cluster's first entry in it.  ``agent_lanes`` are the lanes
+        whose target FPS is recorded."""
+        if len(frequency_table) > _INT16_MAX + 1:
+            raise ValueError(
+                f"{len(frequency_table)} OPPs: the recorder's int16 OPP "
+                f"indices reach {_INT16_MAX + 1}"
+            )
         self.n_devices = n_devices
         self.ambient_c = ambient_c
         self.hot_node = hot_node
@@ -540,35 +590,38 @@ class BatchRecorder:
         self._record_every = [int(every) for every in record_every]
         self._frequency_table = frequency_table
         self._frequency_offsets = frequency_offsets
+        self._agent_lanes = frozenset(agent_lanes)
         clusters = len(self._cluster_keys)
-        #: Fields of the float block: fps, target FPS, total power and
-        #: interaction, then per-cluster power, per-node temperature and
-        #: per-cluster utilisation.
-        self._float_fields = 4 + 2 * clusters + len(self._node_keys)
-        #: Fields of the int32 block (int32 holds every per-tick frame count,
-        #: string code and OPP index exactly, in half the bytes of int64):
-        #: frames displayed, dropped and demanded, app and phase codes, then
+        #: Fields of the float block: fps and total power, then per-cluster
+        #: power, per-node temperature and per-cluster utilisation.
+        self._float_fields = 2 + 2 * clusters + len(self._node_keys)
+        #: Fields of the int16 block: frames displayed and dropped, then
         #: per-cluster frequency and max-limit OPP indices.
-        self._int_fields = 5 + 2 * clusters
+        self._int_fields = 2 + 2 * clusters
         #: String table: name -> code, in first-seen order.
         self._names: Dict[str, int] = {}
-        #: Per name field, the last full-width name row and its ``(1,
-        #: devices)`` codes: a lane's names change only when its app or
-        #: phase does.
-        self._code_rows: Dict[str, tuple] = {}
+        #: The last group app and phase names and their ``(2, groups)``
+        #: codes: a group's names change only when its app or phase does.
+        self._last_codes: tuple = ((), (), None)
         self._segments: List[_Segment] = []
 
     def __len__(self) -> int:
         return sum(segment.filled for segment in self._segments)
 
     def begin_segment(
-        self, first_tick: int, ticks: int, lanes: Sequence[int]
+        self,
+        first_tick: int,
+        ticks: int,
+        lanes: Sequence[int],
+        groups: Sequence[Sequence[int]],
     ) -> FrozenSet[int]:
         """Allocate the blocks of a segment that steps ``lanes`` for ``ticks`` ticks.
 
-        ``first_tick`` is the tick count before the segment.  Returns the
-        ticks on which at least one of the lanes records; each of them gets
-        one row, written by :meth:`append_tick`.
+        ``first_tick`` is the tick count before the segment, and ``groups``
+        partitions ``lanes`` into demand groups, in the order in which
+        :meth:`append_tick` lists them.  Returns the ticks on which at least
+        one of the lanes records; each of them gets one row, written by
+        :meth:`append_tick`.
         """
         import numpy as np
 
@@ -577,25 +630,36 @@ class BatchRecorder:
         for every in {self._record_every[device] for device in lanes}:
             due |= tick_numbers % every == 0
         row_ticks = tick_numbers[due]
-        self._segments.append(_Segment(lanes, row_ticks, self))
+        self._segments.append(_Segment(lanes, groups, row_ticks, self))
         return frozenset(row_ticks.tolist())
 
-    def _code_row(self, field: str, names: List[str]):
-        """The string-table codes of a full-width name row, ``(1, devices)``."""
+    def _codes(self, apps: List[str], phases: List[str]):
+        """String-table codes of the groups' app and phase names, ``(2, groups)``."""
         import numpy as np
 
-        last = self._code_rows.get(field)
-        if last is None or last[0] != names:
+        last = self._last_codes
+        if last[0] != apps or last[1] != phases:
             table = self._names
-            codes = np.array([[table.setdefault(name, len(table)) for name in names]])
-            last = self._code_rows[field] = (list(names), codes)
-        return last[1]
+            codes = [
+                [table.setdefault(name, len(table)) for name in names]
+                for names in (apps, phases)
+            ]
+            if len(table) > _INT16_MAX + 1:
+                raise ValueError(
+                    f"{len(table)} names: the recorder's int16 name codes "
+                    f"reach {_INT16_MAX + 1}"
+                )
+            last = self._last_codes = (list(apps), list(phases), np.array(codes))
+        return last[2]
 
     def append_tick(
         self,
         time_s: float,
-        app_names: List[str],
-        phase_names: List[str],
+        group_apps: List[str],
+        group_phases: List[str],
+        group_demanded: List[int],
+        group_interaction: List[float],
+        edge_count: int,
         fps,
         target_fps,
         counts,
@@ -605,38 +669,39 @@ class BatchRecorder:
         frequency_rows,
         max_limit_rows,
         utilisation_rows,
-        interaction: List[float],
     ) -> None:
         """Write the current segment's next row.
 
-        Every argument spans the full device axis and is only read, so live
-        simulation buffers may be passed.  Names and ``interaction`` are
-        Python lists; ``fps``, ``target_fps`` and ``power_total`` are
-        ``(devices,)`` arrays; ``counts`` is the ``(3, devices)`` array of
-        frames displayed, dropped and demanded; ``frequency_rows`` and
-        ``max_limit_rows`` are ``(clusters, devices)`` OPP indices; the other
-        rows are ``(clusters, devices)`` or ``(nodes, devices)`` floats.
+        The four group arguments are Python lists with one entry per demand
+        group of the segment: app and phase names, frames demanded and
+        interaction.  ``edge_count`` is the tick's VSync edge count.  Every
+        other argument spans the full device axis and is only read, so live
+        simulation buffers may be passed: ``fps``, ``target_fps`` (read on
+        agent lanes only) and ``power_total`` are ``(devices,)`` arrays;
+        ``counts`` is the ``(3, devices)`` array of frames displayed, dropped
+        and demanded, whose last row the groups already hold;
+        ``frequency_rows`` and ``max_limit_rows`` are ``(clusters, devices)``
+        OPP indices; the other rows are ``(clusters, devices)`` or ``(nodes,
+        devices)`` floats.
         """
         import numpy as np
 
+        if edge_count > _INT16_MAX or max(group_demanded) > _INT16_MAX:
+            raise ValueError(
+                f"{max(group_demanded)} frames demanded and {edge_count} VSync "
+                f"edges in one tick: the recorder's int16 frame counts reach "
+                f"{_INT16_MAX}"
+            )
         segment = self._segments[-1]
         row = segment.filled
         floats = (
             fps[None],
-            target_fps[None],
             power_total[None],
-            np.array((interaction,)),
             power_rows,
             temperature_rows,
             utilisation_rows,
         )
-        ints = (
-            counts,
-            self._code_row("app", app_names),
-            self._code_row("phase", phase_names),
-            frequency_rows,
-            max_limit_rows,
-        )
+        ints = (counts[:2], frequency_rows, max_limit_rows)
         take = segment.take
         if take is None:
             np.concatenate(floats, out=segment.floats[row])
@@ -644,6 +709,13 @@ class BatchRecorder:
         else:
             segment.floats[row] = np.concatenate(floats)[:, take]
             segment.ints[row] = np.concatenate(ints)[:, take]
+        np.concatenate(
+            (self._codes(group_apps, group_phases), (group_demanded,)),
+            out=segment.group_ints[row],
+        )
+        segment.interaction[row] = group_interaction
+        if segment.target_of:
+            segment.targets[row] = target_fps[segment.target_take]
         segment.times[row] = time_s
         segment.filled = row + 1
 
@@ -663,43 +735,48 @@ class BatchRecorder:
             column = segment.column_of.get(device)
             if column is not None:
                 ticks = segment.ticks[: segment.filled]
-                parts.append((segment, np.flatnonzero(ticks % every == 0), column))
+                rows = np.flatnonzero(ticks % every == 0)
+                parts.append((segment, rows, column, segment.group_of[device]))
         if not parts:
             return recorder
         recorder._time = np.concatenate(
-            [segment.times[rows] for segment, rows, _ in parts]
+            [segment.times[rows] for segment, rows, _, _ in parts]
         ).tolist()
         floats = np.concatenate(
-            [segment.floats[rows, :, column] for segment, rows, column in parts]
+            [segment.floats[rows, :, column] for segment, rows, column, _ in parts]
         ).T.tolist()
         ints = np.concatenate(
-            [segment.ints[rows, :, column] for segment, rows, column in parts]
+            [segment.ints[rows, :, column] for segment, rows, column, _ in parts]
         ).T
+        app_codes, phase_codes, recorder._demanded = np.concatenate(
+            [segment.group_ints[rows, :, group] for segment, rows, _, group in parts]
+        ).T.tolist()
+        recorder._interaction = np.concatenate(
+            [segment.interaction[rows, group] for segment, rows, _, group in parts]
+        ).tolist()
+        if device in self._agent_lanes:
+            recorder._target_fps = np.concatenate(
+                [
+                    segment.targets[rows, segment.target_of[device]]
+                    for segment, rows, _, _ in parts
+                ]
+            ).tolist()
+        else:
+            recorder._target_fps = [0.0] * len(recorder._time)
         clusters = len(self._cluster_keys)
         nodes = len(self._node_keys)
-        (
-            recorder._fps,
-            recorder._target_fps,
-            recorder._power_total,
-            recorder._interaction,
-        ) = floats[:4]
-        (
-            recorder._displayed,
-            recorder._dropped,
-            recorder._demanded,
-            app_codes,
-            phase_codes,
-        ) = ints[:5].tolist()
+        recorder._fps, recorder._power_total = floats[:2]
+        recorder._displayed, recorder._dropped = ints[:2].tolist()
         names = list(self._names)
         recorder._app = [names[code] for code in app_codes]
         recorder._phase = [names[code] for code in phase_codes]
         table = self._frequency_table
         offsets = self._frequency_offsets
         recorder._key_columns = [
-            *floats[4 : 4 + clusters],
-            *floats[4 + clusters : 4 + clusters + nodes],
-            *table[ints[5 : 5 + clusters] + offsets].tolist(),
-            *table[ints[5 + clusters :] + offsets].tolist(),
-            *floats[4 + clusters + nodes :],
+            *floats[2 : 2 + clusters],
+            *floats[2 + clusters : 2 + clusters + nodes],
+            *table[ints[2 : 2 + clusters] + offsets].tolist(),
+            *table[ints[2 + clusters :] + offsets].tolist(),
+            *floats[2 + clusters + nodes :],
         ]
         return recorder

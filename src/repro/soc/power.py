@@ -18,7 +18,7 @@ platform can be calibrated independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, NamedTuple, Sequence
 
 from repro.soc.cluster import Cluster, ClusterSpec

@@ -27,13 +27,15 @@ pytest.importorskip("numpy")  # the batch kernel is NumPy-backed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphics.pipeline import FrameSpec
 from repro.obs.profile import STAGES, profiled
 from repro.sim.batch import BatchSimulation, _demand_groups
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SessionWorkload, Simulation
 from repro.sim.experiment import GOVERNOR_FACTORIES, make_governor, record_session_trace
-from repro.sim.recorder import sample_stream_hash
+from repro.sim.recorder import BatchRecorder, sample_stream_hash
 from repro.soc.platform import make_platform
+from repro.workloads.app import TickWorkload
 from repro.workloads.apps import make_app
 from repro.workloads.session import FIGURE1_SESSION, SessionSegment
 from repro.workloads.trace import TracePlayer, WorkloadTrace
@@ -616,6 +618,7 @@ class TestTraceGroups:
     """
 
     def test_grouped_lanes_match_their_scalar_runs(self):
+        """The shared group mixes agent and agent-free lanes on two cadences."""
         platform = make_platform("exynos9810")
         dt = 1.0 / platform.display_refresh_hz
         segments = [SessionSegment("facebook", 1.0), SessionSegment("spotify", 1.0)]
@@ -630,43 +633,57 @@ class TestTraceGroups:
                 player.tick(dt)
             return player
 
-        # (workload factory, duration_s, governor); ``shared`` lasts 2 s, so
-        # the 2.5 s lane replays exhausted ticks at the end.
+        # (workload factory, duration_s, governor, record_every_n_ticks);
+        # ``shared`` lasts 2 s, so the 2.5 s lane replays exhausted ticks at
+        # the end.
         lanes = [
-            (lambda: TracePlayer(shared), 1.0, "schedutil"),
-            (lambda: TracePlayer(shared), 2.0, "conservative"),
-            (lambda: TracePlayer(shared), 1.5, "int_qos_pm"),
-            (lambda: TracePlayer(shared), 2.5, "conservative"),
-            (lambda: TracePlayer(twin), 1.0, "schedutil"),
-            (lambda: TracePlayer(twin_copy), 1.0, "conservative"),
-            (advanced, 1.0, "schedutil"),
-            (lambda: make_app("lineage", seed=9), 1.5, "conservative"),
+            (lambda: TracePlayer(shared), 1.0, "schedutil", 1),
+            (lambda: TracePlayer(shared), 2.0, "conservative", 1),
+            (lambda: TracePlayer(shared), 1.5, "int_qos_pm", 1),
+            (lambda: TracePlayer(shared), 2.5, "conservative", 1),
+            (lambda: TracePlayer(shared), 2.0, "next", 1),
+            (lambda: TracePlayer(shared), 1.5, "schedutil", 2),
+            (lambda: TracePlayer(twin), 1.0, "schedutil", 1),
+            (lambda: TracePlayer(twin_copy), 1.0, "conservative", 1),
+            (advanced, 1.0, "schedutil", 1),
+            (lambda: make_app("lineage", seed=9), 1.5, "conservative", 1),
         ]
 
-        def config(lane, duration_s):
+        def config(lane, duration_s, every):
             return SimulationConfig(
                 refresh_hz=platform.display_refresh_hz,
                 duration_s=duration_s,
                 seed=100 + lane,
+                record_every_n_ticks=every,
             )
 
-        workloads = [make() for make, _, _ in lanes]
+        def governor(lane, name):
+            if name == "next":
+                return make_governor(name, seed=lane)
+            return make_governor(name)
+
+        workloads = [make() for make, _, _, _ in lanes]
         groups = _demand_groups(
             workloads, range(len(lanes)), dt, platform.cluster_names
         )
         assert [group.lanes for group in groups] == [
-            [0, 1, 2, 3], [4], [5], [6], [7]
+            [0, 1, 2, 3, 4, 5], [6], [7], [8], [9]
         ]
         batch = BatchSimulation(
             platform,
-            [make_governor(name) for _, _, name in lanes],
-            [config(lane, duration) for lane, (_, duration, _) in enumerate(lanes)],
+            [governor(lane, name) for lane, (_, _, name, _) in enumerate(lanes)],
+            [
+                config(lane, duration, every)
+                for lane, (_, duration, _, every) in enumerate(lanes)
+            ],
         )
-        batch.run(workloads, duration_s=[duration for _, duration, _ in lanes])
-        for lane, (make, duration_s, governor_name) in enumerate(lanes):
+        batch.run(workloads, duration_s=[duration for _, duration, _, _ in lanes])
+        for lane, (make, duration_s, governor_name, every) in enumerate(lanes):
             workload = make()
             simulation = Simulation(
-                platform, make_governor(governor_name), config(lane, duration_s)
+                platform,
+                governor(lane, governor_name),
+                config(lane, duration_s, every),
             )
             simulation.run(workload, duration_s=duration_s)
             assert (
@@ -676,6 +693,105 @@ class TestTraceGroups:
             if isinstance(workload, TracePlayer):
                 assert workloads[lane]._index == workload._index, lane
         assert workloads[3].exhausted
+
+
+class _FrameBurst:
+    """A workload that demands ``frames`` frames on its first tick, then none."""
+
+    def __init__(self, frames: int) -> None:
+        self.frames = frames
+        self.time_s = 0.0
+
+    def tick(self, dt_s: float) -> TickWorkload:
+        demand = TickWorkload(
+            time_s=self.time_s,
+            app_name="burst",
+            phase_name="burst",
+            frames=[FrameSpec(1.0, 1.0)] * self.frames,
+            background_work_mwu={},
+            interaction_activity=0.0,
+        )
+        self.frames = 0
+        self.time_s += dt_s
+        return demand
+
+
+class TestRecorderBlocks:
+    """Each lane-row holds only what its digest reads, at its exact width."""
+
+    def test_block_bytes_per_lane_row_and_group_row(self):
+        """exynos9810: 112 B per lane-row, 8 more per agent lane-row, 14 per
+        group-row.  Two segments: four lanes replay one trace, two more run
+        apps of their own, one agent lane among them ends first."""
+        platform = make_platform("exynos9810")
+        trace = record_session_trace(
+            [SessionSegment("facebook", 2.0)], platform=platform, seed=1
+        )
+        governors = [
+            make_governor(name, seed=0) if name == "next" else make_governor(name)
+            for name in (
+                "schedutil",
+                "conservative",
+                "next",
+                "powersave",
+                "int_qos_pm",
+                "schedutil",
+            )
+        ]
+        durations = [2.0, 2.0, 1.0, 2.0, 2.0, 2.0]
+        configs = [
+            SimulationConfig(
+                refresh_hz=platform.display_refresh_hz, duration_s=duration, seed=lane
+            )
+            for lane, duration in enumerate(durations)
+        ]
+        batch = BatchSimulation(platform, governors, configs)
+        workloads = [TracePlayer(trace) for _ in range(4)] + [
+            make_app("spotify", seed=4),
+            make_app("lineage", seed=5),
+        ]
+        batch.run(workloads, duration_s=durations)
+        segments = batch.recorder._segments
+        assert [len(segment.column_of) for segment in segments] == [6, 5]
+        for segment, agents in zip(segments, (1, 0)):
+            rows = segment.filled
+            lanes = len(segment.column_of)
+            groups = len(set(segment.group_of.values()))
+            assert groups == 3
+            lane_bytes = (
+                segment.floats.nbytes + segment.ints.nbytes + segment.targets.nbytes
+            )
+            group_bytes = segment.group_ints.nbytes + segment.interaction.nbytes
+            assert lane_bytes == rows * (112 * lanes + 8 * agents)
+            assert group_bytes == rows * 14 * groups
+
+    def test_frame_counts_beyond_int16_raise_instead_of_wrapping(self):
+        platform = make_platform("exynos9810")
+        configs = [
+            SimulationConfig(
+                refresh_hz=platform.display_refresh_hz, duration_s=0.5, seed=lane
+            )
+            for lane in range(2)
+        ]
+        batch = BatchSimulation(
+            platform, [make_governor("schedutil") for _ in configs], configs
+        )
+        with pytest.raises(ValueError, match="int16"):
+            batch.run([_FrameBurst(40_000), make_app("facebook", seed=1)])
+
+    def test_tables_beyond_int16_raise(self):
+        platform = make_platform("exynos9810")
+        configs = [SimulationConfig(refresh_hz=platform.display_refresh_hz)]
+        recorder = BatchSimulation(
+            platform, [make_governor("schedutil")], configs
+        ).recorder
+        names = [f"app{index}" for index in range(40_000)]
+        with pytest.raises(ValueError, match="int16"):
+            recorder._codes(names, names)
+        with pytest.raises(ValueError, match="int16"):
+            BatchRecorder(
+                1, 21.0, "big", ("big",), ("big",), [1], [0.0] * 40_000, [[0]]
+            )
 
 
 class TestBatchProfiler:
