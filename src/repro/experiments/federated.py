@@ -122,14 +122,15 @@ def round_route(jobs: Sequence[Tuple[Any, ...]]) -> Route:
     A device lane lasts its whole local training (``apps x episodes x
     episode_duration_s``), so a non-IID round is priced by its longest
     device.  :meth:`FleetBuild.round_chunks` routes every round through
-    this one function; a batched round's ``device_batch`` span notes the
-    same prices.
+    this one function and hands a batched round's :class:`Route` to
+    :func:`train_device_rounds_batched`, whose ``device_batch`` span notes
+    its prices.
     """
     return DEFAULT_COST_MODEL.route(jobs[0][2], [round_job_sim_s(job) for job in jobs])
 
 
 def train_device_rounds_batched(
-    jobs: Sequence[Tuple[Any, ...]], attempt: int = 0
+    jobs: Sequence[Tuple[Any, ...]], route: Route, attempt: int = 0
 ) -> List[Dict[str, Any]]:
     """One federated round's device jobs as a single batched step loop.
 
@@ -148,9 +149,11 @@ def train_device_rounds_batched(
     (:meth:`FleetBuild.round_chunks`); episode budgets and durations may
     differ per device (intensity-weighted non-IID fleets).
 
-    ``attempt`` is the orchestrator's retry counter for the round, consumed
-    only by the fault-injection seam, which is keyed like
-    :func:`train_device_round`'s: by the first device's round seed.
+    ``route`` is the round's :func:`round_route`, noted on the
+    ``device_batch`` span.  ``attempt`` is the orchestrator's retry counter
+    for the round, consumed only by the fault-injection seam, which is
+    keyed like :func:`train_device_round`'s: by the first device's round
+    seed.
     """
     if not jobs:
         return []
@@ -158,23 +161,24 @@ def train_device_rounds_batched(
         with maybe_span("device_batch", devices=len(jobs), attempt=attempt) as span:
             fault_point(SITE_TRAIN_DEVICE_BATCH, str(jobs[0][5]), attempt)
             if span is not None:
-                note_route(span, round_route(jobs))
+                note_route(span, route)
             return _train_devices(jobs, batched=True)
     finally:
         flush_task_metrics()
 
 
 def train_round_chunk(
-    jobs: Sequence[Tuple[Any, ...]], batched: bool, attempt: int = 0
+    jobs: Sequence[Tuple[Any, ...]], route: Optional[Route], attempt: int = 0
 ) -> List[Dict[str, Any]]:
     """Train one chunk of a fleet round and return its device states in order.
 
     A chunk is what :meth:`FleetBuild.round_chunks` hands out: the whole
-    round on the batch route (``batched``), or else one device.  Both fleet
-    drivers run every chunk through this one function.
+    round on the batch route (``route`` is then the build's
+    :attr:`FleetBuild.route`), or else one device (``route`` is ``None``).
+    Both fleet drivers run every chunk through this one function.
     """
-    if batched:
-        return train_device_rounds_batched(jobs, attempt=attempt)
+    if route is not None:
+        return train_device_rounds_batched(jobs, route, attempt=attempt)
     return [train_device_round(*job, attempt=attempt) for job in jobs]
 
 
@@ -326,7 +330,7 @@ class FleetBuild:
             build.provide_round0({fp: AgentArtifact})   # stored or trained
         while not build.finished:
             for first, jobs in build.round_chunks():    # any executor, any order
-                build.deliver(first, train_round_chunk(jobs, build.batched))
+                build.deliver(first, train_round_chunk(jobs, build.route))
         artifact = build.artifact()
     """
 
@@ -338,8 +342,8 @@ class FleetBuild:
         self.round0: List[Tuple[str, TrainingSpec]] = []
         #: The round that is open, or that :meth:`round_chunks` opens next.
         self.round_index = 0
-        #: Whether the open round runs on the batch route.
-        self.batched = False
+        #: The open round's route when it runs batched, else ``None``.
+        self.route: Optional[Route] = None
         self._states: Optional[List[Dict[str, Any]]] = None
         self._merged: Optional[Dict[str, QTable]] = None
         self._reports: List[RoundReport] = []
@@ -364,6 +368,11 @@ class FleetBuild:
         # Recompute the last aggregation (pure data) to distribute from.
         self._merged = _merge_tables(spec, _device_stores(self._states))
         self.round_index = start.rounds_completed
+
+    @property
+    def batched(self) -> bool:
+        """Whether the open round runs on the batch route."""
+        return self.route is not None
 
     @property
     def needs_round0(self) -> bool:
@@ -398,10 +407,10 @@ class FleetBuild:
         Distributes the merged tables into one continuation job per device
         (the argument tuple of :func:`train_device_round`) and routes the
         round through the cost model (:func:`round_route`).  On the batch
-        route, which sets :attr:`batched`, the whole round is one chunk;
+        route, which sets :attr:`route`, the whole round is one chunk;
         otherwise each device is a chunk of its own.  Run each chunk through
-        :func:`train_round_chunk` on any executor, in any order, and hand
-        its device states to :meth:`deliver`.
+        :func:`train_round_chunk` with :attr:`route` on any executor, in any
+        order, and hand its device states to :meth:`deliver`.
         """
         if self.needs_round0:
             raise ValueError("round 0 has not been provided yet")
@@ -420,11 +429,11 @@ class FleetBuild:
             )
             for device in range(self.spec.devices)
         ]
-        self.batched = routes_to_batch(
-            round_route(jobs), "devices", batch_kernel_available
-        )
+        route = round_route(jobs)
+        batched = routes_to_batch(route, "devices", batch_kernel_available)
+        self.route = route if batched else None
         self._buffer = [None] * len(jobs)
-        if self.batched:
+        if batched:
             return [(0, jobs)]
         return [(device, [job]) for device, job in enumerate(jobs)]
 
@@ -506,7 +515,7 @@ def train_fleet_artifact(
             "federated_round", round=build.round_index, devices=spec.devices
         ):
             for first, jobs in build.round_chunks():
-                build.deliver(first, train_round_chunk(jobs, build.batched))
+                build.deliver(first, train_round_chunk(jobs, build.route))
     return build.artifact()
 
 

@@ -407,7 +407,7 @@ def execute_cells_batched(
     duration and recording cadence -- mixed durations and cadences run as
     masked heterogeneous lanes of the batch kernel.  Lanes replaying the same
     session (same segments and ``trace_seed``) share one recorded trace,
-    which the kernel decodes once per tick for all of them.  Inside an
+    which the kernel reads once per tick for all of them.  Inside an
     in-process sweep the trace comes from the sweep's table and is shared
     with the sweep's other cells; otherwise the sharing lasts for this call
     only.  The batched device-population kernel is bit-identical per lane
@@ -1289,7 +1289,7 @@ class SweepRunner:
                     _Job(
                         keys=(key if build.batched else f"{key}:d{first}",),
                         start=partial(
-                            executor.submit, train_round_chunk, chunk, build.batched
+                            executor.submit, train_round_chunk, chunk, build.route
                         ),
                         settle=partial(settle_round, fleet_fingerprint, first),
                         budget_s=self.watchdog.round_budget_s(chunk),

@@ -14,18 +14,17 @@ seconds is therefore ``work / (frequency_mhz * perf_per_mhz * cores)``.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.soc.cluster import Cluster
 from repro.soc.frequency import flat_table
 from repro.graphics.vsync import VsyncClock
 
 
-@dataclass(frozen=True)
-class FrameSpec:
-    """Work content of one frame.
+class FrameSpec(namedtuple("FrameSpec", ("cpu_work_mwu", "gpu_work_mwu"))):
+    """Work content of one frame, as the ``(cpu, gpu)`` pair a :class:`FrameQueue` takes.
 
     Attributes
     ----------
@@ -35,12 +34,16 @@ class FrameSpec:
         GPU-stage work in mega work units (GPU-core-cycle equivalents).
     """
 
-    cpu_work_mwu: float
-    gpu_work_mwu: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.cpu_work_mwu < 0 or self.gpu_work_mwu < 0:
+    def __new__(cls, cpu_work_mwu: float, gpu_work_mwu: float) -> "FrameSpec":
+        if cpu_work_mwu < 0 or gpu_work_mwu < 0:
             raise ValueError("frame work must be non-negative")
+        return tuple.__new__(cls, (cpu_work_mwu, gpu_work_mwu))
+
+
+#: One frame as a :class:`FrameQueue` reads it: ``(cpu_work_mwu, gpu_work_mwu)``.
+Frame = Tuple[float, float]
 
 
 @dataclass
@@ -139,9 +142,9 @@ class FrameQueue:
 
     def reset(self) -> None:
         """Drop every frame: pending, in a stage or in a buffer."""
-        self.pending: Deque[FrameSpec] = deque()
+        self.pending: Deque[Frame] = deque()
         #: The frame in the CPU stage (``None``: empty) and its remaining work.
-        self.cpu_frame: Optional[FrameSpec] = None
+        self.cpu_frame: Optional[Frame] = None
         self.cpu_remaining = 0.0
         #: Remaining work of the frame in the GPU stage (``None``: empty).
         self.gpu_remaining: Optional[float] = None
@@ -163,14 +166,15 @@ class FrameQueue:
 
     def step(
         self,
-        frames: List[FrameSpec],
+        frames: Sequence[Frame],
         cpu_budget: float,
         gpu_budget: float,
         edge_count: int,
     ) -> Tuple[int, int, float, float, int]:
         """Advance one tick: ``(displayed, rejected, cpu_done, gpu_done, completed)``.
 
-        ``frames`` are this tick's demands, in order; each one that finds
+        ``frames`` are this tick's demands, in order, as ``(cpu, gpu)`` work
+        pairs (a :class:`FrameSpec` is one); each one that finds
         ``max_pending`` frames already waiting is rejected.  ``cpu_budget``
         and ``gpu_budget`` are the work each stage can process this tick
         (``rate * dt_s``); ``cpu_done`` and ``gpu_done`` are the work it
@@ -236,7 +240,7 @@ class FrameQueue:
             # CPU stage.
             if cpu_frame is None and pending:
                 cpu_frame = pending.popleft()
-                cpu_remaining = cpu_frame.cpu_work_mwu
+                cpu_remaining = cpu_frame[0]
                 progress = True
             if cpu_frame is not None and cpu_budget > 1e-12:
                 done = cpu_remaining if cpu_remaining < cpu_budget else cpu_budget
@@ -244,7 +248,7 @@ class FrameQueue:
                 cpu_budget -= done
                 cpu_done += done
                 if cpu_remaining <= 1e-9 and gpu_remaining is None:
-                    gpu_remaining = cpu_frame.gpu_work_mwu
+                    gpu_remaining = cpu_frame[1]
                     if gpu_remaining <= 1e-9:
                         gpu_remaining = None
                         completed += 1
@@ -360,7 +364,7 @@ class FramePipeline:
         self,
         dt_s: float,
         clusters: Mapping[str, Cluster],
-        frame_demands: List[FrameSpec],
+        frame_demands: Sequence[Frame],
         background_work_mwu: Optional[Mapping[str, float]] = None,
     ) -> TickResult:
         """Advance the pipeline by ``dt_s`` seconds.
@@ -373,7 +377,8 @@ class FramePipeline:
             Live cluster objects; their *current* frequencies determine the
             processing rates during this tick.
         frame_demands:
-            Frames the application wants rendered this tick (in order).
+            Frames the application wants rendered this tick (in order), as
+            ``(cpu, gpu)`` work pairs.
         background_work_mwu:
             Non-frame work demanded per cluster this tick (audio decode,
             networking, loading...), in mega work units.

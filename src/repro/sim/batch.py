@@ -8,8 +8,12 @@ and leakage power are ``(clusters, devices)`` NumPy arrays, temperatures and
 heat ``(nodes, devices)`` arrays.  The numeric backend -- power evaluation,
 thermal Euler integration, the schedutil scaler, the FPS window and the
 recorder rows -- is vectorised across devices, while inherently ragged
-per-device state (workloads, governor objects, sensors) stays plain Python
-and is visited once per device per tick.  Each lane's frames go through the
+per-device state (frame queues, governor objects, sensors) stays plain
+Python and is visited once per device per tick.  Demand is read from trace
+columns, as on the scalar kernel
+(:func:`~repro.workloads.trace.take_demand`): lanes whose workloads hand
+out one trace object from one position form a demand group, which reads
+each tick once for all of them.  Each lane's frames go through the
 scalar pipeline's :class:`~repro.graphics.pipeline.FrameQueue`, the code
 that :meth:`~repro.graphics.pipeline.FramePipeline.tick` steps too.  Each
 numeric stage is one NumPy call chain over the whole ``(clusters,
@@ -46,7 +50,7 @@ element-wise with unchanged IEEE-754 op order.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -59,78 +63,7 @@ from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulation
 from repro.sim.recorder import BatchRecorder, Recorder
 from repro.soc.platform import PlatformSpec
-from repro.workloads.trace import TracePlayer
-
-
-class _DemandSource:
-    """One workload's demand per tick, read once for every lane it feeds.
-
-    The source steps its first lane's workload through ``tick``.  Lanes
-    whose workloads are :class:`TracePlayer`\\ s over one trace object at
-    one position share a source, since their players would return the same
-    ticks; :meth:`sync` hands the stepped player's position to the others,
-    so each ends where its own ``tick`` calls would have left it.  Each
-    demand comes with its background work as a per-cluster row.  A player
-    hands out only read-only mappings that live as long as its trace (the
-    trace's table and the empty mapping of an exhausted tick), so a
-    player's rows are kept by mapping ``id``; any other workload's mapping
-    is resolved on every tick.
-    """
-
-    def __init__(self, lane: int, workload, dt: float, cluster_names) -> None:
-        self.lanes: List[int] = [lane]
-        self._workloads = [workload]
-        self._tick = workload.tick
-        self._dt = dt
-        self._cluster_names = cluster_names
-        self._rows = {} if type(workload) is TracePlayer else None
-
-    def add(self, lane: int, player: TracePlayer) -> None:
-        self.lanes.append(lane)
-        self._workloads.append(player)
-
-    def __call__(self):
-        demand = self._tick(self._dt)
-        background = demand.background_work_mwu
-        rows = self._rows
-        row = None if rows is None else rows.get(id(background))
-        if row is None:
-            row = [background.get(name, 0.0) for name in self._cluster_names]
-            if rows is not None:
-                rows[id(background)] = row
-        return demand, row
-
-    def sync(self) -> None:
-        leader, *followers = self._workloads
-        for player in followers:
-            player._index = leader._index
-
-
-def _demand_groups(workloads: Sequence, lanes: Sequence[int], dt: float, cluster_names):
-    """The demand sources of ``lanes``, one per group, in order of first lane.
-
-    Lanes whose workload is a :class:`TracePlayer` over the same trace
-    object and at the same position form one group: grouping is by object
-    and position, never by content.  A player that several lanes share,
-    and any other workload, is a group of one, stepped in lane order as
-    before.
-    """
-    uses = Counter(id(workloads[d]) for d in lanes)
-    groups = []
-    shared = {}
-    for d in lanes:
-        workload = workloads[d]
-        if type(workload) is TracePlayer and uses[id(workload)] == 1:
-            key = (id(workload.trace), workload._index)
-            group = shared.get(key)
-            if group is not None:
-                group.add(d, workload)
-                continue
-            group = shared[key] = _DemandSource(d, workload, dt, cluster_names)
-        else:
-            group = _DemandSource(d, workload, dt, cluster_names)
-        groups.append(group)
-    return groups
+from repro.workloads.trace import take_demand
 
 
 class BatchSimulation:
@@ -326,7 +259,12 @@ class BatchSimulation:
         """Run every device's workload in one shared-clock loop.
 
         ``workloads[d]`` is anything with a ``tick(dt_s) -> TickWorkload``
-        method, exactly as for :meth:`Simulation.run`.  ``duration_s`` may be
+        method, exactly as for :meth:`Simulation.run`, and one object per
+        lane.  As there, each lane's demand is read from trace columns: a
+        player's own, or one recorded before the first tick, which is the
+        same demand because it never depends on the governor or the SoC.
+        Lanes whose players replay one trace object from one position read
+        it once per tick for all of them.  ``duration_s`` may be
         a single number (every lane runs that long), a per-lane sequence of
         durations, or ``None`` (each lane runs its own ``config.duration_s``).
 
@@ -340,6 +278,11 @@ class BatchSimulation:
         """
         if len(workloads) != self._n:
             raise ValueError("one workload per device required")
+        if len({id(workload) for workload in workloads}) < self._n:
+            raise ValueError(
+                "each device needs a workload object of its own (a workload "
+                "stepped for two lanes has no scalar equivalent)"
+            )
         if self._consumed:
             raise ValueError(
                 "a heterogeneous run consumes the batch (lanes ended at "
@@ -369,7 +312,7 @@ class BatchSimulation:
         The active set only changes when a lane's tick budget runs out, so
         the run splits into segments with a constant active set.  Each entry
         is ``(ticks, active_list, active_mask)``: the Python visit list for
-        the ragged frontend (workload stepping, frame-queue advance) plus the
+        the ragged frontend (demand reads, frame-queue advance) plus the
         boolean device-axis mask for the vectorised stages.  A homogeneous
         run is a single segment with every lane active.
         """
@@ -450,12 +393,13 @@ class BatchSimulation:
         tick_count = self._tick_count
         soc_time = self._soc_time_s
 
+        take = take_demand
         profiler = active_profiler()
         if profiler is not None:
             # Same opt-in stage wrapping as the scalar engine, over the same
             # six stages: results pass through untouched, so the loop below
-            # is identical either way.  (Demand sources are wrapped per
-            # segment, where they are built.)
+            # is identical either way.
+            take = profiler.wrap("workload", take)
             batch_rates = profiler.wrap("pipeline", batch_rates)
             queue_steps = [profiler.wrap("pipeline", fn) for fn in queue_steps]
             batch_finish = profiler.wrap("pipeline", batch_finish)
@@ -468,29 +412,35 @@ class BatchSimulation:
             ]
             recorder_append = profiler.wrap("recorder", recorder_append)
 
-        sources = []
+        # Each lane's demand for the whole run as ``(trace, first)``, and
+        # per trace its background rows: one tuple per background code, in
+        # cluster order.
+        demands = [take(workloads[d], budgets[d], dt) for d in range(n)]
+        background_rows = {
+            trace: [
+                tuple([background.get(name, 0.0) for name in cluster_names])
+                for background in trace.backgrounds
+            ]
+            for trace in dict.fromkeys(trace for trace, _ in demands)
+        }
+        ran = 0
         try:
             for seg_ticks, active_list, active_mask in self._lane_schedule(budgets):
-                # One demand source per group of lanes that replay the same
-                # demand (see _demand_groups); players resume where the last
-                # segment left them.
-                for source in sources:
-                    source.sync()
-                sources = _demand_groups(workloads, active_list, dt, cluster_names)
+                # The active lanes that read one trace from one position
+                # form a demand group; it reads tick ``first + ran + step``.
+                groups = {}
+                for d in active_list:
+                    groups.setdefault(demands[d], []).append(d)
                 frontend = [
-                    (
-                        group,
-                        source if profiler is None else profiler.wrap("workload", source),
-                        source.lanes,
-                    )
-                    for group, source in enumerate(sources)
+                    (group, trace.demand_at, first + ran, background_rows[trace], lanes)
+                    for group, ((trace, first), lanes) in enumerate(groups.items())
                 ]
                 # The demand fields a group's lanes share, recorded once
                 # per group.
-                group_apps = [""] * len(sources)
-                group_phases = [""] * len(sources)
-                group_demanded = [0] * len(sources)
-                group_interaction = [0.0] * len(sources)
+                group_apps = [""] * len(groups)
+                group_phases = [""] * len(groups)
+                group_demanded = [0] * len(groups)
+                group_interaction = [0.0] * len(groups)
                 # Per-segment occupancy: how full the batch lanes actually ran.
                 metrics().observe("batch.lane_occupancy", float(len(active_list)))
                 metrics().inc(
@@ -498,10 +448,7 @@ class BatchSimulation:
                 )
                 # The ticks on which some active lane records.
                 row_ticks = begin_segment(
-                    tick_count,
-                    seg_ticks,
-                    active_list,
-                    [source.lanes for source in sources],
+                    tick_count, seg_ticks, active_list, list(groups.values())
                 )
                 # Freeze lanes that just went inactive: zero the reused
                 # frontend rows once so the shared FPS window and governor
@@ -515,7 +462,7 @@ class BatchSimulation:
                         gpu_done_row[d] = 0.0
                         for k in range(n_clusters):
                             background_lists[k][d] = 0.0
-                for _ in range(seg_ticks):
+                for step in range(seg_ticks):
                     # Shared VSync clock: one edge count for every device.
                     edge_count = pipeline.advance_time(dt)
 
@@ -525,18 +472,19 @@ class BatchSimulation:
                     cpu_budgets = (cpu_rate * dt).tolist()
                     gpu_budgets = (gpu_rate * dt).tolist()
 
-                    # Frontend: one demand and group row per group, then per
-                    # lane the session hooks, the frame queue drain and the
+                    # Frontend: one demand read and group row per group, then
+                    # per lane the session hooks, the frame queue drain and the
                     # lane's rows (utilisation math is vectorised afterwards).
-                    for group, source, lanes in frontend:
-                        demand, background = source()
-                        app_name = demand.app_name
-                        frames = demand.frames
+                    for group, demand_at, first, rows, lanes in frontend:
+                        app_name, phase_name, frames, code, interaction = demand_at(
+                            first + step
+                        )
+                        background = rows[code]
                         demanded = len(frames)
                         group_apps[group] = app_name
-                        group_phases[group] = demand.phase_name
+                        group_phases[group] = phase_name
                         group_demanded[group] = demanded
-                        group_interaction[group] = demand.interaction_activity
+                        group_interaction[group] = interaction
                         for d in lanes:
                             if app_name != current_app[d]:
                                 governor = governors[d]
@@ -714,9 +662,8 @@ class BatchSimulation:
                             max_limit_rows,
                             util,
                         )
+                ran += seg_ticks
         finally:
-            for source in sources:
-                source.sync()
             self._tick_count = tick_count
             self._soc_time_s = soc_time
 

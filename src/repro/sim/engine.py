@@ -2,7 +2,8 @@
 
 Per tick the engine performs, in order:
 
-1. ask the workload for its demand (frames + background work),
+1. read the tick's demand (frames + background work) from the run's
+   workload trace (:func:`~repro.workloads.trace.take_demand`),
 2. render through the frame pipeline at the *current* cluster frequencies,
 3. feed the resulting utilisations into the SoC and integrate power/thermal,
 4. account displayed/dropped frames into the display's FPS counter,
@@ -48,6 +49,7 @@ from repro.soc.platform import PlatformSpec
 from repro.soc.soc import SocSimulator
 from repro.workloads.app import TickWorkload
 from repro.workloads.apps import make_app
+from repro.workloads.trace import take_demand
 
 
 class SessionWorkload:
@@ -204,7 +206,12 @@ class Simulation:
         ``workload`` is anything with a ``tick(dt_s) -> TickWorkload`` method:
         an :class:`~repro.workloads.app.AppModel`, a
         :class:`~repro.workloads.trace.TracePlayer` or a
-        :class:`SessionWorkload`.
+        :class:`SessionWorkload`.  The run reads its demand from trace
+        columns (:func:`~repro.workloads.trace.take_demand`): a player's
+        own, or, for any other workload, one recorded before the first
+        tick.  That is the same demand as stepping the workload tick by
+        tick, because a tick's demand never depends on the governor or the
+        SoC (see :mod:`repro.workloads.app`).
         """
         duration = duration_s if duration_s is not None else self.config.duration_s
         self._run_ticks(workload, self.clock.ticks_for(duration))
@@ -240,7 +247,7 @@ class Simulation:
         scaler_select_tick = scaler.select_tick
         cluster_items = self._cluster_items
         recorder_append = self.recorder.append_tick
-        workload_tick = workload.tick
+        take = take_demand
         governor_agent = getattr(governor, "agent", None)
         current_app = self._current_app
         last_invocation = self._last_invocation_s
@@ -253,17 +260,18 @@ class Simulation:
             # timing wrappers that pass results through untouched, so the
             # loop below is identical whether profiling is on or off and the
             # disabled path costs one module-global read per call.
-            workload_tick = profiler.wrap("workload", workload_tick)
+            take = profiler.wrap("workload", take)
             pipeline_tick = profiler.wrap("pipeline", pipeline_tick)
             soc_step = profiler.wrap("power_thermal", soc_step)
             scaler_select_tick = profiler.wrap("scaler", scaler_select_tick)
             governor_update = profiler.wrap("governor", governor_update)
             recorder_append = profiler.wrap("recorder", recorder_append)
+        trace, first = take(workload, ticks, dt)
+        demand_at = trace.demand_at
+        backgrounds = trace.backgrounds
         try:
-            for _ in range(ticks):
-                demand = workload_tick(dt)
-
-                app_name = demand.app_name
+            for index in range(first, first + ticks):
+                app_name, phase_name, frames, background, interaction = demand_at(index)
                 if app_name != current_app:
                     if current_app is not None:
                         governor.on_session_end(current_app)
@@ -271,13 +279,7 @@ class Simulation:
                     governor.on_session_start(app_name)
                     invocation_period = governor.invocation_period_s
 
-                frames = demand.frames
-                result = pipeline_tick(
-                    dt,
-                    soc_clusters,
-                    frames,
-                    demand.background_work_mwu,
-                )
+                result = pipeline_tick(dt, soc_clusters, frames, backgrounds[background])
                 utilisations = result.utilisations
                 for name, cluster in cluster_items:
                     # Inlined Cluster.utilisation setter (same clamp).
@@ -361,7 +363,7 @@ class Simulation:
                     recorder_append(
                         now,
                         app_name,
-                        demand.phase_name,
+                        phase_name,
                         fps,
                         0.0 if governor_agent is None else governor_agent.target_fps,
                         len(frames),
@@ -373,7 +375,7 @@ class Simulation:
                         frequency_values,
                         max_limit_values,
                         utilisation_values,
-                        demand.interaction_activity,
+                        interaction,
                     )
         finally:
             self._current_app = current_app

@@ -544,10 +544,10 @@ class BatchRecorder:
       (frames displayed and dropped, then per-cluster frequency and
       max-limit OPP indices): 112 B per lane-row on a platform with three
       clusters and four thermal nodes;
-    * per demand group (the lanes that replay one demand, see
-      :func:`~repro.sim.batch._demand_groups`), the app and phase names as
-      codes into one string table and the frames demanded, as int16, and
-      the interaction as a float64: 14 B per group-row;
+    * per demand group (the lanes that read one trace from one position,
+      see :meth:`~repro.sim.batch.BatchSimulation.run`), the app and phase
+      names as codes into one string table and the frames demanded, as
+      int16, and the interaction as a float64: 14 B per group-row;
     * per agent lane, its target FPS.  Every other lane records 0.0, which
       :meth:`device_recorder` fills in without storing it.
 

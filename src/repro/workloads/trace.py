@@ -14,11 +14,17 @@ time and the interaction activity (float64), app and phase codes into one
 name table, an offset into the frame columns (each frame's CPU and GPU
 work, float64) and a code into a table of the session's distinct
 background mappings, of which a recorded session has a handful.  A 90 s
-session then takes about 200 kB instead of 3 MB.  Indexing, iteration and
-:class:`TracePlayer` decode :class:`TickWorkload`\\ s from the columns on
-demand, and :meth:`WorkloadTrace.to_dict` gives the per-tick JSON form,
+session then takes about 200 kB instead of 3 MB.  Every number is stored as
+a float64, bit for bit.
+
+The columns are the one form in which the simulation kernels read demand.
+:func:`take_demand` turns any workload into ``(trace, first)`` for a run:
+a :class:`TracePlayer` hands out its own trace, and any other workload is
+recorded first.  Each tick of the run is then read with
+:meth:`WorkloadTrace.demand_at`.  Indexing, iteration and
+:class:`TracePlayer` still decode :class:`TickWorkload`\\ s for other
+callers, and :meth:`WorkloadTrace.to_dict` gives the per-tick JSON form,
 which can be archived and read back with :meth:`WorkloadTrace.from_dict`.
-Every number is stored as a float64, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,18 +34,11 @@ from array import array
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.graphics.pipeline import FrameSpec
+from repro.graphics.pipeline import Frame, FrameSpec
 from repro.workloads.app import AppModel, TickWorkload
 
 #: Background mapping of an exhausted tick (read-only, shared).
 _NO_BACKGROUND: Mapping[str, float] = MappingProxyType({})
-
-# Replay decodes a TickWorkload per tick and restores it the way pickle
-# does, by setting its ``__dict__``: the frozen dataclass constructor's
-# per-field ``object.__setattr__`` calls and checks would be most of the
-# cost, and the values passed the checks when they were recorded.
-_new = object.__new__
-_setattr = object.__setattr__
 
 
 class WorkloadTrace:
@@ -113,7 +112,7 @@ class WorkloadTrace:
         time_s: float,
         app_name: str,
         phase_name: str,
-        frames: Sequence[FrameSpec],
+        frames: Sequence[Frame],
         background_work_mwu: Mapping[str, float],
         interaction_activity: float,
     ) -> None:
@@ -125,9 +124,9 @@ class WorkloadTrace:
         if frames:
             cpu = self.frame_cpu_mwu
             gpu = self.frame_gpu_mwu
-            for frame in frames:
-                cpu.append(frame.cpu_work_mwu)
-                gpu.append(frame.gpu_work_mwu)
+            for cpu_work, gpu_work in frames:
+                cpu.append(cpu_work)
+                gpu.append(gpu_work)
             self.frame_offsets.append(len(cpu))
         else:
             self.frame_offsets.append(self.frame_offsets[-1])
@@ -152,36 +151,40 @@ class WorkloadTrace:
             self.backgrounds.append(MappingProxyType(dict(zip(key[0], values))))
         return code
 
+    def demand_at(self, index: int) -> Tuple[str, str, Sequence[Frame], int, float]:
+        """Tick ``index`` (non-negative) as the kernels read it.
+
+        Returns ``(app, phase, frames, background, interaction)``: the app
+        and phase names, the frames as ``(cpu, gpu)`` work pairs (an empty
+        tuple when the tick demands none), the tick's code into
+        :attr:`backgrounds` and its interaction activity.
+        """
+        names = self.names
+        offsets = self.frame_offsets
+        start = offsets[index]
+        end = offsets[index + 1]
+        return (
+            names[self.app_codes[index]],
+            names[self.phase_codes[index]],
+            list(zip(self.frame_cpu_mwu[start:end], self.frame_gpu_mwu[start:end]))
+            if start != end
+            else (),
+            self.background_codes[index],
+            self.interaction[index],
+        )
+
     def tick_at(self, index: int) -> TickWorkload:
         """Decode tick ``index`` (non-negative) from the columns."""
-        offsets = self.frame_offsets
-        frames = []
-        for frame in range(offsets[index], offsets[index + 1]):
-            spec = _new(FrameSpec)
-            _setattr(
-                spec,
-                "__dict__",
-                {
-                    "cpu_work_mwu": self.frame_cpu_mwu[frame],
-                    "gpu_work_mwu": self.frame_gpu_mwu[frame],
-                },
-            )
-            frames.append(spec)
-        names = self.names
-        tick = _new(TickWorkload)
-        _setattr(
-            tick,
-            "__dict__",
-            {
-                "time_s": self.time_s[index],
-                "app_name": names[self.app_codes[index]],
-                "phase_name": names[self.phase_codes[index]],
-                "frames": frames,
-                "background_work_mwu": self.backgrounds[self.background_codes[index]],
-                "interaction_activity": self.interaction[index],
-            },
+        app, phase, frames, background, interaction = self.demand_at(index)
+        return TickWorkload(
+            time_s=self.time_s[index],
+            app_name=app,
+            phase_name=phase,
+            # The pairs passed FrameSpec's check when they were recorded.
+            frames=[tuple.__new__(FrameSpec, frame) for frame in frames],
+            background_work_mwu=self.backgrounds[background],
+            interaction_activity=interaction,
         )
-        return tick
 
     # -- serialisation ---------------------------------------------------------
 
@@ -237,32 +240,39 @@ class WorkloadTrace:
         return cls.from_dict(json.loads(text))
 
 
+def _record(
+    trace: WorkloadTrace, workload, ticks: int, time_offset: float = 0.0
+) -> None:
+    """Append ``ticks`` ticks of ``workload``'s demand, ``time_offset`` later."""
+    append = trace.append_demand
+    tick = workload.tick
+    dt_s = trace.dt_s
+    for _ in range(ticks):
+        demand = tick(dt_s)
+        append(
+            time_offset + demand.time_s,
+            demand.app_name,
+            demand.phase_name,
+            demand.frames,
+            demand.background_work_mwu,
+            demand.interaction_activity,
+        )
+
+
 class TraceRecorder:
     """Records application demand into a :class:`WorkloadTrace`."""
 
-    def __init__(self, dt_s: float) -> None:
-        self.trace = WorkloadTrace(dt_s=dt_s)
-
-    def record(self, tick: TickWorkload) -> None:
-        """Append one tick of demand."""
-        self.trace.append(tick)
-
-    @classmethod
-    def record_app(
-        cls, app: AppModel, duration_s: float, dt_s: float
-    ) -> WorkloadTrace:
+    @staticmethod
+    def record_app(app: AppModel, duration_s: float, dt_s: float) -> WorkloadTrace:
         """Run ``app`` open-loop for ``duration_s`` and return its demand trace."""
         if duration_s <= 0:
             raise ValueError("duration_s must be positive")
-        recorder = cls(dt_s=dt_s)
-        steps = int(round(duration_s / dt_s))
-        for _ in range(steps):
-            recorder.record(app.tick(dt_s))
-        return recorder.trace
+        trace = WorkloadTrace(dt_s=dt_s)
+        _record(trace, app, int(round(duration_s / dt_s)))
+        return trace
 
-    @classmethod
+    @staticmethod
     def record_segments(
-        cls,
         segments: Sequence,
         dt_s: float,
         seed: Optional[int] = None,
@@ -274,23 +284,12 @@ class TraceRecorder:
         """
         from repro.workloads.apps import make_app
 
-        trace = cls(dt_s=dt_s).trace
-        append = trace.append_demand
+        trace = WorkloadTrace(dt_s=dt_s)
         time_offset = 0.0
         for i, segment in enumerate(segments):
             app_seed = None if seed is None else seed + i * 7919
             app = make_app(segment.app_name, seed=app_seed)
-            steps = int(round(segment.duration_s / dt_s))
-            for _ in range(steps):
-                tick = app.tick(dt_s)
-                append(
-                    time_offset + tick.time_s,
-                    tick.app_name,
-                    tick.phase_name,
-                    tick.frames,
-                    tick.background_work_mwu,
-                    tick.interaction_activity,
-                )
+            _record(trace, app, int(round(segment.duration_s / dt_s)), time_offset)
             time_offset += segment.duration_s
         return trace
 
@@ -343,3 +342,27 @@ class TracePlayer:
             )
         self._index = index + 1
         return trace.tick_at(index)
+
+
+def take_demand(workload, ticks: int, dt_s: float) -> Tuple[WorkloadTrace, int]:
+    """The demand of ``workload``'s next ``ticks`` ticks, as ``(trace, first)``.
+
+    A run reads ticks ``first`` to ``first + ticks - 1`` of ``trace``, each
+    with :meth:`WorkloadTrace.demand_at`.  A :class:`TracePlayer` with that
+    many ticks left at ``dt_s`` hands out its own trace and position.  Any
+    other workload (an app model, a :class:`~repro.sim.engine.SessionWorkload`,
+    a player that would run out) is recorded through its own ``tick`` into
+    a new trace.  Either way, ``workload`` ends where ``ticks`` calls of
+    ``tick(dt_s)`` would have left it.
+    """
+    if (
+        type(workload) is TracePlayer
+        and abs(dt_s - workload._dt_s) <= 1e-9
+        and workload._index + ticks <= len(workload.trace)
+    ):
+        first = workload._index
+        workload._index = first + ticks
+        return workload.trace, first
+    trace = WorkloadTrace(dt_s=dt_s)
+    _record(trace, workload, ticks)
+    return trace, 0

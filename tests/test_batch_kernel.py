@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.graphics.pipeline import FrameSpec
 from repro.obs.profile import STAGES, profiled
-from repro.sim.batch import BatchSimulation, _demand_groups
+from repro.sim.batch import BatchSimulation
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SessionWorkload, Simulation
 from repro.sim.experiment import GOVERNOR_FACTORIES, make_governor, record_session_trace
@@ -38,7 +38,7 @@ from repro.soc.platform import make_platform
 from repro.workloads.app import TickWorkload
 from repro.workloads.apps import make_app
 from repro.workloads.session import FIGURE1_SESSION, SessionSegment
-from repro.workloads.trace import TracePlayer, WorkloadTrace
+from repro.workloads.trace import TracePlayer, TraceRecorder, WorkloadTrace
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_hashes.json")
 
@@ -168,6 +168,7 @@ class TestBatchedFederatedRound:
     def test_batched_device_round_states_match_scalar(self):
         from repro.core.agent import AgentConfig, NextAgent
         from repro.experiments.federated import (
+            round_route,
             train_device_round,
             train_device_rounds_batched,
         )
@@ -186,13 +187,16 @@ class TestBatchedFederatedRound:
                     (),
                 )
             )
-        batched = train_device_rounds_batched(jobs)
+        batched = train_device_rounds_batched(jobs, round_route(jobs))
         scalar = [train_device_round(*job) for job in jobs]
         assert batched == scalar
 
     def test_heterogeneous_jobs_rejected(self):
         from repro.core.agent import AgentConfig, NextAgent
-        from repro.experiments.federated import train_device_rounds_batched
+        from repro.experiments.federated import (
+            round_route,
+            train_device_rounds_batched,
+        )
 
         state = json.loads(
             json.dumps(NextAgent(config=AgentConfig(), seed=0).to_dict())
@@ -202,7 +206,7 @@ class TestBatchedFederatedRound:
             (state, ("facebook",), "generic-two-cluster", 2, 2.0, 1, ()),
         ]
         with pytest.raises(ValueError, match="share platform"):
-            train_device_rounds_batched(jobs)
+            train_device_rounds_batched(jobs, round_route(jobs))
 
 
 #: One training lane: its apps, episode budget, episode duration and seed.
@@ -663,12 +667,6 @@ class TestTraceGroups:
             return make_governor(name)
 
         workloads = [make() for make, _, _, _ in lanes]
-        groups = _demand_groups(
-            workloads, range(len(lanes)), dt, platform.cluster_names
-        )
-        assert [group.lanes for group in groups] == [
-            [0, 1, 2, 3, 4, 5], [6], [7], [8], [9]
-        ]
         batch = BatchSimulation(
             platform,
             [governor(lane, name) for lane, (_, _, name, _) in enumerate(lanes)],
@@ -678,6 +676,15 @@ class TestTraceGroups:
             ],
         )
         batch.run(workloads, duration_s=[duration for _, duration, _, _ in lanes])
+        # Each segment's demand group per lane, as the recorder stores it.
+        # The 2.5 s lane outlives its 2 s trace, so it reads a recording of
+        # its own, as do the advanced player and the live app.
+        assert [segment.group_of for segment in batch.recorder._segments] == [
+            {0: 0, 1: 0, 2: 0, 3: 1, 4: 0, 5: 0, 6: 2, 7: 3, 8: 4, 9: 5},
+            {1: 0, 2: 0, 3: 1, 4: 0, 5: 0, 9: 2},
+            {1: 0, 3: 1, 4: 0},
+            {3: 0},
+        ]
         for lane, (make, duration_s, governor_name, every) in enumerate(lanes):
             workload = make()
             simulation = Simulation(
@@ -693,6 +700,93 @@ class TestTraceGroups:
             if isinstance(workload, TracePlayer):
                 assert workloads[lane]._index == workload._index, lane
         assert workloads[3].exhausted
+
+    @pytest.mark.parametrize("shared", ["player", "app"])
+    def test_one_workload_object_for_two_lanes_is_refused(self, shared):
+        """Such a workload would be stepped for both lanes, which no scalar
+        run does; the batch refuses it before any tick runs."""
+        platform = make_platform("exynos9810")
+        trace = record_session_trace(
+            [SessionSegment("facebook", 1.0)], platform=platform, seed=1
+        )
+        if shared == "player":
+            workload = TracePlayer(trace)
+        else:
+            workload = make_app("spotify", seed=2)
+        configs = [
+            SimulationConfig(
+                refresh_hz=platform.display_refresh_hz, duration_s=1.0, seed=lane
+            )
+            for lane in range(3)
+        ]
+        batch = BatchSimulation(
+            platform, [make_governor("schedutil") for _ in configs], configs
+        )
+        with pytest.raises(ValueError, match="of its own"):
+            batch.run([workload, TracePlayer(trace), workload])
+        assert batch.tick_count == 0 and len(batch.recorder) == 0
+        if shared == "player":
+            assert workload._index == 0
+        else:
+            assert workload.time_s == 0.0
+
+
+#: Apps for the live-demand property: the idle home screen, a feed, a
+#: music player and a game.
+LIVE_APPS = ("home", "facebook", "spotify", "lineage")
+
+
+@given(
+    lanes=st.lists(
+        st.tuples(
+            st.sampled_from(LIVE_APPS),
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=1, max_value=90),
+            st.sampled_from(("schedutil", "conservative", "next")),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=12, deadline=None)
+def test_live_lanes_equal_players_over_their_recordings(lanes):
+    """Live and replayed demand take one path through the batch kernel.
+
+    Each lane is ``(app, seed, ticks, governor)``.  The live batch records
+    every app before the run, one trace per lane.  The replay batch gives
+    lanes of one app and seed players over one shared recording, so they
+    form one demand group.  Every lane's stream must be the same.
+    """
+    platform = make_platform("exynos9810")
+    dt_s = 1.0 / platform.display_refresh_hz
+
+    def lane_hashes(workloads):
+        configs = [
+            SimulationConfig(refresh_hz=platform.display_refresh_hz, seed=lane)
+            for lane in range(len(lanes))
+        ]
+        governors = [
+            make_governor(name, seed=lane) if name == "next" else make_governor(name)
+            for lane, (_, _, _, name) in enumerate(lanes)
+        ]
+        batch = BatchSimulation(platform, governors, configs)
+        batch.run(workloads, duration_s=[ticks * dt_s for _, _, ticks, _ in lanes])
+        return [
+            batch.device_recorder(lane).content_hash() for lane in range(len(lanes))
+        ]
+
+    live = lane_hashes([make_app(app, seed=seed) for app, seed, _, _ in lanes])
+    longest = {}
+    for app, seed, ticks, _ in lanes:
+        longest[app, seed] = max(ticks, longest.get((app, seed), 0))
+    recordings = {
+        key: TraceRecorder.record_app(make_app(key[0], seed=key[1]), ticks * dt_s, dt_s)
+        for key, ticks in longest.items()
+    }
+    replayed = lane_hashes(
+        [TracePlayer(recordings[app, seed]) for app, seed, _, _ in lanes]
+    )
+    assert live == replayed
 
 
 class _FrameBurst:

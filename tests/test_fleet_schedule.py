@@ -95,7 +95,7 @@ class TestRoundChunks:
         chunks = build.round_chunks()
         assert [first for first, _ in chunks] == [0, 1]
         states = {
-            first: train_round_chunk(jobs, build.batched) for first, jobs in chunks
+            first: train_round_chunk(jobs, build.route) for first, jobs in chunks
         }
         assert build.deliver(1, states[1]) is False
         assert finished == [] and not build.finished

@@ -1,8 +1,10 @@
 """Property tests for ``SessionWorkload`` segment boundaries.
 
-The scenario-matrix harness replays multi-segment sessions through
-:class:`repro.sim.engine.SessionWorkload`; these properties guarantee that a
-session's demand stream is well-formed however the segments are sliced:
+:class:`repro.sim.engine.SessionWorkload` steps a multi-segment session
+live (the scenario-matrix harness records its sessions instead, with
+:meth:`~repro.workloads.trace.TraceRecorder.record_segments`); these
+properties guarantee that a session's demand stream is well-formed however
+the segments are sliced:
 time is monotonically increasing across segment boundaries, no tick is lost
 or duplicated when one app hands over to the next, and a drained session
 degrades to the documented idle workload.

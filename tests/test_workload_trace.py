@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphics.pipeline import FrameSpec
-from repro.sim.experiment import record_session_trace
+from repro.sim.config import SimulationConfig
+from repro.sim.engine import Simulation
+from repro.sim.experiment import make_governor, record_session_trace
 from repro.soc.platform import exynos9810
 from repro.workloads.app import TickWorkload
 from repro.workloads.apps import make_app
@@ -218,3 +220,39 @@ class TestColumnarTrace:
             tracemalloc.stop()
         assert len(trace) == 5400
         assert retained <= 400 * 1024
+
+
+class TestOneDemandPath:
+    """A live workload and a replay of its recording run the same demand.
+
+    The kernels read every tick from trace columns: a live workload is
+    recorded before the run, and a player hands out its own trace.  So a
+    live app's run and a run of a player over that app's recording must
+    record the same stream.  The batch kernel's counterpart is
+    ``test_live_lanes_equal_players_over_their_recordings``.
+    """
+
+    @given(
+        app=st.sampled_from(("home", "facebook", "spotify", "lineage")),
+        seed=st.integers(min_value=0, max_value=10_000),
+        ticks=st.integers(min_value=1, max_value=120),
+        governor=st.sampled_from(("schedutil", "conservative", "next")),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_live_run_equals_the_replay_of_its_recording(
+        self, app, seed, ticks, governor
+    ):
+        platform = exynos9810()
+        config = SimulationConfig(refresh_hz=platform.display_refresh_hz, seed=seed)
+        duration_s = ticks * config.dt_s
+
+        def run(workload):
+            kwargs = {"seed": seed} if governor == "next" else {}
+            simulation = Simulation(platform, make_governor(governor, **kwargs), config)
+            simulation.run(workload, duration_s=duration_s)
+            return simulation.recorder.content_hash()
+
+        trace = TraceRecorder.record_app(
+            make_app(app, seed=seed), duration_s, config.dt_s
+        )
+        assert run(make_app(app, seed=seed)) == run(TracePlayer(trace))
