@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from struct import Struct
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -68,7 +69,8 @@ class WorkloadTrace:
         self.names: List[str] = []
         self.backgrounds: List[Mapping[str, float]] = []
         self._name_codes: Dict[str, int] = {}
-        self._background_codes: Dict[Tuple[Tuple[str, ...], bytes], int] = {}
+        #: Background keys -> (packer of their values, codes by packed bits).
+        self._background_codes: Dict[tuple, Tuple[Struct, Dict[bytes, int]]] = {}
 
     def __len__(self) -> int:
         return len(self.time_s)
@@ -143,12 +145,17 @@ class WorkloadTrace:
     def _background_code(self, background: Mapping[str, float]) -> int:
         # Keyed by exact float bits, so -0.0 and NaN payloads keep their own
         # entry (value equality would merge -0.0 into 0.0 and miss every NaN).
-        values = array("d", background.values())
-        key = (tuple(background), values.tobytes())
-        code = self._background_codes.get(key)
+        keys = tuple(background)
+        table = self._background_codes.get(keys)
+        if table is None:
+            table = self._background_codes[keys] = (Struct(f"{len(keys)}d"), {})
+        packer, codes = table
+        bits = packer.pack(*background.values())
+        code = codes.get(bits)
         if code is None:
-            code = self._background_codes[key] = len(self.backgrounds)
-            self.backgrounds.append(MappingProxyType(dict(zip(key[0], values))))
+            code = codes[bits] = len(self.backgrounds)
+            mapping = dict(zip(keys, packer.unpack(bits)))
+            self.backgrounds.append(MappingProxyType(mapping))
         return code
 
     def demand_at(self, index: int) -> Tuple[str, str, Sequence[Frame], int, float]:
