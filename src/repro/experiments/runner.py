@@ -456,7 +456,8 @@ def execute_cells_batched(
             CellResult(cell=cell, status="ok", summary=_lane_summary(batch, lane, names))
             for lane, (cell, names) in enumerate(zip(cells, app_names))
         ]
-        # Each lane's share covers gather, summary and hash, not just the kernel.
+        # Each lane's share covers the last fold, summary and digest, not just
+        # the kernel.
         elapsed_s = (time.perf_counter() - started) / len(cells)
         for result in results:
             result.elapsed_s = elapsed_s
@@ -495,7 +496,8 @@ def execute_cells_batched(
 
 
 def _lane_summary(batch, index: int, app_names: List[str]) -> Dict[str, Any]:
-    """One batch lane's cell summary; its gathered rows die on return."""
+    """One batch lane's cell summary, from the digest and summary columns its
+    rows were folded into during the run (no rows are gathered)."""
     recorder = batch.device_recorder(index)
     session = SessionResult(
         governor_name=batch.governors[index].name,

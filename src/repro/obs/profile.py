@@ -10,10 +10,11 @@ because the wrapped function *is* the original function plus two clock
 reads.  Both kernels bucket the same six :data:`STAGES`; the batch
 kernel's ``pipeline`` covers the per-device frame queues and the
 vectorised finish, and its ``governor`` covers both the per-lane
-invocations and the grouped vectorised updates.  ``workload`` alone is
-not per tick: it wraps the per-run demand entry (``take_demand``: a live
-workload's recording), once per run and lane, so a stride above 1 may
-sample it zero times; the per-tick column reads fall into no stage.
+invocations and the grouped vectorised updates.  ``workload`` covers
+the per-tick demand reads (``WorkloadTrace.demand_at``, once per demand
+group on the batch kernel) and the per-run demand entry (``take_demand``:
+a live workload's recording).  The batch kernel's ``recorder`` also
+covers the fold of each full window into the lanes' digests.
 
 When disabled (the default), :func:`active_profiler` returns ``None``
 and the loops take their original, unwrapped path: the cost is one

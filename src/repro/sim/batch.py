@@ -20,17 +20,20 @@ numeric stage is one NumPy call chain over the whole ``(clusters,
 devices)`` or ``(nodes, devices)`` array, never one chain per cluster or
 node: per-call overhead, not the lane count, is what a small batch pays per
 tick.  The recorder's arrays span only the active lanes of the current
-lane segment (:class:`~repro.sim.recorder.BatchRecorder`).
+lane segment and hold one window of up to 1,024 rows; each full window is
+folded into its lanes' v1 digests and summary columns during the run
+(:class:`~repro.sim.recorder.BatchRecorder`), so no lane keeps its rows.
 
 Bit-identity contract
 ---------------------
 The scalar :class:`~repro.sim.engine.Simulation` kernel is the reference:
 for every device, a batched run records exactly the sample stream a scalar
-run of that device records (pinned via
-:func:`~repro.sim.recorder.sample_stream_hash` by the golden and hypothesis
-suites).  The guarantee holds because each vectorised stage applies the same
-IEEE-754 float operations in the same order per lane as the scalar kernel
-(see the ``*_batch`` methods of :class:`~repro.soc.thermal.ThermalNetwork`,
+run of that device records (pinned via its
+:func:`~repro.sim.recorder.sample_stream_hash` digest and summary by the
+golden and hypothesis suites).  The guarantee holds because each
+vectorised stage applies the same IEEE-754 float operations in the same
+order per lane as the scalar kernel (see the ``*_batch`` methods of
+:class:`~repro.soc.thermal.ThermalNetwork`,
 :class:`~repro.soc.power.SocPowerModel` and
 :class:`~repro.governors.schedutil.SchedutilScaler`), lane-crossing
 reductions are never used, and every value leaving the arrays (recorder
@@ -81,6 +84,7 @@ class BatchSimulation:
         platform: PlatformSpec,
         governors: Sequence[Governor],
         configs: Sequence[SimulationConfig],
+        record: bool = True,
     ) -> None:
         if not governors:
             raise ValueError("a batch needs at least one device")
@@ -99,6 +103,9 @@ class BatchSimulation:
                 )
         self.platform = platform
         self.governors = list(governors)
+        #: Whether ticks are recorded, as on :class:`Simulation`: a training
+        #: episode, whose lanes no one reads, allocates no recorder blocks.
+        self.record = record
         self.devices = [
             Simulation(platform, governors[d], configs[d])
             for d in range(len(governors))
@@ -250,7 +257,12 @@ class BatchSimulation:
         return self._tick_count
 
     def device_recorder(self, device: int) -> Recorder:
-        """One device's recorded stream as a scalar :class:`Recorder`."""
+        """One device's digest and summary as a scalar :class:`Recorder`.
+
+        See :meth:`~repro.sim.recorder.BatchRecorder.device_recorder`: its
+        ``content_hash()``, ``summary()`` and length equal a scalar run's,
+        and it keeps no samples.
+        """
         return self.recorder.device_recorder(device)
 
     # -- main loop -----------------------------------------------------------------
@@ -431,10 +443,14 @@ class BatchSimulation:
                 groups = {}
                 for d in active_list:
                     groups.setdefault(demands[d], []).append(d)
-                frontend = [
-                    (group, trace.demand_at, first + ran, background_rows[trace], lanes)
-                    for group, ((trace, first), lanes) in enumerate(groups.items())
-                ]
+                frontend = []
+                for group, ((trace, first), lanes) in enumerate(groups.items()):
+                    demand_at = trace.demand_at
+                    if profiler is not None:
+                        demand_at = profiler.wrap("workload", demand_at)
+                    frontend.append(
+                        (group, demand_at, first + ran, background_rows[trace], lanes)
+                    )
                 # The demand fields a group's lanes share, recorded once
                 # per group.
                 group_apps = [""] * len(groups)
@@ -447,8 +463,12 @@ class BatchSimulation:
                     "batch.device_ticks", float(seg_ticks) * len(active_list)
                 )
                 # The ticks on which some active lane records.
-                row_ticks = begin_segment(
-                    tick_count, seg_ticks, active_list, list(groups.values())
+                row_ticks = (
+                    begin_segment(
+                        tick_count, seg_ticks, active_list, list(groups.values())
+                    )
+                    if self.record
+                    else frozenset()
                 )
                 # Freeze lanes that just went inactive: zero the reused
                 # frontend rows once so the shared FPS window and governor

@@ -268,6 +268,8 @@ class Simulation:
             recorder_append = profiler.wrap("recorder", recorder_append)
         trace, first = take(workload, ticks, dt)
         demand_at = trace.demand_at
+        if profiler is not None:
+            demand_at = profiler.wrap("workload", demand_at)
         backgrounds = trace.backgrounds
         try:
             for index in range(first, first + ticks):

@@ -283,9 +283,9 @@ def train_lanes(
     callers freeze them.
 
     ``batched`` only picks the kernel, bit-identical per lane: one
-    :class:`~repro.sim.batch.BatchSimulation` per episode over the running
-    lanes, or one unrecorded :class:`Simulation` per lane and episode --
-    the trained agent is an episode's only product.
+    unrecorded :class:`~repro.sim.batch.BatchSimulation` per episode over
+    the running lanes, or one unrecorded :class:`Simulation` per lane and
+    episode -- the trained agent is an episode's only product.
     """
     governors, app_lists, budgets, durations, base_seeds, configs = zip(*lanes)
     results: List[List[TrainingResult]] = [[] for _ in lanes]
@@ -312,7 +312,10 @@ def train_lanes(
                 from repro.sim.batch import BatchSimulation
 
                 batch = BatchSimulation(
-                    platform, [governors[i] for i in running], episode_configs
+                    platform,
+                    [governors[i] for i in running],
+                    episode_configs,
+                    record=False,
                 )
                 batch.run(apps, duration_s=[durations[i] for i in running])
             else:

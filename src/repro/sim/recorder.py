@@ -20,8 +20,12 @@ template of the layout and equals :func:`sample_stream_hash` over the views
 byte for byte.
 
 :class:`BatchRecorder` records the lanes of a batched run into NumPy
-arrays, one set per lane segment, and hands one lane's columns to a
-:class:`Recorder` without building a row object.
+windows, one set per lane segment, and folds each lane's rows into its
+running v1 digest through the same template as the windows fill.  A batch
+lane's product is its digest and its summary:
+:meth:`BatchRecorder.device_recorder` hands out a :class:`Recorder` that
+keeps only the columns :meth:`Recorder.summary` reads and refuses to
+return samples.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.ppdw import compute_ppdw
 
@@ -164,6 +168,60 @@ def _row_template(
     return template, tuple(orders)
 
 
+def _fold_rows(digest, layout: Tuple[Tuple[str, ...], ...], columns: Sequence) -> None:
+    """Fold rows, given as columns, into a v1 ``digest`` (a SHA-256 object).
+
+    ``columns`` follows :meth:`Recorder.append_tick`: the nine scalar fields
+    from ``time_s`` to ``power_total_w``, one column per key of ``layout``
+    (field after field), then ``interaction_activity``.  Every row is
+    formatted through the layout's :func:`_row_template`, so folding a
+    stream piece by piece, in order, gives the digest of the whole stream.
+    """
+    template, orders = _row_template(layout)
+    format_row = template.__mod__
+    hashed = list(columns[:9])
+    start = 9
+    for keys, order in zip(layout, orders):
+        hashed.extend(columns[start + index] for index in order)
+        start += len(keys)
+    hashed.append(columns[start])
+    for lo in range(0, len(columns[0]), _HASH_CHUNK_ROWS):
+        rows = zip(*[column[lo : lo + _HASH_CHUNK_ROWS] for column in hashed])
+        digest.update("".join(map(format_row, rows)).encode("utf-8"))
+
+
+class _FoldedLane:
+    """What a batch lane keeps of its rows once they are folded.
+
+    ``digest`` is the running v1 SHA-256 of the rows, ``rows`` their count
+    and ``frames`` the displayed, demanded and dropped totals.  ``parts``
+    holds the columns :meth:`Recorder.summary` reads, as float64 arrays,
+    one entry per fold: a ``(2 + nodes, rows)`` array of FPS, total power
+    and each thermal node's temperature, and the target FPS of an agent
+    lane (None on any other lane).
+    """
+
+    __slots__ = ("digest", "rows", "first_time_s", "last_time_s", "frames", "parts")
+
+    def __init__(self) -> None:
+        self.digest = hashlib.sha256()
+        self.rows = 0
+        self.first_time_s = 0.0
+        self.last_time_s = 0.0
+        self.frames = (0, 0, 0)
+        self.parts: List[tuple] = []
+
+    def snapshot(self) -> "_FoldedLane":
+        """The digest and totals so far, unchanged by later folds (no parts)."""
+        copy = _FoldedLane()
+        copy.digest = self.digest.copy()
+        copy.rows = self.rows
+        copy.first_time_s = self.first_time_s
+        copy.last_time_s = self.last_time_s
+        copy.frames = self.frames
+        return copy
+
+
 class Recorder:
     """Accumulates samples (a list per column) and computes :class:`SummaryStatistics`."""
 
@@ -190,6 +248,11 @@ class Recorder:
         self._spans: Dict[str, slice] = {}
         # Lazily materialised SimulationSample views.
         self._materialised: List[SimulationSample] = []
+        #: A batch lane folded as it was recorded (see
+        #: :meth:`BatchRecorder.device_recorder`): its digest, row count,
+        #: first and last row time and frame totals.  Such a recorder
+        #: keeps only the columns :meth:`summary` reads.
+        self._folded: Optional[_FoldedLane] = None
 
     # -- appending ------------------------------------------------------------------
 
@@ -291,13 +354,22 @@ class Recorder:
         _drain(map(_append, self._key_columns, values))
 
     def __len__(self) -> int:
-        return len(self._time)
+        folded = self._folded
+        return len(self._time) if folded is None else folded.rows
+
+    def _require_rows(self) -> None:
+        if self._folded is not None:
+            raise ValueError(
+                "a batch lane keeps only its digest and summary, not its rows; "
+                "run the device on the scalar kernel (Simulation) for samples"
+            )
 
     # -- sample views ----------------------------------------------------------------
 
     @property
     def samples(self) -> List[SimulationSample]:
         """All samples as :class:`SimulationSample` views (materialised lazily)."""
+        self._require_rows()
         materialised = self._materialised
         start = len(materialised)
         count = len(self._time)
@@ -338,29 +410,29 @@ class Recorder:
         Reads the columns directly: every row is formatted through the
         layout's :func:`_row_template`, so the digest equals
         ``sample_stream_hash(self.samples)`` without building any sample.
+        A folded batch lane returns the digest its rows were folded into.
         """
-        h = hashlib.sha256()
-        template, orders = _row_template(tuple(self._layout.values()))
-        format_row = template.__mod__
-        columns = [
-            self._time,
-            self._app,
-            self._phase,
-            self._fps,
-            self._target_fps,
-            self._demanded,
-            self._displayed,
-            self._dropped,
-            self._power_total,
-        ]
-        for name, order in zip(_MAPPING_FIELDS, orders):
-            by_key = self._key_columns[self._spans[name]]
-            columns.extend(by_key[index] for index in order)
-        columns.append(self._interaction)
-        for lo in range(0, len(self._time), _HASH_CHUNK_ROWS):
-            rows = zip(*[column[lo : lo + _HASH_CHUNK_ROWS] for column in columns])
-            h.update("".join(map(format_row, rows)).encode("utf-8"))
-        return h.hexdigest()
+        if self._folded is not None:
+            return self._folded.digest.hexdigest()
+        digest = hashlib.sha256()
+        _fold_rows(
+            digest,
+            tuple(self._layout.values()),
+            [
+                self._time,
+                self._app,
+                self._phase,
+                self._fps,
+                self._target_fps,
+                self._demanded,
+                self._displayed,
+                self._dropped,
+                self._power_total,
+                *self._key_columns,
+                self._interaction,
+            ],
+        )
+        return digest.hexdigest()
 
     # -- column access ------------------------------------------------------------
 
@@ -380,6 +452,7 @@ class Recorder:
 
     def column(self, name: str) -> List:
         """Extract one attribute across all samples."""
+        self._require_rows()
         attr = self._SCALAR_COLUMNS.get(name)
         if attr is not None:
             return list(getattr(self, attr))
@@ -395,26 +468,37 @@ class Recorder:
         """
         keys = self._layout.get(field_name, ())
         if key not in keys:
-            return [default] * len(self._time)
+            return [default] * len(self)
         last = len(keys) - 1 - keys[::-1].index(key)
         return self._key_columns[self._spans[field_name].start + last]
 
     def temperature_series(self, node: str) -> List[float]:
         """Temperature of ``node`` across all samples."""
+        self._require_rows()
         return list(self._mapping_series("temperatures_c", node, self.ambient_c))
 
     def frequency_series(self, cluster: str) -> List[float]:
         """Operating frequency of ``cluster`` across all samples."""
+        self._require_rows()
         return list(self._mapping_series("frequencies_mhz", cluster, 0.0))
 
     # -- summaries -----------------------------------------------------------------
 
     def summary(self) -> SummaryStatistics:
         """Aggregate the recorded run."""
-        count = len(self._time)
+        count = len(self)
         if count == 0:
             raise ValueError("cannot summarise an empty recording")
-        duration = self._time[-1] - self._time[0]
+        folded = self._folded
+        if folded is None:
+            first_time, last_time = self._time[0], self._time[-1]
+            displayed = sum(self._displayed)
+            demanded = sum(self._demanded)
+            dropped = sum(self._dropped)
+        else:
+            first_time, last_time = folded.first_time_s, folded.last_time_s
+            displayed, demanded, dropped = folded.frames
+        duration = last_time - first_time
         if count > 1 and duration > 0:
             dt = duration / (count - 1)
         else:
@@ -454,9 +538,9 @@ class Recorder:
             fps_p10=sorted_fps[p10_index],
             peak_temperature_c=peak_temps,
             average_temperature_c=avg_temps,
-            total_frames_displayed=sum(self._displayed),
-            total_frames_demanded=sum(self._demanded),
-            total_frames_dropped=sum(self._dropped),
+            total_frames_displayed=displayed,
+            total_frames_demanded=demanded,
+            total_frames_dropped=dropped,
             average_ppdw=sum(ppdw_values) / count,
             average_target_fps=sum(self._target_fps) / count,
             energy_j=sum(powers) * dt if dt > 0 else 0.0,
@@ -468,6 +552,7 @@ class Recorder:
         """Return roughly one sample per ``period_s`` (for plotting / traces)."""
         if period_s <= 0:
             raise ValueError("period_s must be positive")
+        self._require_rows()
         times = self._time
         if not times:
             return []
@@ -487,12 +572,15 @@ _INT16_MAX = 2**15 - 1
 
 
 class _Segment:
-    """The rows one lane segment records, one block per kind of column.
+    """The rows one lane segment records, one window at a time.
 
-    ``floats`` and ``ints`` are ``(rows, fields, lanes)`` blocks.  The
+    Each block holds a window of ``min(rows, _HASH_CHUNK_ROWS)`` rows.
+    ``floats`` and ``ints`` are ``(window, fields, lanes)`` blocks.  The
     demand groups' fields are ``group_ints`` (app and phase codes, frames
-    demanded), ``(rows, 3, groups)``, and ``interaction``, ``(rows,
-    groups)``.  ``targets`` is ``(rows, agent lanes)``.
+    demanded), ``(window, 3, groups)``, and ``interaction``, ``(window,
+    groups)``.  ``targets`` is ``(window, agent lanes)``.  The window holds
+    the segment's rows ``folded`` to ``filled``; once every row of the
+    segment is written and folded, the blocks are released.
     """
 
     def __init__(
@@ -504,7 +592,7 @@ class _Segment:
     ) -> None:
         import numpy as np
 
-        rows = len(row_ticks)
+        rows = min(len(row_ticks), _HASH_CHUNK_ROWS)
         agents = [device for device in lanes if device in owner._agent_lanes]
         #: Device index -> its lane column in this segment's blocks.
         self.column_of = {device: column for column, device in enumerate(lanes)}
@@ -518,6 +606,7 @@ class _Segment:
         #: None when every lane is active.
         self.take = None if len(lanes) == owner.n_devices else np.array(lanes)
         self.target_take = np.array(agents, dtype=np.intp)
+        #: The tick of each of the segment's rows.
         self.ticks = row_ticks
         self.times = np.empty(rows)
         self.floats = np.empty((rows, owner._float_fields, len(lanes)))
@@ -527,17 +616,24 @@ class _Segment:
         self.targets = np.empty((rows, len(agents)))
         #: Rows written so far.
         self.filled = 0
+        #: Rows folded into the lanes' digests so far.
+        self.folded = 0
+
+    def release(self) -> None:
+        """Drop the blocks of a segment whose rows are all folded."""
+        self.times = self.floats = self.ints = None
+        self.group_ints = self.interaction = self.targets = None
 
 
 class BatchRecorder:
-    """Per-segment array recording over the lanes of a batched run.
+    """Per-segment window recording over the lanes of a batched run, folded as it goes.
 
     A batched run splits into segments with a constant set of active lanes
     (:meth:`~repro.sim.batch.BatchSimulation._lane_schedule`).
-    :meth:`begin_segment` allocates the blocks of a segment, sized to the
-    ticks on which one of its lanes records and to those lanes only, so a
-    lane that has ended keeps no rows.  Each recorded tick
-    (:meth:`append_tick`) writes one row of every block:
+    :meth:`begin_segment` allocates the blocks of a segment: one window of
+    up to :data:`_HASH_CHUNK_ROWS` of the ticks on which one of its lanes
+    records, for those lanes only, so a lane that has ended keeps no rows.
+    Each recorded tick (:meth:`append_tick`) writes one row of every block:
 
     * per lane, a float64 block (FPS, total power, per-cluster power,
       per-node temperature, per-cluster utilisation) and an int16 block
@@ -549,16 +645,26 @@ class BatchRecorder:
       names as codes into one string table and the frames demanded, as
       int16, and the interaction as a float64: 14 B per group-row;
     * per agent lane, its target FPS.  Every other lane records 0.0, which
-      :meth:`device_recorder` fills in without storing it.
+      the fold fills in without storing it.
+
+    A full window is folded before its next row is written, and every
+    pending row on the first :meth:`device_recorder` call after a run.  The
+    fold takes each lane's rows at its own cadence, in row order, through
+    :func:`_fold_rows` into the lane's running v1 SHA-256, so the digest is
+    byte for byte what a scalar run of that device records.  Segments fold
+    in order, so a lane folds an earlier segment's rows before a later
+    one's.  For the whole run a lane keeps only what
+    :meth:`Recorder.summary` reads (:class:`_FoldedLane`): 48 B per
+    lane-row with four thermal nodes, 8 more on agent lanes.  A run with
+    fewer than :data:`_HASH_CHUNK_ROWS` rows per segment folds nothing
+    until it is read.
 
     int16 holds each value exactly, or the value raises ``ValueError``: the
     OPP table is checked when the recorder is built and the string table
     when it grows, and frame counts as they enter a row (a lane's rejected
     frames are at most its group's demanded frames, and its displayed frames
-    at most the tick's VSync edges).  :meth:`device_recorder` fills one
-    lane's :class:`Recorder` from one ``tolist()`` per block, without
-    building a row; float64 extraction is exact, so the lane's stream is
-    bit-identical to the one a scalar simulation of that device records.
+    at most the tick's VSync edges).  float64 extraction is exact, so every
+    folded value is the one a scalar simulation of that device records.
     """
 
     def __init__(
@@ -587,23 +693,27 @@ class BatchRecorder:
         self.hot_node = hot_node
         self._cluster_keys = tuple(cluster_keys)
         self._node_keys = tuple(node_keys)
+        clusters = self._cluster_keys
+        #: The hashed key layout, as :meth:`Recorder.register_layout` fixes it.
+        self._layout = (clusters, self._node_keys, clusters, clusters, clusters)
         self._record_every = [int(every) for every in record_every]
         self._frequency_table = frequency_table
         self._frequency_offsets = frequency_offsets
         self._agent_lanes = frozenset(agent_lanes)
-        clusters = len(self._cluster_keys)
         #: Fields of the float block: fps and total power, then per-cluster
         #: power, per-node temperature and per-cluster utilisation.
-        self._float_fields = 2 + 2 * clusters + len(self._node_keys)
+        self._float_fields = 2 + 2 * len(clusters) + len(self._node_keys)
         #: Fields of the int16 block: frames displayed and dropped, then
         #: per-cluster frequency and max-limit OPP indices.
-        self._int_fields = 2 + 2 * clusters
+        self._int_fields = 2 + 2 * len(clusters)
         #: String table: name -> code, in first-seen order.
         self._names: Dict[str, int] = {}
         #: The last group app and phase names and their ``(2, groups)``
         #: codes: a group's names change only when its app or phase does.
         self._last_codes: tuple = ((), (), None)
         self._segments: List[_Segment] = []
+        #: Device index -> its folded rows, from its first fold on.
+        self._lanes: Dict[int, _FoldedLane] = {}
 
     def __len__(self) -> int:
         return sum(segment.filled for segment in self._segments)
@@ -670,7 +780,7 @@ class BatchRecorder:
         max_limit_rows,
         utilisation_rows,
     ) -> None:
-        """Write the current segment's next row.
+        """Write the current segment's next row, folding its window first when full.
 
         The four group arguments are Python lists with one entry per demand
         group of the segment: app and phase names, frames demanded and
@@ -693,7 +803,10 @@ class BatchRecorder:
                 f"{_INT16_MAX}"
             )
         segment = self._segments[-1]
-        row = segment.filled
+        row = segment.filled - segment.folded
+        if row == len(segment.times):
+            self._fold()
+            row = 0
         floats = (
             fps[None],
             power_total[None],
@@ -717,66 +830,115 @@ class BatchRecorder:
         if segment.target_of:
             segment.targets[row] = target_fps[segment.target_take]
         segment.times[row] = time_s
-        segment.filled = row + 1
+        segment.filled += 1
+
+    def _fold(self) -> None:
+        """Fold every written, unfolded row, segment by segment in run order.
+
+        A segment whose rows are then all written and folded releases its
+        blocks.
+        """
+        for segment in self._segments:
+            if segment.filled > segment.folded:
+                self._fold_window(segment)
+                segment.folded = segment.filled
+                if segment.folded == len(segment.ticks):
+                    segment.release()
+
+    def _fold_window(self, segment: _Segment) -> None:
+        """Fold the rows in ``segment``'s window into each of its lanes."""
+        import numpy as np
+
+        clusters = len(self._cluster_keys)
+        nodes = len(self._node_keys)
+        # Summary fields of the float block: fps, total power, temperatures.
+        kept = [0, 1, *range(2 + clusters, 2 + clusters + nodes)]
+        names = list(self._names)
+        table = self._frequency_table
+        offsets = self._frequency_offsets
+        ticks = segment.ticks[segment.folded : segment.filled]
+        due = {}
+        for device, column in segment.column_of.items():
+            every = self._record_every[device]
+            rows = due.get(every)
+            if rows is None:
+                rows = due[every] = np.flatnonzero(ticks % every == 0)
+            if len(rows) == 0:
+                continue
+            group = segment.group_of[device]
+            floats = segment.floats[rows, :, column].T
+            ints = segment.ints[rows, :, column].T
+            values = floats.tolist()
+            displayed, dropped = ints[:2].tolist()
+            app_codes, phase_codes, demanded = (
+                segment.group_ints[rows, :, group].T.tolist()
+            )
+            times = segment.times[rows].tolist()
+            target = segment.target_of.get(device)
+            if target is None:
+                targets = None
+                target_values = [0.0] * len(times)
+            else:
+                targets = segment.targets[rows, target]
+                target_values = targets.tolist()
+            lane = self._lanes.get(device)
+            if lane is None:
+                lane = self._lanes[device] = _FoldedLane()
+                lane.first_time_s = times[0]
+            _fold_rows(
+                lane.digest,
+                self._layout,
+                [
+                    times,
+                    [names[code] for code in app_codes],
+                    [names[code] for code in phase_codes],
+                    values[0],
+                    target_values,
+                    demanded,
+                    displayed,
+                    dropped,
+                    values[1],
+                    *values[2 : 2 + clusters + nodes],
+                    *table[ints[2 : 2 + clusters] + offsets].tolist(),
+                    *table[ints[2 + clusters :] + offsets].tolist(),
+                    *values[2 + clusters + nodes :],
+                    segment.interaction[rows, group].tolist(),
+                ],
+            )
+            lane.rows += len(times)
+            lane.last_time_s = times[-1]
+            lane.frames = tuple(
+                total + sum(counts)
+                for total, counts in zip(lane.frames, (displayed, demanded, dropped))
+            )
+            lane.parts.append((floats[kept], targets))
 
     def device_recorder(self, device: int) -> Recorder:
-        """One lane's rows, over every segment it ran in, as a scalar :class:`Recorder`.
+        """One lane's digest and summary columns as a scalar :class:`Recorder`.
 
-        Only the rows of the lane's own recording cadence are taken, so the
-        stream is exactly what a scalar run of that device records.
+        Folds every pending row of the batch first.  The recorder's
+        :meth:`~Recorder.content_hash` and :meth:`~Recorder.summary` equal
+        those of a scalar run of that device, and its length is the lane's
+        row count; its samples are not kept, and reading them raises
+        ``ValueError``.  A later run of a homogeneous batch folds on into
+        the lane's digest and leaves this recorder as it is.
         """
         import numpy as np
 
+        self._fold()
         recorder = Recorder(ambient_c=self.ambient_c, hot_node=self.hot_node)
         recorder.register_layout(self._cluster_keys, self._node_keys)
-        every = self._record_every[device]
-        parts = []
-        for segment in self._segments:
-            column = segment.column_of.get(device)
-            if column is not None:
-                ticks = segment.ticks[: segment.filled]
-                rows = np.flatnonzero(ticks % every == 0)
-                parts.append((segment, rows, column, segment.group_of[device]))
-        if not parts:
+        lane = self._lanes.get(device)
+        if lane is None:
             return recorder
-        recorder._time = np.concatenate(
-            [segment.times[rows] for segment, rows, _, _ in parts]
-        ).tolist()
-        floats = np.concatenate(
-            [segment.floats[rows, :, column] for segment, rows, column, _ in parts]
-        ).T.tolist()
-        ints = np.concatenate(
-            [segment.ints[rows, :, column] for segment, rows, column, _ in parts]
-        ).T
-        app_codes, phase_codes, recorder._demanded = np.concatenate(
-            [segment.group_ints[rows, :, group] for segment, rows, _, group in parts]
-        ).T.tolist()
-        recorder._interaction = np.concatenate(
-            [segment.interaction[rows, group] for segment, rows, _, group in parts]
-        ).tolist()
+        recorder._folded = lane.snapshot()
+        columns = np.concatenate([kept for kept, _ in lane.parts], axis=1).tolist()
+        recorder._fps, recorder._power_total = columns[:2]
+        recorder._key_columns[recorder._spans["temperatures_c"]] = columns[2:]
         if device in self._agent_lanes:
             recorder._target_fps = np.concatenate(
-                [
-                    segment.targets[rows, segment.target_of[device]]
-                    for segment, rows, _, _ in parts
-                ]
+                [targets for _, targets in lane.parts]
             ).tolist()
         else:
-            recorder._target_fps = [0.0] * len(recorder._time)
-        clusters = len(self._cluster_keys)
-        nodes = len(self._node_keys)
-        recorder._fps, recorder._power_total = floats[:2]
-        recorder._displayed, recorder._dropped = ints[:2].tolist()
-        names = list(self._names)
-        recorder._app = [names[code] for code in app_codes]
-        recorder._phase = [names[code] for code in phase_codes]
-        table = self._frequency_table
-        offsets = self._frequency_offsets
-        recorder._key_columns = [
-            *floats[2 : 2 + clusters],
-            *floats[2 + clusters : 2 + clusters + nodes],
-            *table[ints[2 : 2 + clusters] + offsets].tolist(),
-            *table[ints[2 + clusters :] + offsets].tolist(),
-            *floats[2 + clusters + nodes :],
-        ]
+            recorder._target_fps = [0.0] * lane.rows
         return recorder

@@ -33,7 +33,7 @@ from repro.sim.batch import BatchSimulation
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SessionWorkload, Simulation
 from repro.sim.experiment import GOVERNOR_FACTORIES, make_governor, record_session_trace
-from repro.sim.recorder import BatchRecorder, sample_stream_hash
+from repro.sim.recorder import _HASH_CHUNK_ROWS, BatchRecorder, sample_stream_hash
 from repro.soc.platform import make_platform
 from repro.workloads.app import TickWorkload
 from repro.workloads.apps import make_app
@@ -65,10 +65,7 @@ def batch_device_hashes(platform_name, governor_name, n_devices, seed, duration_
         ],
         duration_s=duration_s,
     )
-    return [
-        sample_stream_hash(batch.device_recorder(device).samples)
-        for device in range(n_devices)
-    ]
+    return [batch.device_recorder(device).content_hash() for device in range(n_devices)]
 
 
 def scalar_device_hash(platform_name, governor_name, device, seed, duration_s):
@@ -157,9 +154,9 @@ class TestMidRunAggregation:
             workload = SessionWorkload(FIGURE1_SESSION.segments, seed=device)
             simulation.run(workload, duration_s=2.0)
             simulation.run(workload, duration_s=2.0)
-            assert sample_stream_hash(
-                batch.device_recorder(device).samples
-            ) == sample_stream_hash(simulation.recorder.samples)
+            assert batch.device_recorder(device).content_hash() == sample_stream_hash(
+                simulation.recorder.samples
+            )
 
 
 class TestBatchedFederatedRound:
@@ -345,10 +342,7 @@ HETERO_APPS = ("facebook", "spotify", "lineage")
 def hetero_batch_hashes(platform_name, governor_name, lanes):
     """Per-device stream hashes of one heterogeneous (masked) batched run."""
     batch = hetero_batch(platform_name, governor_name, lanes)
-    return [
-        sample_stream_hash(batch.device_recorder(device).samples)
-        for device in range(len(lanes))
-    ]
+    return [batch.device_recorder(device).content_hash() for device in range(len(lanes))]
 
 
 def hetero_batch(platform_name, governor_name, lanes):
@@ -377,6 +371,12 @@ def hetero_batch(platform_name, governor_name, lanes):
 
 def hetero_scalar_hash(platform_name, governor_name, lane):
     """The scalar reference stream hash of one heterogeneous lane."""
+    recorder = hetero_scalar_recorder(platform_name, governor_name, lane)
+    return sample_stream_hash(recorder.samples)
+
+
+def hetero_scalar_recorder(platform_name, governor_name, lane):
+    """The scalar reference recording of one heterogeneous lane."""
     platform = make_platform(platform_name)
     config = SimulationConfig(
         refresh_hz=platform.display_refresh_hz,
@@ -385,10 +385,9 @@ def hetero_scalar_hash(platform_name, governor_name, lane):
         record_every_n_ticks=lane["record_every"],
     )
     simulation = Simulation(platform, make_governor(governor_name), config)
-    simulation.run(
+    return simulation.run(
         make_app(lane["app"], seed=lane["seed"], intensity=lane["intensity"])
     )
-    return sample_stream_hash(simulation.recorder.samples)
 
 
 #: One lane of a heterogeneous fleet: every axis a masked batch lets differ.
@@ -451,9 +450,9 @@ class TestHeterogeneousLanes:
         batch = BatchSimulation(platform, [make_governor("schedutil")], [config])
         workload = SessionWorkload(FIGURE1_SESSION.segments, seed=5)
         batch.run([workload], duration_s=2.0)
-        assert sample_stream_hash(
-            batch.device_recorder(0).samples
-        ) == scalar_device_hash("exynos9810", "schedutil", 0, 5, 2.0)
+        assert batch.device_recorder(0).content_hash() == scalar_device_hash(
+            "exynos9810", "schedutil", 0, 5, 2.0
+        )
 
     def test_heterogeneous_run_consumes_the_batch(self):
         """Lanes end at different local ticks, so a second run is rejected."""
@@ -561,30 +560,35 @@ class TestNonIIDFleetGolden:
 
 
 class TestLaneGather:
-    """``device_recorder`` slices lanes out of columns gathered once."""
+    """``device_recorder`` hands out each lane's digest and summary."""
 
     @given(order=st.permutations(range(len(NIID_LANES))))
     @settings(max_examples=4, deadline=None)
     def test_any_gather_order_returns_the_same_streams(self, order):
-        """Mixed durations and cadences; every lane gathered, one twice."""
+        """Mixed durations and cadences; every lane read, one twice."""
         with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
             expected = json.load(handle)["niid_fleet"]["hashes"]
+        scalar = [
+            hetero_scalar_recorder("exynos9810", "schedutil", lane)
+            for lane in NIID_LANES
+        ]
         batch = hetero_batch("exynos9810", "schedutil", NIID_LANES)
-        streams = {}
         for device in [*order, order[0]]:
             recorder = batch.device_recorder(device)
             assert recorder.content_hash() == expected[device]
-            assert sample_stream_hash(recorder.samples) == expected[device]
-            streams.setdefault(device, []).append(recorder.samples)
-        first, again = streams[order[0]]
-        assert first == again
+            assert recorder.summary() == scalar[device].summary()
+            assert len(recorder) == len(scalar[device])
 
     def test_gather_between_runs_covers_rows_appended_later(self):
-        """A homogeneous batch may run on after a gather."""
+        """A homogeneous batch may run on after a read; the read stays put.
+
+        Each run records 1,080 rows, so each folds a full window inside
+        ``run()`` and leaves a tail for the read to fold.
+        """
         platform = make_platform("exynos9810")
         configs = [
             SimulationConfig(
-                refresh_hz=platform.display_refresh_hz, duration_s=2.0, seed=device
+                refresh_hz=platform.display_refresh_hz, duration_s=36.0, seed=device
             )
             for device in range(2)
         ]
@@ -595,21 +599,248 @@ class TestLaneGather:
             SessionWorkload(FIGURE1_SESSION.segments, seed=device)
             for device in range(2)
         ]
-        batch.run(workloads, duration_s=1.0)
-        halfway = [batch.device_recorder(device).content_hash() for device in range(2)]
-        batch.run(workloads, duration_s=1.0)
+        batch.run(workloads, duration_s=18.0)
+        halfway = [batch.device_recorder(device) for device in range(2)]
+        batch.run(workloads, duration_s=18.0)
         for device in range(2):
             simulation = Simulation(
                 platform, make_governor("schedutil"), configs[device]
             )
             workload = SessionWorkload(FIGURE1_SESSION.segments, seed=device)
-            simulation.run(workload, duration_s=1.0)
-            assert halfway[device] == simulation.recorder.content_hash()
-            simulation.run(workload, duration_s=1.0)
-            assert (
-                batch.device_recorder(device).content_hash()
-                == simulation.recorder.content_hash()
+            simulation.run(workload, duration_s=18.0)
+            assert len(simulation.recorder) == 1080
+            assert halfway[device].content_hash() == simulation.recorder.content_hash()
+            assert halfway[device].summary() == simulation.recorder.summary()
+            simulation.run(workload, duration_s=18.0)
+            recorder = batch.device_recorder(device)
+            assert recorder.content_hash() == simulation.recorder.content_hash()
+            assert recorder.summary() == simulation.recorder.summary()
+
+
+def fold_lane_setup(lane, ticks, every, governor_name):
+    """The config, governor and duration of one ``TestWindowFold`` lane."""
+    platform = make_platform("exynos9810")
+    config = SimulationConfig(
+        refresh_hz=platform.display_refresh_hz,
+        seed=100 + lane,
+        record_every_n_ticks=every,
+    )
+    if governor_name == "next":
+        governor = make_governor(governor_name, seed=lane)
+    else:
+        governor = make_governor(governor_name)
+    return config, governor, ticks / platform.display_refresh_hz
+
+
+class TestWindowFold:
+    """A batch lane's rows fold into its digest a window at a time.
+
+    Lanes are ``(ticks, record_every, governor)`` and replay one recording
+    from its start, so they form one demand group per segment.
+    """
+
+    @staticmethod
+    def fold_run(lanes, monkeypatch):
+        """Run ``lanes`` on the batch kernel; return the batch and the
+        ``(segment, rows)`` of every fold inside ``run()``."""
+        platform = make_platform("exynos9810")
+        trace = record_session_trace(
+            [SessionSegment("facebook", 25.0), SessionSegment("spotify", 25.0)],
+            platform=platform,
+            seed=7,
+        )
+        setups = [fold_lane_setup(lane, *spec) for lane, spec in enumerate(lanes)]
+        configs, governors, durations = zip(*setups)
+        batch = BatchSimulation(platform, governors, configs)
+        folds = []
+        fold_window = BatchRecorder._fold_window
+
+        def counted(recorder, segment):
+            folds.append(
+                (recorder._segments.index(segment), segment.filled - segment.folded)
             )
+            fold_window(recorder, segment)
+
+        monkeypatch.setattr(BatchRecorder, "_fold_window", counted)
+        batch.run([TracePlayer(trace) for _ in lanes], duration_s=durations)
+        return batch, trace, list(folds)
+
+    @staticmethod
+    def assert_lanes_equal_scalar(batch, trace, lanes):
+        platform = make_platform("exynos9810")
+        for lane, spec in enumerate(lanes):
+            config, governor, duration_s = fold_lane_setup(lane, *spec)
+            simulation = Simulation(platform, governor, config)
+            simulation.run(TracePlayer(trace), duration_s=duration_s)
+            recorder = batch.device_recorder(lane)
+            assert recorder.content_hash() == simulation.recorder.content_hash(), lane
+            assert recorder.summary() == simulation.recorder.summary(), lane
+            assert len(recorder) == len(simulation.recorder), lane
+
+    @pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049])
+    def test_window_edges_on_every_cadence_and_an_agent_lane(self, rows, monkeypatch):
+        """One segment of ``rows`` rows: cadences 2 and 3 cross the window
+        edge, and the agent lane records its target FPS."""
+        lanes = [
+            (rows, 1, "schedutil"),
+            (rows, 2, "conservative"),
+            (rows, 3, "schedutil"),
+            (rows, 1, "next"),
+        ]
+        batch, trace, in_run = self.fold_run(lanes, monkeypatch)
+        # A full window folds before its next row is written; the last
+        # window waits for the first read.
+        assert in_run == [(0, _HASH_CHUNK_ROWS)] * ((rows - 1) // _HASH_CHUNK_ROWS)
+        self.assert_lanes_equal_scalar(batch, trace, lanes)
+
+    def test_lanes_across_segments_fold_in_row_order(self, monkeypatch):
+        """Segment 0 has 1,500 rows, segment 1 has 1,100.
+
+        The 1,500-tick lanes end mid-window.  The 2,600-tick lanes' last 476
+        rows of segment 0 are still pending when segment 1's window fills,
+        and fold before it.
+        """
+        lanes = [
+            (2600, 1, "schedutil"),
+            (1500, 1, "conservative"),
+            (2600, 3, "next"),
+            (1500, 2, "next"),
+        ]
+        batch, trace, in_run = self.fold_run(lanes, monkeypatch)
+        assert in_run == [(0, 1024), (0, 476), (1, 1024)]
+        self.assert_lanes_equal_scalar(batch, trace, lanes)
+
+    def test_a_run_keeps_one_window_per_pending_segment_and_summary_columns(
+        self, monkeypatch
+    ):
+        """No whole-run rows: after the run, segment 0 is folded and holds no
+        block, segment 1 holds one 1,024-row window with 76 rows pending, and
+        each lane keeps 48 B per folded row (four thermal nodes: FPS, power,
+        temperatures), 8 B more on the agent lane."""
+        lanes = [
+            (2600, 1, "schedutil"),
+            (1500, 1, "conservative"),
+            (2600, 1, "next"),
+            (1500, 1, "schedutil"),
+        ]
+        batch, _, _ = self.fold_run(lanes, monkeypatch)
+        recorder = batch.recorder
+        first, second = recorder._segments
+        assert first.floats is None and first.times is None
+        blocks = (
+            second.times,
+            second.floats,
+            second.ints,
+            second.group_ints,
+            second.interaction,
+            second.targets,
+        )
+        # Per row: two lanes at 112 B, one agent lane's target, one demand
+        # group at 14 B and the row time.
+        assert sum(block.nbytes for block in blocks) == 1024 * (2 * 112 + 8 + 14 + 8)
+        assert second.filled - second.folded == 76
+
+        def kept_bytes(device):
+            return sum(
+                part.nbytes + (0 if targets is None else targets.nbytes)
+                for part, targets in recorder._lanes[device].parts
+            )
+
+        assert [recorder._lanes[device].rows for device in range(4)] == [
+            2524, 1500, 2524, 1500
+        ]
+        assert [kept_bytes(device) for device in range(4)] == [
+            2524 * 48, 1500 * 48, 2524 * 56, 1500 * 48
+        ]
+        batch.device_recorder(0)
+        assert second.floats is None
+        assert [kept_bytes(device) for device in range(4)] == [
+            2600 * 48, 1500 * 48, 2600 * 56, 1500 * 48
+        ]
+
+    def test_folded_lane_keeps_no_samples(self):
+        """Reading rows from a folded lane raises instead of returning a part."""
+        batch = hetero_batch("exynos9810", "schedutil", NIID_LANES)
+        recorder = batch.device_recorder(0)
+        reads = (
+            lambda: recorder.samples,
+            lambda: recorder.column("fps"),
+            lambda: recorder.resample(1.0),
+            lambda: recorder.temperature_series("big"),
+            lambda: recorder.frequency_series("big"),
+        )
+        for read in reads:
+            with pytest.raises(ValueError, match=r"scalar kernel"):
+                read()
+
+    def test_bench_smoke_batch_rows_fold_nothing_inside_run(self, monkeypatch):
+        """The fast benchmark profile replays fewer rows than a window, so
+        none of its timed batch runs, the gated N=256 rows among them,
+        folds inside ``run()``: they time the same work as before the fold."""
+        import importlib.util
+
+        path = os.path.join(
+            os.path.dirname(__file__), "..", "benchmarks", "run_benchmarks.py"
+        )
+        spec = importlib.util.spec_from_file_location("run_benchmarks", path)
+        harness = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(harness)
+        sitting = harness.Sitting("fast", 1)
+        assert len(sitting.trace) < _HASH_CHUNK_ROWS
+        runs = []
+        run_batch = sitting.run_batch
+
+        def counted_run(n, duration_s):
+            folds = []
+            monkeypatch.setattr(
+                BatchRecorder, "_fold_window", lambda *args: folds.append(args)
+            )
+            run_batch(n, duration_s)
+            runs.append((n, len(folds)))
+
+        monkeypatch.setattr(sitting, "run_batch", counted_run)
+        harness.batch_kernel(sitting)
+        harness.batch_hetero(sitting)
+        widest = max(harness.MASKED_WIDTHS)
+        assert runs.count((widest, 0)) == 2  # the uniform and the masked row
+        assert all(folds == 0 for _, folds in runs)
+
+
+class TestUnrecordedBatch:
+    """``record=False``, as on the scalar kernel: nothing is recorded."""
+
+    def test_record_false_allocates_no_blocks_and_steps_the_same_lanes(
+        self, monkeypatch
+    ):
+        platform = make_platform("exynos9810")
+
+        def agents(record):
+            configs = [
+                SimulationConfig(
+                    refresh_hz=platform.display_refresh_hz, duration_s=2.0, seed=lane
+                )
+                for lane in range(3)
+            ]
+            governors = [make_governor("next", seed=lane) for lane in range(3)]
+            batch = BatchSimulation(platform, governors, configs, record=record)
+            batch.run(
+                [make_app("facebook", seed=lane) for lane in range(3)],
+                duration_s=[1.0, 2.0, 2.0],
+            )
+            return batch, [governor.agent.to_dict() for governor in governors]
+
+        recorded, trained = agents(True)
+        assert len(recorded.device_recorder(0)) == 60
+
+        def refuse(*args):
+            raise AssertionError("an unrecorded batch recorded")
+
+        monkeypatch.setattr(BatchRecorder, "begin_segment", refuse)
+        monkeypatch.setattr(BatchRecorder, "append_tick", refuse)
+        unrecorded, unrecorded_trained = agents(False)
+        assert unrecorded_trained == trained
+        assert unrecorded.recorder._segments == [] and len(unrecorded.recorder) == 0
+        assert len(unrecorded.device_recorder(1)) == 0
 
 
 class TestTraceGroups:
@@ -815,8 +1046,9 @@ class TestRecorderBlocks:
 
     def test_block_bytes_per_lane_row_and_group_row(self):
         """exynos9810: 112 B per lane-row, 8 more per agent lane-row, 14 per
-        group-row.  Two segments: four lanes replay one trace, two more run
-        apps of their own, one agent lane among them ends first."""
+        group-row, in blocks of ``min(rows, 1024)`` rows.  Two segments:
+        four lanes replay one trace, two more run apps of their own, one
+        agent lane among them ends first."""
         platform = make_platform("exynos9810")
         trace = record_session_trace(
             [SessionSegment("facebook", 2.0)], platform=platform, seed=1
@@ -848,7 +1080,8 @@ class TestRecorderBlocks:
         segments = batch.recorder._segments
         assert [len(segment.column_of) for segment in segments] == [6, 5]
         for segment, agents in zip(segments, (1, 0)):
-            rows = segment.filled
+            rows = min(len(segment.ticks), _HASH_CHUNK_ROWS)
+            assert rows == segment.filled
             lanes = len(segment.column_of)
             groups = len(set(segment.group_of.values()))
             assert groups == 3
@@ -930,6 +1163,20 @@ class TestBatchProfiler:
         }
         assert called == set(STAGES)
         assert hot == bare
+
+    def test_workload_stage_samples_per_tick_demand_reads(self):
+        """At stride 32, a 5 s lane samples ``workload`` from its 300
+        per-tick demand reads, not only from its one demand entry."""
+        platform = make_platform("exynos9810")
+        config = SimulationConfig(
+            refresh_hz=platform.display_refresh_hz, duration_s=5.0, seed=0
+        )
+        batch = BatchSimulation(platform, [make_governor("schedutil")], [config])
+        with profiled(stride=32) as profiler:
+            batch.run([make_app("facebook", seed=0)])
+        workload = profiler.snapshot()["stages"]["workload"]
+        assert workload["calls"] == 301
+        assert workload["sampled"] == 9
 
     def test_stages_cover_the_thermal_step_and_the_rates(self, monkeypatch):
         """As on the scalar route, power_thermal holds the whole SoC step

@@ -369,6 +369,27 @@ class TestProfiler:
         assert {"power_thermal", "scaler", "recorder"} <= sampled_stages
         assert active_profiler() is None  # the context manager deactivated
 
+    def test_workload_stage_samples_per_tick_demand_reads(self):
+        """At stride 32, a 5 s run samples ``workload`` from its 300
+        per-tick demand reads, not only from its one demand entry."""
+        from repro.sim.config import SimulationConfig
+        from repro.sim.engine import Simulation
+        from repro.sim.experiment import make_governor
+        from repro.soc.platform import make_platform
+        from repro.workloads.apps import make_app
+
+        platform = make_platform("exynos9810")
+        config = SimulationConfig(
+            refresh_hz=platform.display_refresh_hz, duration_s=5.0, seed=0
+        )
+        with profiled(stride=32) as profiler:
+            Simulation(platform, make_governor("schedutil"), config).run(
+                make_app("facebook", seed=0)
+            )
+        workload = profiler.snapshot()["stages"]["workload"]
+        assert workload["calls"] == 301
+        assert workload["sampled"] == 9
+
     def test_profile_lands_in_trace_footer(self, tmp_path):
         path = str(tmp_path / TRACE_BASENAME)
         with traced(path):
