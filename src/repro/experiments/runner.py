@@ -496,8 +496,8 @@ def execute_cells_batched(
 
 
 def _lane_summary(batch, index: int, app_names: List[str]) -> Dict[str, Any]:
-    """One batch lane's cell summary, from the digest and summary columns its
-    rows were folded into during the run (no rows are gathered)."""
+    """One batch lane's cell summary, from the digest and running summary
+    its rows were folded into during the run (no rows are gathered)."""
     recorder = batch.device_recorder(index)
     session = SessionResult(
         governor_name=batch.governors[index].name,

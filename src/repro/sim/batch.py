@@ -21,7 +21,7 @@ devices)`` or ``(nodes, devices)`` array, never one chain per cluster or
 node: per-call overhead, not the lane count, is what a small batch pays per
 tick.  The recorder's arrays span only the active lanes of the current
 lane segment and hold one window of up to 1,024 rows; each full window is
-folded into its lanes' v1 digests and summary columns during the run
+folded into its lanes' v1 digests and running summaries during the run
 (:class:`~repro.sim.recorder.BatchRecorder`), so no lane keeps its rows.
 
 Bit-identity contract
@@ -260,8 +260,9 @@ class BatchSimulation:
         """One device's digest and summary as a scalar :class:`Recorder`.
 
         See :meth:`~repro.sim.recorder.BatchRecorder.device_recorder`: its
-        ``content_hash()``, ``summary()`` and length equal a scalar run's,
-        and it keeps no samples.
+        ``content_hash()``, ``summary()`` and length equal a scalar run's.
+        It holds the lane's running digest and summary as of this read,
+        and no samples.
         """
         return self.recorder.device_recorder(device)
 

@@ -32,7 +32,6 @@ to the original allocating path (pinned by the golden-trace suite).
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Optional, Sequence
 
@@ -49,6 +48,7 @@ from repro.soc.platform import PlatformSpec
 from repro.soc.soc import SocSimulator
 from repro.workloads.app import TickWorkload
 from repro.workloads.apps import make_app
+from repro.workloads.session import segment_ticks
 from repro.workloads.trace import take_demand
 
 
@@ -60,8 +60,9 @@ class SessionWorkload:
     offset so they are monotonically increasing across the whole session.
 
     Segment boundaries are *integer tick counts* derived once per segment
-    (``ceil(duration_s / dt_s)``, fractional ticks round up to whole VSync
-    periods).  The previous implementation accumulated ``dt_s`` in floats and
+    (:func:`~repro.workloads.session.segment_ticks`: fractional ticks round
+    up to whole VSync periods), the same counts that a recorded session
+    plays.  The previous implementation accumulated ``dt_s`` in floats and
     compared against ``duration_s - 1e-9``, which could gain or lose a tick
     per segment on long sessions; counting ticks makes boundaries exact for
     sessions of any length.
@@ -103,12 +104,7 @@ class SessionWorkload:
             )
         segment = self._segments[self._segment_index]
         if self._segment_total_ticks is None:
-            # Derive the boundary once per segment as a whole number of ticks:
-            # exact multiples of dt_s stay exact, fractional durations round
-            # up (a 2.5-tick segment plays 3 whole VSync periods).
-            self._segment_total_ticks = max(
-                1, math.ceil(segment.duration_s / dt_s - 1e-9)
-            )
+            self._segment_total_ticks = segment_ticks(segment.duration_s, dt_s)
             self._segment_tick = 0
         app = self._ensure_app()
         tick = app.tick(dt_s)

@@ -21,22 +21,38 @@ byte for byte.
 
 :class:`BatchRecorder` records the lanes of a batched run into NumPy
 windows, one set per lane segment, and folds each lane's rows into its
-running v1 digest through the same template as the windows fill.  A batch
-lane's product is its digest and its summary:
-:meth:`BatchRecorder.device_recorder` hands out a :class:`Recorder` that
-keeps only the columns :meth:`Recorder.summary` reads and refuses to
-return samples.
+running v1 digest through the same template as the windows fill.  The
+same fold continues the lane's running summary: exact running sums that
+continue builtin ``sum`` (:func:`_running_sum`), running maxima and an FPS
+histogram, so a lane keeps no per-row storage.  A batch lane's product is
+its digest and its summary: :meth:`BatchRecorder.device_recorder` hands
+out a :class:`Recorder` that holds both and refuses to return samples.
+One helper, :func:`_summarise`, builds every summary from column
+reductions, whether :meth:`Recorder.summary` takes them over its lists or
+a batch lane kept them running.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
+import math
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.core.ppdw import compute_ppdw
+from repro.core.ppdw import MIN_DELTA_T_C, MIN_POWER_W, compute_ppdw
 
 
 @dataclass(frozen=True)
@@ -190,18 +206,198 @@ def _fold_rows(digest, layout: Tuple[Tuple[str, ...], ...], columns: Sequence) -
         digest.update("".join(map(format_row, rows)).encode("utf-8"))
 
 
+#: Whether builtin ``sum`` compensates the rounding of a float sum
+#: (Neumaier's algorithm, as CPython 3.12 and later do) or adds plainly, as
+#: 3.9-3.11 do.  Decided once, by behaviour: only a compensated sum gets 2.0.
+_SUM_COMPENSATES = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+
+
+def _running_sum(state, values: List[float], compensated: bool):
+    """Continue builtin ``sum`` of a float column over its next ``values``.
+
+    ``state`` is None before the column's first value, and afterwards the
+    ``(total, compensation)`` pair this returns.  Fed a column window by
+    window, in order, the last state's :func:`_sum_value` is ``sum(column)``
+    bit for bit, in the family of ``sum`` that ``compensated`` names:
+
+    * plain: the first window enters as ``sum(values)``, whose int start
+      turns a leading ``-0.0`` into ``0.0``, and every later one as
+      ``sum(values, total)``;
+    * compensated: CPython's loop, carried across windows.  The first value
+      enters as ``0 + x``; each later ``x`` goes into the total, and the
+      rounding error of that addition into the compensation.
+    """
+    if not values:
+        return state
+    if not compensated:
+        return (sum(values) if state is None else sum(values, state[0])), 0.0
+    items = iter(values)
+    if state is None:
+        total, compensation = 0 + next(items), 0.0
+    else:
+        total, compensation = state
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total, compensation
+
+
+def _sum_value(state) -> float:
+    """The sum of a column from its last :func:`_running_sum` state.
+
+    As in CPython's compensated ``sum``, the compensation is added only when
+    it is nonzero and finite: that keeps the sign of a ``-0.0`` total, and an
+    infinite or overflowed total does not turn into NaN.  A plain state's
+    compensation is 0.0.
+    """
+    total, compensation = state
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def _compensated_sums(states, columns: List[List[float]]) -> List[tuple]:
+    """The compensated :func:`_running_sum` of several columns, vectorised.
+
+    ``columns`` holds one window of each column, all of one length, and
+    ``states`` their states (None before their first window).
+    ``numpy.add.accumulate`` adds in order, so each running total is the
+    loop's, and each compensation accumulates the loop's terms in order.
+    """
+    import numpy as np
+
+    block = np.array(columns)
+    if states is None:
+        totals = 0.0 + block[:, 0]
+        compensations = np.zeros(len(block))
+        block = block[:, 1:]
+    else:
+        totals, compensations = np.array(states).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        running = np.add.accumulate(np.column_stack((totals, block)), axis=1)
+        before, after = running[:, :-1], running[:, 1:]
+        terms = np.where(
+            np.abs(before) >= np.abs(block),
+            (before - after) + block,
+            (block - after) + before,
+        )
+        compensations = np.add.accumulate(
+            np.column_stack((compensations, terms)), axis=1
+        )[:, -1]
+    return list(zip(running[:, -1].tolist(), compensations.tolist()))
+
+
+def _running_max(peak, values: List[float]):
+    """Continue builtin ``max`` of a column over its next ``values``.
+
+    ``peak`` is None before the column's first value, and afterwards what
+    this returns.  The maximum continues from ``peak`` through ``values``
+    in order, as ``max`` over the whole column does: combining per-window
+    maxima afterwards would differ once a NaN is present.
+    """
+    return max(values) if peak is None else max(chain((peak,), values))
+
+
+def _ranked(counts: Mapping[float, int], index: int) -> float:
+    """``sorted(values)[index]`` of the values that ``counts`` histograms.
+
+    Exact for floats other than NaN and ``-0.0``: each of them equals only
+    floats with its own bits, so merging equal values into one key loses
+    nothing.
+    """
+    for value in sorted(counts):
+        index -= counts[value]
+        if index < 0:
+            return value
+    raise IndexError("histogram index out of range")
+
+
+def _ppdw_rows(fps, power_w, temperature_c, ambient_c: float):
+    """:func:`~repro.core.ppdw.compute_ppdw` of every row of float64 arrays.
+
+    ``numpy.fmax(x, bound)`` picks what ``max(bound, x)`` does, NaN
+    included, and the operations run in the scalar order.  Unlike
+    ``compute_ppdw``, a negative FPS does not raise: a batch lane's FPS is a
+    displayed-frame count over the FPS window.
+    """
+    import numpy as np
+
+    delta_t = np.fmax(temperature_c - ambient_c, MIN_DELTA_T_C)
+    return fps / (delta_t * np.fmax(power_w, MIN_POWER_W))
+
+
+def _summarise(
+    rows: int,
+    times: Tuple[float, float],
+    frames: Tuple[int, int, int],
+    sums: Tuple[float, float, float, float],
+    peak_power_w: float,
+    temperatures: Dict[str, Tuple[float, float]],
+    fps_at: Callable[[int], float],
+) -> SummaryStatistics:
+    """The summary of ``rows`` recorded rows, from their column reductions.
+
+    ``times`` holds the first and last row time, ``frames`` the displayed,
+    demanded and dropped totals, and ``sums`` builtin ``sum`` of FPS, total
+    power, per-row PPDW and target FPS.  ``temperatures`` maps each thermal
+    node, in sorted order, to the ``sum`` and the ``max`` of its column.
+    ``fps_at(i)`` is ``sorted(fps)[i]``.
+    """
+    first_time, last_time = times
+    duration = last_time - first_time
+    if rows > 1 and duration > 0:
+        dt = duration / (rows - 1)
+    else:
+        dt = 0.0
+    fps_sum, power_sum, ppdw_sum, target_sum = sums
+    displayed, demanded, dropped = frames
+    return SummaryStatistics(
+        duration_s=duration,
+        average_power_w=power_sum / rows,
+        peak_power_w=peak_power_w,
+        average_fps=fps_sum / rows,
+        fps_p10=fps_at(max(0, int(0.1 * (rows - 1)))),
+        peak_temperature_c={node: peak for node, (_, peak) in temperatures.items()},
+        average_temperature_c={
+            node: total / rows for node, (total, _) in temperatures.items()
+        },
+        total_frames_displayed=displayed,
+        total_frames_demanded=demanded,
+        total_frames_dropped=dropped,
+        average_ppdw=ppdw_sum / rows,
+        average_target_fps=target_sum / rows,
+        energy_j=power_sum * dt if dt > 0 else 0.0,
+    )
+
+
 class _FoldedLane:
     """What a batch lane keeps of its rows once they are folded.
 
     ``digest`` is the running v1 SHA-256 of the rows, ``rows`` their count
-    and ``frames`` the displayed, demanded and dropped totals.  ``parts``
-    holds the columns :meth:`Recorder.summary` reads, as float64 arrays,
-    one entry per fold: a ``(2 + nodes, rows)`` array of FPS, total power
-    and each thermal node's temperature, and the target FPS of an agent
-    lane (None on any other lane).
+    and ``frames`` the displayed, demanded and dropped totals.  The rest is
+    the lane's running summary, of fixed size whatever its length:
+    ``sums`` holds the :func:`_running_sum` states of FPS, total power,
+    PPDW, target FPS and each thermal node's temperature (in layout order),
+    ``peaks`` the running ``max`` of total power and each node's
+    temperature, and ``fps_counts`` the rows per FPS value.  A lane's FPS
+    is a displayed-frame count over the FPS window, never NaN or ``-0.0``,
+    so the histogram's sorted keys rank FPS as ``sorted`` does.
     """
 
-    __slots__ = ("digest", "rows", "first_time_s", "last_time_s", "frames", "parts")
+    __slots__ = (
+        "digest",
+        "rows",
+        "first_time_s",
+        "last_time_s",
+        "frames",
+        "sums",
+        "peaks",
+        "fps_counts",
+    )
 
     def __init__(self) -> None:
         self.digest = hashlib.sha256()
@@ -209,17 +405,63 @@ class _FoldedLane:
         self.first_time_s = 0.0
         self.last_time_s = 0.0
         self.frames = (0, 0, 0)
-        self.parts: List[tuple] = []
+        self.sums: Optional[List[tuple]] = None
+        self.peaks: Optional[List[float]] = None
+        self.fps_counts: Counter = Counter()
+
+    def reduce(self, summed: List[List[float]], peaked: List[List[float]]) -> None:
+        """Continue the running summary over the next rows of the lane.
+
+        ``summed`` holds the rows' FPS, total power, PPDW, target FPS and
+        node temperatures, and ``peaked`` their total power and node
+        temperatures, each as a list of floats.
+        """
+        if _SUM_COMPENSATES:
+            self.sums = _compensated_sums(self.sums, summed)
+        else:
+            sums = self.sums or [None] * len(summed)
+            self.sums = [
+                _running_sum(state, column, False)
+                for state, column in zip(sums, summed)
+            ]
+        peaks = self.peaks or [None] * len(peaked)
+        self.peaks = list(map(_running_max, peaks, peaked))
+        self.fps_counts.update(summed[0])
 
     def snapshot(self) -> "_FoldedLane":
-        """The digest and totals so far, unchanged by later folds (no parts)."""
+        """The digest and running summary so far, unchanged by later folds."""
         copy = _FoldedLane()
         copy.digest = self.digest.copy()
         copy.rows = self.rows
         copy.first_time_s = self.first_time_s
         copy.last_time_s = self.last_time_s
         copy.frames = self.frames
+        copy.sums = list(self.sums)
+        copy.peaks = list(self.peaks)
+        copy.fps_counts = Counter(self.fps_counts)
         return copy
+
+    def summary(self, nodes: Sequence[str]) -> SummaryStatistics:
+        """The summary of the rows folded so far.
+
+        ``nodes`` are the thermal node keys in layout order; a node listed
+        twice reads its last column, as :meth:`Recorder.summary` does.
+        """
+        sums = [_sum_value(state) for state in self.sums]
+        last = {node: index for index, node in enumerate(nodes)}
+        counts = self.fps_counts
+        return _summarise(
+            self.rows,
+            (self.first_time_s, self.last_time_s),
+            self.frames,
+            tuple(sums[:4]),
+            self.peaks[0],
+            {
+                node: (sums[4 + last[node]], self.peaks[1 + last[node]])
+                for node in sorted(last)
+            },
+            lambda index: _ranked(counts, index),
+        )
 
 
 class Recorder:
@@ -249,9 +491,8 @@ class Recorder:
         # Lazily materialised SimulationSample views.
         self._materialised: List[SimulationSample] = []
         #: A batch lane folded as it was recorded (see
-        #: :meth:`BatchRecorder.device_recorder`): its digest, row count,
-        #: first and last row time and frame totals.  Such a recorder
-        #: keeps only the columns :meth:`summary` reads.
+        #: :meth:`BatchRecorder.device_recorder`): its digest and running
+        #: summary.  Such a recorder keeps no columns.
         self._folded: Optional[_FoldedLane] = None
 
     # -- appending ------------------------------------------------------------------
@@ -486,37 +727,19 @@ class Recorder:
 
     def summary(self) -> SummaryStatistics:
         """Aggregate the recorded run."""
-        count = len(self)
+        if self._folded is not None:
+            return self._folded.summary(self._layout["temperatures_c"])
+        count = len(self._time)
         if count == 0:
             raise ValueError("cannot summarise an empty recording")
-        folded = self._folded
-        if folded is None:
-            first_time, last_time = self._time[0], self._time[-1]
-            displayed = sum(self._displayed)
-            demanded = sum(self._demanded)
-            dropped = sum(self._dropped)
-        else:
-            first_time, last_time = folded.first_time_s, folded.last_time_s
-            displayed, demanded, dropped = folded.frames
-        duration = last_time - first_time
-        if count > 1 and duration > 0:
-            dt = duration / (count - 1)
-        else:
-            dt = 0.0
-
         powers = self._power_total
         fps_values = self._fps
-        sorted_fps = sorted(fps_values)
-        p10_index = max(0, int(0.1 * (count - 1)))
 
         ambient = self.ambient_c
         node_series = {
             node: self._mapping_series("temperatures_c", node, ambient)
             for node in sorted(set(self._layout.get("temperatures_c", ())))
         }
-        peak_temps = {node: max(series) for node, series in node_series.items()}
-        avg_temps = {node: sum(series) / count for node, series in node_series.items()}
-
         hot_temps = node_series.get(self.hot_node)
         if hot_temps is None:
             hot_temps = self._mapping_series("temperatures_c", self.hot_node, ambient)
@@ -530,20 +753,14 @@ class Recorder:
             for i in range(count)
         ]
 
-        return SummaryStatistics(
-            duration_s=duration,
-            average_power_w=sum(powers) / count,
-            peak_power_w=max(powers),
-            average_fps=sum(fps_values) / count,
-            fps_p10=sorted_fps[p10_index],
-            peak_temperature_c=peak_temps,
-            average_temperature_c=avg_temps,
-            total_frames_displayed=displayed,
-            total_frames_demanded=demanded,
-            total_frames_dropped=dropped,
-            average_ppdw=sum(ppdw_values) / count,
-            average_target_fps=sum(self._target_fps) / count,
-            energy_j=sum(powers) * dt if dt > 0 else 0.0,
+        return _summarise(
+            count,
+            (self._time[0], self._time[-1]),
+            (sum(self._displayed), sum(self._demanded), sum(self._dropped)),
+            (sum(fps_values), sum(powers), sum(ppdw_values), sum(self._target_fps)),
+            max(powers),
+            {node: (sum(series), max(series)) for node, series in node_series.items()},
+            lambda index: sorted(fps_values)[index],
         )
 
     # -- resampled views -------------------------------------------------------------
@@ -651,13 +868,14 @@ class BatchRecorder:
     pending row on the first :meth:`device_recorder` call after a run.  The
     fold takes each lane's rows at its own cadence, in row order, through
     :func:`_fold_rows` into the lane's running v1 SHA-256, so the digest is
-    byte for byte what a scalar run of that device records.  Segments fold
-    in order, so a lane folds an earlier segment's rows before a later
-    one's.  For the whole run a lane keeps only what
-    :meth:`Recorder.summary` reads (:class:`_FoldedLane`): 48 B per
-    lane-row with four thermal nodes, 8 more on agent lanes.  A run with
-    fewer than :data:`_HASH_CHUNK_ROWS` rows per segment folds nothing
-    until it is read.
+    byte for byte what a scalar run of that device records.  The same fold
+    continues the lane's running summary (:class:`_FoldedLane`): running
+    sums that continue builtin ``sum``, running maxima and an FPS
+    histogram, so :meth:`Recorder.summary` of the lane equals a scalar
+    run's while the lane keeps no per-row storage.  Segments fold in
+    order, so a lane folds an earlier segment's rows before a later one's.
+    A run with fewer than :data:`_HASH_CHUNK_ROWS` rows per segment folds
+    nothing until it is read.
 
     int16 holds each value exactly, or the value raises ``ValueError``: the
     OPP table is checked when the recorder is built and the string table
@@ -696,6 +914,14 @@ class BatchRecorder:
         clusters = self._cluster_keys
         #: The hashed key layout, as :meth:`Recorder.register_layout` fixes it.
         self._layout = (clusters, self._node_keys, clusters, clusters, clusters)
+        nodes = self._node_keys
+        #: The float-block field of the hot node's temperature (its last
+        #: column when listed twice), or None when the layout lacks it.
+        self._hot_field = (
+            1 + len(clusters) + len(nodes) - nodes[::-1].index(hot_node)
+            if hot_node in nodes
+            else None
+        )
         self._record_every = [int(every) for every in record_every]
         self._frequency_table = frequency_table
         self._frequency_offsets = frequency_offsets
@@ -851,8 +1077,10 @@ class BatchRecorder:
 
         clusters = len(self._cluster_keys)
         nodes = len(self._node_keys)
-        # Summary fields of the float block: fps, total power, temperatures.
-        kept = [0, 1, *range(2 + clusters, 2 + clusters + nodes)]
+        # Fields of the float block: each node's temperature.
+        temperatures = slice(2 + clusters, 2 + clusters + nodes)
+        hot = self._hot_field
+        ambient = self.ambient_c
         names = list(self._names)
         table = self._frequency_table
         offsets = self._frequency_offsets
@@ -876,11 +1104,9 @@ class BatchRecorder:
             times = segment.times[rows].tolist()
             target = segment.target_of.get(device)
             if target is None:
-                targets = None
                 target_values = [0.0] * len(times)
             else:
-                targets = segment.targets[rows, target]
-                target_values = targets.tolist()
+                target_values = segment.targets[rows, target].tolist()
             lane = self._lanes.get(device)
             if lane is None:
                 lane = self._lanes[device] = _FoldedLane()
@@ -911,34 +1137,30 @@ class BatchRecorder:
                 total + sum(counts)
                 for total, counts in zip(lane.frames, (displayed, demanded, dropped))
             )
-            lane.parts.append((floats[kept], targets))
+            ppdw = _ppdw_rows(
+                floats[0], floats[1], ambient if hot is None else floats[hot], ambient
+            )
+            node_values = values[temperatures]
+            lane.reduce(
+                [values[0], values[1], ppdw.tolist(), target_values, *node_values],
+                [values[1], *node_values],
+            )
 
     def device_recorder(self, device: int) -> Recorder:
-        """One lane's digest and summary columns as a scalar :class:`Recorder`.
+        """One lane's digest and summary as a scalar :class:`Recorder`.
 
         Folds every pending row of the batch first.  The recorder's
         :meth:`~Recorder.content_hash` and :meth:`~Recorder.summary` equal
         those of a scalar run of that device, and its length is the lane's
-        row count; its samples are not kept, and reading them raises
-        ``ValueError``.  A later run of a homogeneous batch folds on into
-        the lane's digest and leaves this recorder as it is.
+        row count; it holds a copy of the lane's digest and running summary,
+        not its rows, and reading samples raises ``ValueError``.  A later
+        run of a homogeneous batch folds on into the lane and leaves this
+        recorder as it is.
         """
-        import numpy as np
-
         self._fold()
         recorder = Recorder(ambient_c=self.ambient_c, hot_node=self.hot_node)
         recorder.register_layout(self._cluster_keys, self._node_keys)
         lane = self._lanes.get(device)
-        if lane is None:
-            return recorder
-        recorder._folded = lane.snapshot()
-        columns = np.concatenate([kept for kept, _ in lane.parts], axis=1).tolist()
-        recorder._fps, recorder._power_total = columns[:2]
-        recorder._key_columns[recorder._spans["temperatures_c"]] = columns[2:]
-        if device in self._agent_lanes:
-            recorder._target_fps = np.concatenate(
-                [targets for _, targets in lane.parts]
-            ).tolist()
-        else:
-            recorder._target_fps = [0.0] * lane.rows
+        if lane is not None:
+            recorder._folded = lane.snapshot()
         return recorder

@@ -13,6 +13,7 @@ multi-app sessions from them.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -78,6 +79,19 @@ class SessionSegment:
             raise ValueError(f"unknown app {self.app_name!r}")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
+
+
+def segment_ticks(duration_s: float, dt_s: float) -> int:
+    """Whole ticks that a session segment of ``duration_s`` plays.
+
+    Exact multiples of ``dt_s`` stay exact, and a fractional count rounds up
+    to whole VSync periods: a 2.5-tick segment plays 3 ticks.  A segment
+    plays at least one tick.  A live :class:`~repro.sim.engine.SessionWorkload`
+    and a recorded session
+    (:meth:`~repro.workloads.trace.TraceRecorder.record_segments`) both
+    count ticks with this rule.
+    """
+    return max(1, math.ceil(duration_s / dt_s - 1e-9))
 
 
 @dataclass(frozen=True)

@@ -287,16 +287,21 @@ class TraceRecorder:
         """Record a multi-segment session (see :mod:`repro.workloads.session`).
 
         ``segments`` is a sequence of objects with ``app_name`` and
-        ``duration_s`` attributes (e.g. :class:`SessionSegment`).
+        ``duration_s`` attributes (e.g. :class:`SessionSegment`).  Each
+        segment plays as many ticks as in a live
+        :class:`~repro.sim.engine.SessionWorkload`
+        (:func:`~repro.workloads.session.segment_ticks`), and the next
+        segment's times start ``duration_s`` later.
         """
         from repro.workloads.apps import make_app
+        from repro.workloads.session import segment_ticks
 
         trace = WorkloadTrace(dt_s=dt_s)
         time_offset = 0.0
         for i, segment in enumerate(segments):
             app_seed = None if seed is None else seed + i * 7919
             app = make_app(segment.app_name, seed=app_seed)
-            _record(trace, app, int(round(segment.duration_s / dt_s)), time_offset)
+            _record(trace, app, segment_ticks(segment.duration_s, dt_s), time_offset)
             time_offset += segment.duration_s
         return trace
 

@@ -17,7 +17,9 @@ pins, so a drift in either kernel (or only one of them) fails loudly.
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 import tracemalloc
 
 import pytest
@@ -33,7 +35,12 @@ from repro.sim.batch import BatchSimulation
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SessionWorkload, Simulation
 from repro.sim.experiment import GOVERNOR_FACTORIES, make_governor, record_session_trace
-from repro.sim.recorder import _HASH_CHUNK_ROWS, BatchRecorder, sample_stream_hash
+from repro.sim.recorder import (
+    _HASH_CHUNK_ROWS,
+    BatchRecorder,
+    _FoldedLane,
+    sample_stream_hash,
+)
 from repro.soc.platform import make_platform
 from repro.workloads.app import TickWorkload
 from repro.workloads.apps import make_app
@@ -617,6 +624,42 @@ class TestLaneGather:
             assert recorder.summary() == simulation.recorder.summary()
 
 
+def summary_state_bytes(lane):
+    """Bytes of a folded lane's running sums and maxima, its FPS histogram
+    aside.  Every value is a Python float, none a NumPy array."""
+    import numpy as np
+
+    for name in _FoldedLane.__slots__:
+        assert not isinstance(getattr(lane, name), np.ndarray), name
+    values = [value for state in lane.sums for value in state] + lane.peaks
+    assert all(type(value) is float for value in [*values, *lane.fps_counts])
+    return sum(map(sys.getsizeof, [lane.sums, lane.peaks, *lane.sums, *values]))
+
+
+def family_sum(compensated):
+    """Builtin ``sum`` of one family, transcribed from CPython's loop:
+    3.12+'s compensated float loop, or 3.9-3.11's plain one.  An int start
+    hands over to the float loop at the first float, as ``start + x``."""
+
+    def sum_(values, start=0):
+        total, compensation = start, 0.0
+        for x in values:
+            if compensated and isinstance(total, float):
+                t = total + x
+                if abs(total) >= abs(x):
+                    compensation += (total - t) + x
+                else:
+                    compensation += (x - t) + total
+                total = t
+            else:
+                total = total + x
+        if compensated and compensation and math.isfinite(compensation):
+            total += compensation
+        return total
+
+    return sum_
+
+
 def fold_lane_setup(lane, ticks, every, governor_name):
     """The config, governor and duration of one ``TestWindowFold`` lane."""
     platform = make_platform("exynos9810")
@@ -710,13 +753,13 @@ class TestWindowFold:
         assert in_run == [(0, 1024), (0, 476), (1, 1024)]
         self.assert_lanes_equal_scalar(batch, trace, lanes)
 
-    def test_a_run_keeps_one_window_per_pending_segment_and_summary_columns(
+    def test_a_run_keeps_one_window_per_pending_segment_and_summary_state(
         self, monkeypatch
     ):
-        """No whole-run rows: after the run, segment 0 is folded and holds no
+        """No per-row storage: after the run, segment 0 is folded and holds no
         block, segment 1 holds one 1,024-row window with 76 rows pending, and
-        each lane keeps 48 B per folded row (four thermal nodes: FPS, power,
-        temperatures), 8 B more on the agent lane."""
+        each lane keeps a running summary of one size, agent lane or not,
+        which folding the last 76 rows leaves as it is: 0 B per folded row."""
         lanes = [
             (2600, 1, "schedutil"),
             (1500, 1, "conservative"),
@@ -739,24 +782,113 @@ class TestWindowFold:
         # group at 14 B and the row time.
         assert sum(block.nbytes for block in blocks) == 1024 * (2 * 112 + 8 + 14 + 8)
         assert second.filled - second.folded == 76
-
-        def kept_bytes(device):
-            return sum(
-                part.nbytes + (0 if targets is None else targets.nbytes)
-                for part, targets in recorder._lanes[device].parts
-            )
-
-        assert [recorder._lanes[device].rows for device in range(4)] == [
-            2524, 1500, 2524, 1500
-        ]
-        assert [kept_bytes(device) for device in range(4)] == [
-            2524 * 48, 1500 * 48, 2524 * 56, 1500 * 48
-        ]
+        lanes = [recorder._lanes[device] for device in range(4)]
+        assert [lane.rows for lane in lanes] == [2524, 1500, 2524, 1500]
+        kept = [summary_state_bytes(lane) for lane in lanes]
+        assert len(set(kept)) == 1
         batch.device_recorder(0)
         assert second.floats is None
-        assert [kept_bytes(device) for device in range(4)] == [
-            2600 * 48, 1500 * 48, 2600 * 56, 1500 * 48
+        assert [lane.rows for lane in lanes] == [2600, 1500, 2600, 1500]
+        assert [summary_state_bytes(lane) for lane in lanes] == kept
+
+    def test_summary_state_does_not_grow_with_rows(self, monkeypatch):
+        """1,025 rows and 8,193 rows keep running summaries of one size; only
+        the FPS histogram gains entries, at most one per FPS value a
+        one-second window can show."""
+        batch, _, _ = self.fold_run(
+            [(1025, 1, "schedutil"), (8193, 1, "schedutil")], monkeypatch
+        )
+        batch.device_recorder(0)
+        short, long = (batch.recorder._lanes[device] for device in range(2))
+        assert (short.rows, long.rows) == (1025, 8193)
+        assert summary_state_bytes(short) == summary_state_bytes(long)
+        refresh = int(batch.platform.display_refresh_hz)
+        assert set(long.fps_counts) <= {float(k) for k in range(refresh + 1)}
+
+    def test_summary_bytes_equal_scalar_at_window_edges(self, monkeypatch):
+        """Lanes of 1, 1,023, 1,024, 1,025 and 2,049 rows on cadences 1, 2 and
+        3, two of them agent lanes, ending in different windows: each
+        summary's ``repr`` equals the scalar run's, so every float matches
+        bit for bit, ``-0.0`` included."""
+        lanes = [
+            (1, 1, "schedutil"),
+            (2046, 2, "conservative"),
+            (3072, 3, "schedutil"),
+            (1025, 1, "next"),
+            (4098, 2, "next"),
         ]
+        batch, trace, _ = self.fold_run(lanes, monkeypatch)
+        platform = make_platform("exynos9810")
+        rows = []
+        for lane, spec in enumerate(lanes):
+            config, governor, duration_s = fold_lane_setup(lane, *spec)
+            simulation = Simulation(platform, governor, config)
+            simulation.run(TracePlayer(trace), duration_s=duration_s)
+            recorder = batch.device_recorder(lane)
+            assert repr(recorder.summary()) == repr(simulation.recorder.summary())
+            rows.append(len(recorder))
+        assert rows == [1, 1023, 1024, 1025, 2049]
+
+    def test_summary_equals_scalar_under_the_other_sum_family(self, monkeypatch):
+        """The recorder's ``sum`` becomes the CPython loop of the family this
+        interpreter lacks, and the fold takes that family's branch: averages
+        and energy move, and each lane still equals its scalar run."""
+        import repro.sim.recorder as recorder
+
+        other = not recorder._SUM_COMPENSATES
+        lanes = [
+            (1, 1, "schedutil"),
+            (2046, 2, "conservative"),
+            (1025, 1, "next"),
+            (2049, 1, "schedutil"),
+        ]
+        platform = make_platform("exynos9810")
+        monkeypatch.setattr(recorder, "_SUM_COMPENSATES", other)
+        monkeypatch.setattr(recorder, "sum", family_sum(other), raising=False)
+        batch, trace, _ = self.fold_run(lanes, monkeypatch)
+        moved = 0
+        for lane, spec in enumerate(lanes):
+            config, governor, duration_s = fold_lane_setup(lane, *spec)
+            simulation = Simulation(platform, governor, config)
+            simulation.run(TracePlayer(trace), duration_s=duration_s)
+            expected = repr(simulation.recorder.summary())
+            assert repr(batch.device_recorder(lane).summary()) == expected
+            with monkeypatch.context() as running:
+                running.delattr(recorder, "sum")
+                moved += repr(simulation.recorder.summary()) != expected
+        assert moved > 0
+
+    def test_a_read_between_runs_keeps_its_summary(self):
+        """A homogeneous batch with an agent lane runs 1,025 ticks, is read,
+        and runs 1,024 more: the first read keeps the 1,025-row summary, and
+        a second read gives the 2,049-row one, both as the scalar split run's
+        byte for byte."""
+        platform = make_platform("exynos9810")
+        trace = record_session_trace(
+            [SessionSegment("facebook", 40.0)], platform=platform, seed=11
+        )
+        lanes = [(0, "next"), (1, "conservative")]
+
+        def setups():
+            return [fold_lane_setup(lane, 0, 1, name)[:2] for lane, name in lanes]
+
+        configs, governors = zip(*setups())
+        batch = BatchSimulation(platform, governors, configs)
+        players = [TracePlayer(trace) for _ in lanes]
+        halves = (1025 / platform.display_refresh_hz, 1024 / platform.display_refresh_hz)
+        batch.run(players, duration_s=halves[0])
+        first = [batch.device_recorder(lane) for lane, _ in lanes]
+        batch.run(players, duration_s=halves[1])
+        for (lane, _), (config, governor) in zip(lanes, setups()):
+            simulation = Simulation(platform, governor, config)
+            player = TracePlayer(trace)
+            simulation.run(player, duration_s=halves[0])
+            assert len(first[lane]) == 1025
+            assert repr(first[lane].summary()) == repr(simulation.recorder.summary())
+            simulation.run(player, duration_s=halves[1])
+            second = batch.device_recorder(lane)
+            assert len(second) == 2049
+            assert repr(second.summary()) == repr(simulation.recorder.summary())
 
     def test_folded_lane_keeps_no_samples(self):
         """Reading rows from a folded lane raises instead of returning a part."""

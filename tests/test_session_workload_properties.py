@@ -11,11 +11,12 @@ degrades to the documented idle workload.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import SessionWorkload
 from repro.workloads.session import SessionSegment
+from repro.workloads.trace import TraceRecorder
 
 DT_S = 1.0 / 60.0
 
@@ -96,6 +97,42 @@ def test_fractional_segment_duration_rounds_up_to_whole_ticks():
         workload.tick(DT_S)
         count += 1
     assert count == 3
+
+
+# Fractional plans: each segment plays whole ticks plus a fraction of one,
+# so it ends between two VSync edges.
+fractional_plans = st.lists(
+    st.tuples(
+        st.sampled_from(APP_CHOICES),
+        st.integers(min_value=0, max_value=12),
+        st.sampled_from([0.25, 0.5, 0.75]) | st.floats(min_value=0.01, max_value=0.99),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(plan=fractional_plans, seed=st.integers(min_value=0, max_value=2**16))
+@example(plan=[("facebook", 2, 0.5), ("spotify", 3, 0.5)], seed=0)
+def test_recorded_session_plays_the_live_ticks(plan, seed):
+    """A recorded session plays the ticks that the live session plays.
+
+    Same count, and per tick the same app, phase and frames: the 2.5-tick
+    ``facebook`` segment followed by a 3.5-tick ``spotify`` one plays 3 and
+    4 ticks either way.
+    """
+    segments = [
+        SessionSegment(app, (whole + fraction) * DT_S) for app, whole, fraction in plan
+    ]
+    live = SessionWorkload(segments, seed=seed)
+    played = []
+    while not live.exhausted:
+        tick = live.tick(DT_S)
+        played.append((tick.app_name, tick.phase_name, list(tick.frames)))
+    trace = TraceRecorder.record_segments(segments, dt_s=DT_S, seed=seed)
+    recorded = [(tick.app_name, tick.phase_name, list(tick.frames)) for tick in trace]
+    assert recorded == played
 
 
 def test_empty_segments_rejected():
