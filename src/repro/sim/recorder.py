@@ -39,7 +39,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from typing import (
     Callable,
     Dict,
@@ -52,7 +52,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.ppdw import MIN_DELTA_T_C, MIN_POWER_W, compute_ppdw
+from repro.core.ppdw import compute_ppdw
 
 
 @dataclass(frozen=True)
@@ -260,37 +260,6 @@ def _sum_value(state) -> float:
     return total
 
 
-def _compensated_sums(states, columns: List[List[float]]) -> List[tuple]:
-    """The compensated :func:`_running_sum` of several columns, vectorised.
-
-    ``columns`` holds one window of each column, all of one length, and
-    ``states`` their states (None before their first window).
-    ``numpy.add.accumulate`` adds in order, so each running total is the
-    loop's, and each compensation accumulates the loop's terms in order.
-    """
-    import numpy as np
-
-    block = np.array(columns)
-    if states is None:
-        totals = 0.0 + block[:, 0]
-        compensations = np.zeros(len(block))
-        block = block[:, 1:]
-    else:
-        totals, compensations = np.array(states).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        running = np.add.accumulate(np.column_stack((totals, block)), axis=1)
-        before, after = running[:, :-1], running[:, 1:]
-        terms = np.where(
-            np.abs(before) >= np.abs(block),
-            (before - after) + block,
-            (block - after) + before,
-        )
-        compensations = np.add.accumulate(
-            np.column_stack((compensations, terms)), axis=1
-        )[:, -1]
-    return list(zip(running[:, -1].tolist(), compensations.tolist()))
-
-
 def _running_max(peak, values: List[float]):
     """Continue builtin ``max`` of a column over its next ``values``.
 
@@ -314,20 +283,6 @@ def _ranked(counts: Mapping[float, int], index: int) -> float:
         if index < 0:
             return value
     raise IndexError("histogram index out of range")
-
-
-def _ppdw_rows(fps, power_w, temperature_c, ambient_c: float):
-    """:func:`~repro.core.ppdw.compute_ppdw` of every row of float64 arrays.
-
-    ``numpy.fmax(x, bound)`` picks what ``max(bound, x)`` does, NaN
-    included, and the operations run in the scalar order.  Unlike
-    ``compute_ppdw``, a negative FPS does not raise: a batch lane's FPS is a
-    displayed-frame count over the FPS window.
-    """
-    import numpy as np
-
-    delta_t = np.fmax(temperature_c - ambient_c, MIN_DELTA_T_C)
-    return fps / (delta_t * np.fmax(power_w, MIN_POWER_W))
 
 
 def _summarise(
@@ -416,14 +371,11 @@ class _FoldedLane:
         node temperatures, and ``peaked`` their total power and node
         temperatures, each as a list of floats.
         """
-        if _SUM_COMPENSATES:
-            self.sums = _compensated_sums(self.sums, summed)
-        else:
-            sums = self.sums or [None] * len(summed)
-            self.sums = [
-                _running_sum(state, column, False)
-                for state, column in zip(sums, summed)
-            ]
+        sums = self.sums or [None] * len(summed)
+        self.sums = [
+            _running_sum(state, column, _SUM_COMPENSATES)
+            for state, column in zip(sums, summed)
+        ]
         peaks = self.peaks or [None] * len(peaked)
         self.peaks = list(map(_running_max, peaks, peaked))
         self.fps_counts.update(summed[0])
@@ -1094,9 +1046,8 @@ class BatchRecorder:
             if len(rows) == 0:
                 continue
             group = segment.group_of[device]
-            floats = segment.floats[rows, :, column].T
             ints = segment.ints[rows, :, column].T
-            values = floats.tolist()
+            values = segment.floats[rows, :, column].T.tolist()
             displayed, dropped = ints[:2].tolist()
             app_codes, phase_codes, demanded = (
                 segment.group_ints[rows, :, group].T.tolist()
@@ -1137,12 +1088,18 @@ class BatchRecorder:
                 total + sum(counts)
                 for total, counts in zip(lane.frames, (displayed, demanded, dropped))
             )
-            ppdw = _ppdw_rows(
-                floats[0], floats[1], ambient if hot is None else floats[hot], ambient
+            ppdw = list(
+                map(
+                    compute_ppdw,
+                    values[0],
+                    values[1],
+                    repeat(ambient) if hot is None else values[hot],
+                    repeat(ambient),
+                )
             )
             node_values = values[temperatures]
             lane.reduce(
-                [values[0], values[1], ppdw.tolist(), target_values, *node_values],
+                [values[0], values[1], ppdw, target_values, *node_values],
                 [values[1], *node_values],
             )
 

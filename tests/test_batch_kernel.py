@@ -17,10 +17,10 @@ pins, so a drift in either kernel (or only one of them) fails loudly.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -28,6 +28,7 @@ pytest.importorskip("numpy")  # the batch kernel is NumPy-backed
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_running_summary import cpython_sum
 
 from repro.graphics.pipeline import FrameSpec
 from repro.obs.profile import STAGES, profiled
@@ -636,30 +637,6 @@ def summary_state_bytes(lane):
     return sum(map(sys.getsizeof, [lane.sums, lane.peaks, *lane.sums, *values]))
 
 
-def family_sum(compensated):
-    """Builtin ``sum`` of one family, transcribed from CPython's loop:
-    3.12+'s compensated float loop, or 3.9-3.11's plain one.  An int start
-    hands over to the float loop at the first float, as ``start + x``."""
-
-    def sum_(values, start=0):
-        total, compensation = start, 0.0
-        for x in values:
-            if compensated and isinstance(total, float):
-                t = total + x
-                if abs(total) >= abs(x):
-                    compensation += (total - t) + x
-                else:
-                    compensation += (x - t) + total
-                total = t
-            else:
-                total = total + x
-        if compensated and compensation and math.isfinite(compensation):
-            total += compensation
-        return total
-
-    return sum_
-
-
 def fold_lane_setup(lane, ticks, every, governor_name):
     """The config, governor and duration of one ``TestWindowFold`` lane."""
     platform = make_platform("exynos9810")
@@ -844,7 +821,9 @@ class TestWindowFold:
         ]
         platform = make_platform("exynos9810")
         monkeypatch.setattr(recorder, "_SUM_COMPENSATES", other)
-        monkeypatch.setattr(recorder, "sum", family_sum(other), raising=False)
+        monkeypatch.setattr(
+            recorder, "sum", partial(cpython_sum, compensated=other), raising=False
+        )
         batch, trace, _ = self.fold_run(lanes, monkeypatch)
         moved = 0
         for lane, spec in enumerate(lanes):

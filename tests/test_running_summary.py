@@ -13,8 +13,8 @@ column, bit for bit:
 * a running maximum equals ``max`` of the column, NaN included;
 * the FPS histogram ranks values as ``sorted`` does.
 
-The pure-Python reductions need no NumPy, so these run on every
-interpreter; the vectorised ones skip without it.
+The reductions are pure Python and need no NumPy, so these run on every
+interpreter.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.ppdw import compute_ppdw
 from repro.sim.recorder import (
     _SUM_COMPENSATES,
     _ranked,
@@ -62,30 +61,29 @@ def bits(value):
     return "nan" if math.isnan(value) else struct.pack("<d", value)
 
 
-def cpython_sum(values, compensated):
-    """``sum(values)`` of a float list, transcribed from CPython's
-    ``builtin_sum_impl``: 3.12+'s compensated loop, or 3.9-3.11's plain one.
+def cpython_sum(values, start=0, compensated=_SUM_COMPENSATES):
+    """``sum(values, start)``, transcribed from CPython's
+    ``builtin_sum_impl``: 3.12+'s compensated float loop, or 3.9-3.11's
+    plain one.
 
-    The int start 0 hands over to the float loop at the first float, as
-    ``0 + x``.
+    An int total adds as an int and hands over to the float loop at the
+    first float, as ``total + x``; the float loop starts with no
+    compensation.
     """
-    result = 0
-    c = 0.0
-    for index, x in enumerate(values):
-        if index == 0:
-            result = 0 + x
-        elif compensated:
-            t = result + x
-            if abs(result) >= abs(x):
-                c += (result - t) + x
+    total, compensation = start, 0.0
+    for x in values:
+        if compensated and isinstance(total, float):
+            t = total + x
+            if abs(total) >= abs(x):
+                compensation += (total - t) + x
             else:
-                c += (x - t) + result
-            result = t
+                compensation += (x - t) + total
+            total = t
         else:
-            result += x
-    if compensated and c and math.isfinite(c):
-        result += c
-    return result
+            total = total + x
+    if compensated and compensation and math.isfinite(compensation):
+        total += compensation
+    return total
 
 
 @st.composite
@@ -117,12 +115,15 @@ class TestRunningSum:
         column, windows = case
         assert bits(fold_sum(windows)) == bits(sum(column))
 
-    @given(columns)
+    @given(columns, floats, st.lists(st.integers(-(10**6), 10**6), max_size=20))
     @settings(max_examples=200, deadline=None)
-    def test_transcription_is_the_running_interpreters_sum(self, column):
+    def test_transcription_is_the_running_interpreters_sum(self, column, start, ints):
         """The transcription that pins the other family is itself exact
-        for the family this interpreter runs."""
-        assert bits(cpython_sum(column, _SUM_COMPENSATES)) == bits(sum(column))
+        for the family this interpreter runs: floats from the int start
+        or from a float start, and ints, which stay ints."""
+        assert bits(cpython_sum(column)) == bits(sum(column))
+        assert bits(cpython_sum(column, start)) == bits(sum(column, start))
+        assert type(cpython_sum(ints)) is int and cpython_sum(ints) == sum(ints)
 
     @pytest.mark.parametrize("compensated", [False, True])
     @given(case=windowed())
@@ -131,7 +132,7 @@ class TestRunningSum:
         """Both families, whichever ``sum`` this interpreter has."""
         column, windows = case
         assert bits(fold_sum(windows, compensated)) == bits(
-            cpython_sum(column, compensated)
+            cpython_sum(column, compensated=compensated)
         )
 
     def test_the_families_differ_where_only_compensation_recovers(self):
@@ -143,41 +144,6 @@ class TestRunningSum:
     def test_a_leading_negative_zero_sums_to_positive_zero(self):
         for compensated in (False, True):
             assert bits(fold_sum([[-0.0], [-0.0]], compensated)) == bits(0.0)
-
-    @given(
-        st.lists(
-            st.lists(floats, min_size=1, max_size=30).map(tuple),
-            min_size=1,
-            max_size=5,
-        ),
-        st.data(),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_vectorised_step_equals_the_loop(self, rows, data):
-        """``_compensated_sums`` over several columns at once keeps, window
-        by window, the states of the pure compensated loop, bit for bit."""
-        pytest.importorskip("numpy")
-        from repro.sim.recorder import _compensated_sums
-
-        length = min(len(row) for row in rows)
-        block = [list(row[:length]) for row in rows]
-        cuts = data.draw(st.lists(st.integers(1, length), max_size=5))
-        edges = sorted({0, *cuts, length})
-        vector = None
-        loops = [None] * len(block)
-        for a, b in zip(edges, edges[1:]):
-            window = [column[a:b] for column in block]
-            vector = _compensated_sums(vector, window)
-            loops = [
-                _running_sum(state, column, compensated=True)
-                for state, column in zip(loops, window)
-            ]
-            assert [tuple(map(bits, state)) for state in vector] == [
-                tuple(map(bits, state)) for state in loops
-            ]
-        assert [bits(_sum_value(state)) for state in vector] == [
-            bits(cpython_sum(column, True)) for column in block
-        ]
 
 
 class TestRunningMax:
@@ -219,35 +185,3 @@ class TestFpsHistogram:
             assert bits(_ranked(counts, index)) == bits(ordered[index])
         with pytest.raises(IndexError):
             _ranked(counts, len(values))
-
-
-class TestPpdwRows:
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.0) | st.just(math.nan),
-                floats,
-                floats,
-            ),
-            min_size=1,
-            max_size=40,
-        ),
-        st.sampled_from([21.0, 25.0, -3.5]),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_vectorised_ppdw_equals_compute_ppdw(self, rows, ambient):
-        """``numpy.fmax`` picks as ``max(bound, x)`` does, NaN included, and
-        a hot node absent from the layout reads the ambient temperature."""
-        np = pytest.importorskip("numpy")
-        from repro.sim.recorder import _ppdw_rows
-
-        fps, power, temperature = (np.array(column) for column in zip(*rows))
-        with np.errstate(all="ignore"):
-            vector = _ppdw_rows(fps, power, temperature, ambient).tolist()
-            absent = _ppdw_rows(fps, power, ambient, ambient).tolist()
-        assert list(map(bits, vector)) == [
-            bits(compute_ppdw(f, p, t, ambient)) for f, p, t in rows
-        ]
-        assert list(map(bits, absent)) == [
-            bits(compute_ppdw(f, p, ambient, ambient)) for f, p, _ in rows
-        ]
